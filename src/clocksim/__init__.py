@@ -56,6 +56,5 @@ from .kernel import (
 )
 from .models import Model, build, parse_hazard
 from .samplers import SAMPLER_NAMES, SamplerEvent, make_sampler
-from .structs import BACKEND
 
 __version__ = "0.1.0"

@@ -1,27 +1,185 @@
-"""Backend selection for the per-event data structures.
+"""The per-event data structures: putative-time queue and prefix-sum tree.
 
-The compiled extension (`clocksim._structs`, built from `_structs_cy.pyx`)
-is preferred; the pure-Python twin is the fallback.  Set the environment
-variable CLOCKSIM_PURE_PYTHON=1 to force the fallback (used by the
-benchmark and the backend-comparison tests).
+PutativeQueue: indexed min-priority queue over (time, clock id).  Ordering
+is lexicographic, so equal times break toward the smallest clock id and pop
+order is deterministic.  It is a binary heap of (time, cid) tuples on
+`heapq` with lazy deletion: a dict cid -> current time is the source of
+truth, and a heap entry is live only while its time equals that dict's
+entry.  `delete` drops the dict entry, `update` pushes a new entry, and
+`peek`/`pop` discard stale tops.  Whenever the heap holds more than
+2*len(queue) + 16 entries it is rebuilt from the dict, so after every
+operation stale entries number at most len(queue) + 16.
+
+PrefixSumTree: Fenwick tree over nonnegative float weights with point
+update, total, and find-by-prefix (smallest index whose inclusive prefix
+sum strictly exceeds the target -- zero-weight slots are never returned).
+Updates are deltas, so float error can drift; the tree is rebuilt from the
+exact leaf array every `rebuild_every` updates to bound it.
 """
 
-import os
+from __future__ import annotations
 
-_force_py = os.environ.get("CLOCKSIM_PURE_PYTHON", "") not in ("", "0")
+from heapq import heapify, heappop, heappush
 
-if not _force_py:
-    try:
-        from ._structs import PrefixSumTree, PutativeQueue
-
-        BACKEND = "compiled"
-    except ImportError:
-        from ._structs_py import PrefixSumTree, PutativeQueue
-
-        BACKEND = "python"
-else:
-    from ._structs_py import PrefixSumTree, PutativeQueue
-
-    BACKEND = "python"
+# Recorded by the benchmark with every result; records from different
+# backends are not compared.
+BACKEND = "python"
 
 __all__ = ["PrefixSumTree", "PutativeQueue", "BACKEND"]
+
+
+class PutativeQueue:
+    """Indexed min-priority queue over clock putative times."""
+
+    def __init__(self):
+        self._heap = []
+        self._time = {}
+
+    def __len__(self):
+        return len(self._time)
+
+    def __contains__(self, cid):
+        return cid in self._time
+
+    def members(self):
+        return list(self._time)
+
+    def _compact(self):
+        heap = self._heap
+        if len(heap) > 2 * len(self._time) + 16:
+            heap[:] = [(t, cid) for cid, t in self._time.items()]
+            heapify(heap)
+
+    def insert(self, cid, time):
+        if cid in self._time:
+            raise KeyError(f"clock {cid} already queued")
+        self._time[cid] = time
+        heappush(self._heap, (time, cid))
+
+    def peek(self):
+        heap = self._heap
+        times = self._time
+        while heap:
+            time, cid = heap[0]
+            if times.get(cid) == time:
+                return (cid, time)
+            heappop(heap)
+        return None
+
+    def pop(self):
+        heap = self._heap
+        times = self._time
+        while heap:
+            time, cid = heappop(heap)
+            if times.get(cid) == time:
+                del times[cid]
+                self._compact()
+                return (cid, time)
+        raise IndexError("pop from empty queue")
+
+    def delete(self, cid):
+        del self._time[cid]
+        self._compact()
+
+    def update(self, cid, time):
+        times = self._time
+        if times[cid] == time:
+            return
+        times[cid] = time
+        heappush(self._heap, (time, cid))
+        self._compact()
+
+
+class PrefixSumTree:
+    """Fenwick tree over clock hazard weights with find-by-prefix."""
+
+    def __init__(self, capacity=16, rebuild_every=4096):
+        n = 1
+        while n < max(capacity, 1):
+            n *= 2
+        self._n = n
+        self._leaves = [0.0] * n
+        self._tree = [0.0] * (n + 1)
+        self._rebuild_every = rebuild_every
+        self._ops = 0
+
+    @property
+    def capacity(self):
+        return self._n
+
+    def get(self, index):
+        if index < 0:
+            raise IndexError(index)
+        return self._leaves[index]
+
+    def _grow(self, needed):
+        n = self._n
+        while n < needed:
+            n *= 2
+        self._leaves.extend([0.0] * (n - self._n))
+        self._n = n
+        self.rebuild()
+
+    def rebuild(self):
+        n = self._n
+        tree = [0.0] * (n + 1)
+        for i, v in enumerate(self._leaves):
+            j = i + 1
+            tree[j] += v
+            parent = j + (j & -j)
+            if parent <= n:
+                tree[parent] += tree[j]
+        self._tree = tree
+        self._ops = 0
+
+    def set(self, index, value):
+        if value < 0.0:
+            raise ValueError(f"weights must be >= 0, got {value}")
+        if index < 0:
+            # Fenwick index 0 has no lowest set bit: the update loop would never end.
+            raise IndexError(index)
+        if index >= self._n:
+            self._grow(index + 1)
+        delta = value - self._leaves[index]
+        if delta == 0.0:
+            return
+        self._leaves[index] = value
+        j = index + 1
+        tree = self._tree
+        n = self._n
+        while j <= n:
+            tree[j] += delta
+            j += j & -j
+        self._ops += 1
+        if self._ops >= self._rebuild_every:
+            self.rebuild()
+
+    def prefix(self, index):
+        """Inclusive prefix sum of leaves[0..index]."""
+        j = index + 1
+        s = 0.0
+        tree = self._tree
+        while j > 0:
+            s += tree[j]
+            j -= j & -j
+        return s
+
+    def total(self):
+        return self.prefix(self._n - 1)
+
+    def find(self, x):
+        """Smallest index with inclusive prefix sum > x; -1 if x >= total."""
+        pos = 0
+        bit = self._n
+        rem = x
+        tree = self._tree
+        n = self._n
+        while bit:
+            nxt = pos + bit
+            if nxt <= n and tree[nxt] <= rem:
+                pos = nxt
+                rem -= tree[nxt]
+            bit >>= 1
+        if pos >= n:
+            return -1
+        return pos

@@ -31,7 +31,7 @@ from clocksim.samplers import (
     NextReactionSampler,
     make_sampler,
 )
-from clocksim.structs import BACKEND, PrefixSumTree, PutativeQueue
+from clocksim.structs import PrefixSumTree, PutativeQueue
 from clocksim.verify import (
     CensoredSample,
     chi_square_homogeneity,
@@ -291,7 +291,7 @@ def test_criterion_6_data_structure_oracles():
     assert _report(
         6, "data-structure oracles", True,
         f"{tree_checks} find-by-prefix vs scan, {queue_checks} pop orders vs sort, "
-        f"backend={BACKEND}, exact agreement; {elapsed:.1f}s",
+        f"exact agreement; {elapsed:.1f}s",
     )
 
 

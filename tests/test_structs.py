@@ -1,69 +1,18 @@
 import math
-import os
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import clocksim._structs_py as py_backend
-
-try:
-    import clocksim._structs as cy_backend
-except ImportError:
-    cy_backend = None
-
-BACKENDS = [py_backend] + ([cy_backend] if cy_backend is not None else [])
-IDS = ["python"] + (["compiled"] if cy_backend is not None else [])
+import clocksim.structs as structs
 
 
-@pytest.fixture(params=BACKENDS, ids=IDS)
+# One parameter: test ids carry the backend name that `structs.BACKEND` reports.
+@pytest.fixture(params=[structs], ids=[structs.BACKEND])
 def backend(request):
     return request.param
-
-
-def test_backend_selection_env(monkeypatch):
-    import importlib
-
-    import clocksim.structs as structs
-
-    monkeypatch.setenv("CLOCKSIM_PURE_PYTHON", "1")
-    mod = importlib.reload(structs)
-    assert mod.BACKEND == "python"
-    monkeypatch.delenv("CLOCKSIM_PURE_PYTHON")
-    mod = importlib.reload(structs)
-    assert mod.BACKEND in ("python", "compiled")
-
-
-@pytest.mark.skipif(cy_backend is None, reason="compiled backend not built")
-def test_backends_produce_identical_trajectories():
-    """The fallback is a drop-in twin: a trajectory is bit-identical under
-    either backend (same variate stream, same tie-breaking)."""
-    import subprocess
-    import sys
-
-    script = (
-        "from clocksim.models import build\n"
-        "from clocksim.kernel import EventCount, run_trajectory\n"
-        "import clocksim.structs as structs\n"
-        "print(structs.BACKEND)\n"
-        "for sampler in ('next-reaction', 'next-to-fire', 'direct'):\n"
-        "    model = build('sir', {'n': 5, 'recover': 'weibull:2,1'})\n"
-        "    t = run_trajectory(model, sampler, 99, EventCount(12))\n"
-        "    print(sampler, [(e.seq, repr(e.time), e.clock) for e in t.events],"
-        " t.variates_consumed)\n"
-    )
-    outs = {}
-    for force in ("0", "1"):
-        env = dict(os.environ)
-        env["CLOCKSIM_PURE_PYTHON"] = force
-        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                             text=True, env=env)
-        assert res.returncode == 0, res.stderr
-        outs[force] = res.stdout.splitlines()
-    assert outs["0"][0] == "compiled"
-    assert outs["1"][0] == "python"
-    assert outs["0"][1:] == outs["1"][1:]
 
 
 # -- putative queue ----------------------------------------------------------
@@ -142,31 +91,62 @@ def test_queue_random_workloads_match_sort(backend):
 @given(
     ops=st.lists(
         st.tuples(st.sampled_from(["insert", "update", "delete", "pop"]),
-                  st.integers(0, 15), st.floats(0.0, 100.0)),
+                  st.integers(0, 15),
+                  # repeated values: update back to an earlier time, re-insert
+                  # at the time of a deleted entry
+                  st.one_of(st.sampled_from([0.0, 1.0, math.inf]), st.floats(0.0, 100.0))),
         max_size=60,
     )
 )
 @settings(max_examples=150, deadline=None)
 def test_queue_model_property(ops):
-    for backend_mod in BACKENDS:
-        q = backend_mod.PutativeQueue()
-        model = {}
-        for op, cid, t in ops:
-            if op == "insert" and cid not in model:
-                q.insert(cid, t)
-                model[cid] = t
-            elif op == "update" and cid in model:
-                q.update(cid, t)
-                model[cid] = t
-            elif op == "delete" and cid in model:
-                q.delete(cid)
-                del model[cid]
-            elif op == "pop" and model:
-                got = q.pop()
-                want = min(model.items(), key=lambda kv: (kv[1], kv[0]))
-                assert got == (want[0], want[1])
-                del model[got[0]]
-        assert sorted(q.members()) == sorted(model)
+    q = structs.PutativeQueue()
+    model = {}
+    for op, cid, t in ops:
+        if op == "insert" and cid not in model:
+            q.insert(cid, t)
+            model[cid] = t
+        elif op == "update" and cid in model:
+            q.update(cid, t)
+            model[cid] = t
+        elif op == "delete" and cid in model:
+            q.delete(cid)
+            del model[cid]
+        elif op == "pop" and model:
+            got = q.pop()
+            want = min(model.items(), key=lambda kv: (kv[1], kv[0]))
+            assert got == (want[0], want[1])
+            del model[got[0]]
+    assert sorted(q.members()) == sorted(model)
+
+
+def test_queue_churn_keeps_heap_bounded():
+    """Many updates and deletes over a few clocks: stale heap entries stay
+    bounded by the live count and the pop order still matches the sort."""
+    rng = np.random.default_rng(5)
+    q = structs.PutativeQueue()
+    live = {}
+    for k in range(5_000):
+        cid = int(rng.integers(0, 4))
+        t = float(rng.integers(0, 3)) if rng.random() < 0.3 else float(rng.exponential())
+        if cid not in live:
+            q.insert(cid, t)
+            live[cid] = t
+        elif rng.random() < 0.2:
+            q.delete(cid)
+            del live[cid]
+        else:
+            q.update(cid, t)
+            live[cid] = t
+        if k % 7 == 0 and live:
+            want = min(live.items(), key=lambda kv: (kv[1], kv[0]))
+            assert q.peek() == want
+        assert len(q._heap) <= 2 * len(q) + 17
+    got = []
+    while len(q):
+        got.append(q.pop())
+        assert len(q._heap) <= 2 * len(q) + 17
+    assert got == sorted(live.items(), key=lambda kv: (kv[1], kv[0]))
 
 
 # -- prefix-sum tree -----------------------------------------------------------
@@ -206,6 +186,24 @@ def test_tree_rejects_negative(backend):
     t = backend.PrefixSumTree()
     with pytest.raises(ValueError):
         t.set(0, -1.0)
+
+
+def test_tree_rejects_negative_index(backend):
+    def hung(signum, frame):
+        raise TimeoutError("negative index did not raise")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        t = backend.PrefixSumTree(capacity=4)
+        with pytest.raises(IndexError):
+            t.set(-1, 1.0)
+        with pytest.raises(IndexError):
+            t.get(-1)
+        assert t.total() == 0.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_tree_random_matches_scan(backend):
