@@ -22,6 +22,7 @@ import numpy as np
 import yaml
 
 from . import kernel, models, verify
+from .clocks import apply_mark_inplace
 from .errors import ClocksimError, ConfigError
 from .samplers import make_sampler
 
@@ -62,7 +63,8 @@ class RunSpec:
             return kernel.EventCount(self.max_events)
         return kernel.StalledOnly()
 
-    def validate(self):
+    def validate(self) -> models.Model:
+        """Check every field; returns the model, built once here."""
         if self.trajectories < 1:
             raise ConfigError(f"trajectories must be >= 1, got {self.trajectories}")
         if self.workers < 1:
@@ -73,7 +75,7 @@ class RunSpec:
         except ClocksimError as exc:
             raise ConfigError(str(exc)) from exc
         try:
-            models.build(self.model, self.params)
+            return models.build(self.model, self.params)
         except ClocksimError as exc:
             raise ConfigError(f"model {self.model!r}: {exc}") from exc
 
@@ -87,7 +89,7 @@ def _parse_param_value(text: str):
     return text
 
 
-def _load_run_spec(config, overrides) -> RunSpec:
+def _load_run_spec(config, overrides) -> tuple[RunSpec, models.Model]:
     doc = {}
     if config:
         try:
@@ -109,18 +111,25 @@ def _load_run_spec(config, overrides) -> RunSpec:
         if value is not None:
             doc[key] = value
     spec = RunSpec.from_dict(doc)
-    spec.validate()
-    return spec
+    return spec, spec.validate()
 
 
-def _run_one(cfg: dict, index: int):
-    model = models.build(cfg["model"], cfg["params"])
-    spec = RunSpec.from_dict(cfg)
-    traj = kernel.run_trajectory(model, cfg["sampler"], cfg["seed"], spec.stop(), stream_index=index)
-    path = os.path.join(cfg["output"], f"traj_{index:06d}.tsv")
-    with open(path, "w") as fh:
-        kernel.write_trajectory(fh, traj, model)
-    return index, len(traj.events), traj.final_time, traj.variates_consumed
+def _run_trajectories(model, spec: RunSpec, indices):
+    """Run and write the trajectories `indices`; returns [(index, events)]."""
+    stop = spec.stop()
+    results = []
+    for i in indices:
+        traj = kernel.run_trajectory(model, spec.sampler, spec.seed, stop, stream_index=i)
+        with open(os.path.join(spec.output, f"traj_{i:06d}.tsv"), "w") as fh:
+            kernel.write_trajectory(fh, traj, model)
+        results.append((i, len(traj.events)))
+    return results
+
+
+def _run_strided(spec: RunSpec, first: int, stride: int):
+    """One pool worker's share: build the model once, run every stride-th index."""
+    model = models.build(spec.model, spec.params)
+    return _run_trajectories(model, spec, range(first, spec.trajectories, stride))
 
 
 @click.group()
@@ -145,7 +154,7 @@ def cmd_run(config, model, param, sampler, seed, trajectories, t_end, max_events
     """Generate trajectory files and a manifest."""
     started = time.perf_counter()
     try:
-        spec = _load_run_spec(config, {
+        spec, built = _load_run_spec(config, {
             "model": model, "param": param, "sampler": sampler, "seed": seed,
             "trajectories": trajectories, "t_end": t_end, "max_events": max_events,
             "output": output, "workers": workers,
@@ -153,18 +162,14 @@ def cmd_run(config, model, param, sampler, seed, trajectories, t_end, max_events
     except (ConfigError, ClocksimError) as exc:
         raise click.UsageError(str(exc))
     os.makedirs(spec.output, exist_ok=True)
-    cfg = spec.to_dict()
-    results = []
     if spec.workers == 1:
-        for i in range(spec.trajectories):
-            results.append(_run_one(cfg, i))
+        results = _run_trajectories(built, spec, range(spec.trajectories))
     else:
+        k = min(spec.workers, spec.trajectories)
         ctx = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(spec.workers, mp_context=ctx) as pool:
-            futures = [pool.submit(_run_one, cfg, i) for i in range(spec.trajectories)]
-            results = [f.result() for f in futures]
-    results.sort()
-    built = models.build(spec.model, spec.params)
+        with concurrent.futures.ProcessPoolExecutor(k, mp_context=ctx) as pool:
+            futures = [pool.submit(_run_strided, spec, w, k) for w in range(k)]
+            results = sorted(r for f in futures for r in f.result())
     manifest = {
         "model": spec.model,
         "params": spec.params,
@@ -176,14 +181,14 @@ def cmd_run(config, model, param, sampler, seed, trajectories, t_end, max_events
         "t_end": spec.t_end,
         "max_events": spec.max_events,
         "workers": spec.workers,
-        "files": [f"traj_{i:06d}.tsv" for i, *_ in results],
-        "events": {i: n for i, n, *_ in results},
+        "files": [f"traj_{i:06d}.tsv" for i, _ in results],
+        "events": dict(results),
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
     with open(os.path.join(spec.output, "manifest.yaml"), "w") as fh:
         yaml.safe_dump(manifest, fh, sort_keys=True)
     click.echo(f"wrote {spec.trajectories} trajectories to {spec.output}")
-    if spec.max_events is not None and any(n == 0 for _, n, *_ in results):
+    if spec.max_events is not None and any(n == 0 for _, n in results):
         click.echo("stalled before any event", err=True)
         raise SystemExit(3)
 
@@ -218,13 +223,14 @@ def cmd_summarize(files, observable):
         return
     # final-state: pooled histogram over replayed final states
     hist = {}
+    built = {}  # (model, params) header -> Model
     for tf in parsed:
         try:
-            model = models.build(tf.header["model"], json.loads(tf.header.get("params", "{}")))
+            header = (tf.header["model"], tf.header.get("params", "{}"))
+            if header not in built:
+                built[header] = models.build(header[0], json.loads(header[1]))
+            by_id = built[header].by_id
             counts = dict(json.loads(tf.header.get("initial_state", "{}")))
-            by_id = {c.id: c for c in model.clocks}
-            from .clocks import apply_mark_inplace
-
             for ev in tf.events:
                 apply_mark_inplace(counts, by_id[ev.clock].mark)
         except (ClocksimError, KeyError, ValueError) as exc:

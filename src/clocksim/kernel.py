@@ -1,10 +1,11 @@
 """The trajectory loop: compute the kernel, sample, apply, update caches.
 
 A trajectory is a pure function of (model, sampler, seed): uniform variates
-come from one counted PCG64 stream per trajectory whose 128-bit state and
-odd stream increment are splitmix64-derived from (seed, stream_index) (see
-:func:`derived_generator`).  Ensembles give trajectory i stream index i, so
-results are independent of execution order and worker count.
+come from one counted PCG64 stream per trajectory, owned by that trajectory,
+whose 128-bit state and odd stream increment are splitmix64-derived from
+(seed, stream_index) (see :func:`derived_generator`).  Ensembles give
+trajectory i stream index i, so results are independent of execution order
+and worker count.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,33 +61,26 @@ def _mix64(x):
     return x
 
 
-_tl = threading.local()
-
-
 def derived_generator(seed, index):
     """The uniform stream for trajectory `index` under base `seed`.
 
     A PCG64 stream: state = mix(seed) || mix(seed, index), increment =
     (mix(seed, index, salt) || mix(...)+1) | 1.  Distinct odd increments are
     PCG64's designed multi-stream mechanism, so trajectories get independent
-    streams from a pure function of (seed, index).  The backing bit
-    generator is reused per thread; the returned Generator is only valid
-    until the next call on the same thread.
+    streams from a pure function of (seed, index).  Every call returns a
+    Generator over a bit generator of its own.
     """
-    bg = getattr(_tl, "bitgen", None)
-    if bg is None:
-        bg = np.random.PCG64(0)
-        _tl.bitgen = bg
-        _tl.template = bg.state
     s0 = _mix64(seed ^ 0x243F6A8885A308D3)
     s1 = _mix64(s0 ^ index)
     i0 = _mix64(seed + 0x452821E638D01377 + index * 0x9E3779B97F4A7C15)
     i1 = _mix64(i0 + 1)
-    st = dict(_tl.template)
-    st["state"] = {"state": (s0 << 64) | s1, "inc": ((i0 << 64) | i1) | 1}
-    st["has_uint32"] = 0
-    st["uinteger"] = 0
-    bg.state = st
+    bg = np.random.PCG64(0)
+    bg.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": (s0 << 64) | s1, "inc": ((i0 << 64) | i1) | 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     return np.random.Generator(bg)
 
 
@@ -135,28 +127,12 @@ class StalledOnly:
     pass
 
 
-# Models are immutable; the dependency graph and id table are shared by
-# every trajectory over the same model.
-_MODEL_TABLES = {}
-
-
-def _model_tables(model):
-    key = id(model)
-    entry = _MODEL_TABLES.get(key)
-    if entry is not None and entry[0]() is model:
-        return entry[1], entry[2]
-    graph_ = depgraph.build(model.clocks)
-    by_id = {c.id: c for c in model.clocks}
-    _MODEL_TABLES[key] = (weakref.ref(model), graph_, by_id)
-    return graph_, by_id
-
-
 class Engine:
     """Mutable per-trajectory state: counts, hazard cache, sampler."""
 
     def __init__(self, model, sampler, stream, now=0.0):
         self.model = model
-        self.graph, self._by_id = _model_tables(model)
+        self.graph, self._by_id = model.graph, model.by_id
         self.sampler = sampler
         self.stream = stream
         self.now = now
@@ -212,6 +188,8 @@ class Engine:
                 else:
                     # the fired clock regenerates: default anchor is now
                     te = raw.enabling_time if raw.enabling_time is not None else t
+                    if te > t:
+                        raise ValueError(f"clock {cid}: enabling time {te} is in the future (now={t})")
                     resolved = Enabled(raw.spec, te)
                     self._cache[cid] = resolved
                     delta.newly_enabled.append((cid, resolved.spec, te))
@@ -291,10 +269,9 @@ def run_ensemble(model, sampler, base_seed, count, stop) -> list:
 
 def replay_states(model, trajectory):
     """Yield (time, SystemState) after each event, validating counts."""
-    by_id = {c.id: c for c in model.clocks}
     counts = dict(trajectory.initial_state.counts)
     for ev in trajectory.events:
-        apply_mark_inplace(counts, by_id[ev.clock].mark)
+        apply_mark_inplace(counts, model.by_id[ev.clock].mark)
         yield ev.time, SystemState(dict(counts))
 
 

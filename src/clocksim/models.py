@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
+from . import graph as depgraph
 from .clocks import DISABLED, ClockSpec, Enabled, JumpMark, SystemState
 from .errors import ModelError
 from .hazards import (
@@ -34,16 +36,29 @@ from .hazards import (
 
 @dataclass(frozen=True)
 class Model:
+    """Immutable clocks over an initial state.
+
+    `graph` and `by_id` are computed once per instance and freed with it;
+    ``dataclasses.replace`` returns a new instance with fresh tables.
+    """
+
     name: str
     clocks: tuple
     initial_state: SystemState
     params: Mapping[str, object] = field(default_factory=dict)
 
+    @cached_property
+    def graph(self) -> depgraph.DependencyGraph:
+        return depgraph.build(self.clocks)
+
+    @cached_property
+    def by_id(self) -> dict:
+        return {c.id: c for c in self.clocks}
+
     def clock(self, cid):
-        for c in self.clocks:
-            if c.id == cid:
-                return c
-        raise ModelError(f"no clock {cid}")
+        if cid not in self.by_id:
+            raise ModelError(f"no clock {cid}")
+        return self.by_id[cid]
 
 
 # -- hazard spec strings --------------------------------------------------

@@ -159,7 +159,6 @@ def ctmc_oracle(model, horizon, max_states=10_000, tail=1e-9):
     max_states) and applies uniformization with Poisson-weight truncation
     error below `tail`.  Returns {canonical state tuple: probability}.
     """
-    by_id = {c.id: c for c in model.clocks}
     start = dict(model.initial_state.counts)
     index = {_canonical(start): 0}
     states = [start]
@@ -171,8 +170,8 @@ def ctmc_oracle(model, horizon, max_states=10_000, tail=1e-9):
             counts = states[si]
             view = StateView(counts, {})
             out = []
-            for cid in sorted(by_id):
-                raw = by_id[cid].enabling(view, 0.0)
+            for cid in sorted(model.by_id):
+                raw = model.by_id[cid].enabling(view, 0.0)
                 if raw is DISABLED:
                     continue
                 if not isinstance(raw, Enabled):
@@ -183,7 +182,7 @@ def ctmc_oracle(model, horizon, max_states=10_000, tail=1e-9):
                 rate = spec.continuous.rate
                 if rate <= 0.0:
                     continue
-                target = apply_mark(SystemState(dict(counts)), by_id[cid].mark)
+                target = apply_mark(SystemState(dict(counts)), model.by_id[cid].mark)
                 key = _canonical(target.counts)
                 ti = index.get(key)
                 if ti is None:

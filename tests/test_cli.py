@@ -4,12 +4,26 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from clocksim import models
 from clocksim.cli import RunSpec, cli
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _count_builds(monkeypatch):
+    """Names passed to models.build from now on."""
+    calls = []
+    real = models.build
+
+    def counting(name, params=None):
+        calls.append(name)
+        return real(name, params)
+
+    monkeypatch.setattr(models, "build", counting)
+    return calls
 
 
 def _read_traj_files(outdir):
@@ -41,16 +55,30 @@ def test_run_writes_files_and_manifest(runner, tmp_path):
 
 
 def test_run_byte_identical_across_invocations(runner, tmp_path):
-    args = lambda out: [
-        "run", "--model", "sir", "--param", "n=4", "--param", "recover=weibull:2,1",
-        "--sampler", "next-reaction", "--seed", "42", "--max-events", "10",
-        "--trajectories", "3", "--output", str(out),
-    ]
-    assert runner.invoke(cli, args(tmp_path / "a")).exit_code == 3 or True
-    r1 = runner.invoke(cli, args(tmp_path / "a"))
-    r2 = runner.invoke(cli, args(tmp_path / "b"))
-    assert r1.exit_code == r2.exit_code
-    assert _read_traj_files(tmp_path / "a") == _read_traj_files(tmp_path / "b")
+    def run(out, trajectories, workers):
+        result = runner.invoke(cli, [
+            "run", "--model", "sir", "--param", "n=4", "--param", "recover=weibull:2,1",
+            "--sampler", "next-reaction", "--seed", "42", "--max-events", "10",
+            "--trajectories", str(trajectories), "--workers", str(workers), "--output", str(out),
+        ])
+        with open(out / "manifest.yaml") as fh:
+            manifest = yaml.safe_load(fh)
+        return result.exit_code, _read_traj_files(out), manifest["files"], manifest["events"]
+
+    for trajectories, workers in ((3, 1), (5, 3), (2, 4)):
+        base = run(tmp_path / f"{trajectories}-1", trajectories, 1)
+        assert base[0] == 0 and len(base[1]) == trajectories
+        assert run(tmp_path / f"{trajectories}-{workers}", trajectories, workers) == base
+
+
+def test_run_builds_the_model_once(runner, tmp_path, monkeypatch):
+    calls = _count_builds(monkeypatch)
+    result = runner.invoke(cli, [
+        "run", "--model", "sir", "--param", "n=3", "--t-end", "1",
+        "--trajectories", "5", "--workers", "1", "--output", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert calls == ["sir"]
 
 
 def test_unknown_sampler_exits_2_with_valid_names(runner, tmp_path):
@@ -140,15 +168,17 @@ def test_summarize_event_count_and_interarrival(runner, tmp_path):
     assert all(float(r) > 0 for r in rows)
 
 
-def test_summarize_final_state_histogram(runner, tmp_path):
+def test_summarize_final_state_histogram(runner, tmp_path, monkeypatch):
     out = tmp_path / "out"
     runner.invoke(cli, [
         "run", "--model", "sir", "--param", "n=2", "--sampler", "direct", "--seed", "5",
         "--t-end", "50", "--trajectories", "6", "--output", str(out),
     ])
     files = [str(out / f) for f in sorted(os.listdir(out)) if f.startswith("traj_")]
+    calls = _count_builds(monkeypatch)
     result = runner.invoke(cli, ["summarize", "--observable", "final-state", *files])
     assert result.exit_code == 0, result.output
+    assert calls == ["sir"]  # one build for the six files' shared header
     lines = result.output.strip().split("\n")
     assert lines[0] == "final_state\tcount"
     total = sum(int(line.rsplit("\t", 1)[1]) for line in lines[1:])

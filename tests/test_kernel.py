@@ -1,17 +1,22 @@
+import gc
 import io
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
 
+from clocksim.clocks import ClockSpec, Enabled, JumpMark, SystemState
 from clocksim.errors import ModelError, Stalled
+from clocksim.hazards import Exponential, HazardSpec
 from clocksim.kernel import (
     CountingStream,
     EndTime,
     Engine,
     EventCount,
     StalledOnly,
+    derived_generator,
     final_state,
     model_hash,
     read_trajectory,
@@ -20,7 +25,7 @@ from clocksim.kernel import (
     run_trajectory,
     write_trajectory,
 )
-from clocksim.models import build, build_atomic_showcase, build_poisson, build_sir
+from clocksim.models import Model, build, build_atomic_showcase, build_poisson, build_sir
 from clocksim.samplers import make_sampler
 
 SAMPLERS = ["first-reaction", "next-reaction", "next-to-fire", "direct"]
@@ -165,3 +170,37 @@ def test_stop_validation():
         EndTime(-1.0)
     with pytest.raises(ModelError):
         EndTime(math.inf)
+
+
+def test_model_tables_are_freed_with_the_model():
+    model = build_sir(4, recover="weibull:2,1")
+    run_trajectory(model, "next-reaction", 3, StalledOnly())
+    first_clock = weakref.ref(model.clocks[0])
+    del model
+    gc.collect()
+    assert first_clock() is None
+
+
+def test_interleaved_engines_keep_their_own_streams():
+    model = build("birth-death", {"birth": 2.0, "death": 1.0, "x0": 1, "capacity": 50})
+    solo = [run_trajectory(model, "direct", 8, EventCount(40), stream_index=i).events for i in (0, 1)]
+    engines = [Engine(model, make_sampler("direct"), CountingStream(derived_generator(8, i))) for i in (0, 1)]
+    stepped = [[], []]
+    for _ in range(40):
+        for i, engine in enumerate(engines):
+            stepped[i].append(engine.step())
+    assert stepped == [[(ev.clock, ev.time) for ev in events] for events in solo]
+
+
+def test_fired_clock_anchored_in_the_future_is_rejected():
+    spec = HazardSpec(Exponential(1.0))
+
+    def rule(view, now):
+        # the first firing re-anchors this clock one time unit ahead
+        return Enabled(spec, None if view.count("n") == 0 else now + 1.0)
+
+    clock = ClockSpec(id=0, enabling=rule, mark=JumpMark({"n": 1}), reads=frozenset({"n"}))
+    model = Model("future-anchor", (clock,), SystemState({}))
+    engine = Engine(model, make_sampler("next-reaction"), CountingStream(derived_generator(1, 0)))
+    with pytest.raises(ValueError, match="in the future"):
+        engine.step()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -58,6 +59,16 @@ def test_sir_structure():
     assert sum(1 for n in names if n.startswith("infect")) == 6
     assert sum(1 for n in names if n.startswith("recover")) == 3
     assert model.initial_state.counts == {"I_0": 1, "S_1": 1, "S_2": 1}
+
+
+def test_model_tables_computed_once_per_instance():
+    model = build_sir(3)
+    assert model.graph is model.graph and model.by_id is model.by_id
+    assert model.clock(4) is model.clocks[4]
+    with pytest.raises(ModelError):
+        model.clock(len(model.clocks))
+    copy = dataclasses.replace(model)
+    assert copy.graph is not model.graph and copy.graph == model.graph
 
 
 def test_sir_two_individuals_second_infected_half_the_time():
