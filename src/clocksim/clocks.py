@@ -4,8 +4,10 @@ A clock is declared by its enabling rule, its jump mark, and the substates
 it reads.  The enabling rule is a pure function of a :class:`StateView`
 (current counts plus the time each substate last changed) and the current
 time; it answers "can this clock fire, and with what hazard, measured from
-when".  The kernel compares successive answers and collapses identical ones
-to :data:`UNCHANGED`, so rules may be re-evaluated freely.
+when" by returning :data:`DISABLED` or an :class:`Enabled`.  The kernel
+compares successive answers and collapses identical ones to
+:data:`UNCHANGED`, so rules may be re-evaluated freely; a rule never returns
+:data:`UNCHANGED` itself.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .errors import NegativeSubstate
+from .errors import ModelError, NegativeSubstate
 from .hazards import HazardSpec
 
 ClockId = int
@@ -129,8 +131,8 @@ class StateView:
 class ClockSpec:
     """One clock process: enabling rule, jump mark, and declared reads.
 
-    The enabling callable must depend only on substates in `reads` and be
-    deterministic given (view, time).
+    The enabling callable returns DISABLED or an Enabled; it must depend
+    only on substates in `reads` and be deterministic given (view, time).
     """
 
     id: ClockId
@@ -143,22 +145,8 @@ class ClockSpec:
         object.__setattr__(self, "reads", frozenset(self.reads))
 
 
-def apply_mark(state: SystemState, mark: JumpMark) -> SystemState:
-    """Componentwise sum; zero results removed; negative results rejected."""
-    counts = dict(state.counts)
-    for key, delta in mark.deltas.items():
-        new = counts.get(key, 0) + delta
-        if new < 0:
-            raise NegativeSubstate(key, new)
-        if new == 0:
-            counts.pop(key, None)
-        else:
-            counts[key] = new
-    return SystemState(counts)
-
-
 def apply_mark_inplace(counts: dict, mark: JumpMark) -> None:
-    """apply_mark on the kernel's working dict, same rules."""
+    """Componentwise sum into `counts`; zero results removed; negative results rejected."""
     for key, delta in mark.deltas.items():
         new = counts.get(key, 0) + delta
         if new < 0:
@@ -167,6 +155,13 @@ def apply_mark_inplace(counts: dict, mark: JumpMark) -> None:
             counts.pop(key, None)
         else:
             counts[key] = new
+
+
+def apply_mark(state: SystemState, mark: JumpMark) -> SystemState:
+    """apply_mark_inplace on a copy of the state's counts."""
+    counts = dict(state.counts)
+    apply_mark_inplace(counts, mark)
+    return SystemState(counts)
 
 
 def evaluate_enabling(clock: ClockSpec, view: StateView, now: float, previously) -> object:
@@ -175,11 +170,12 @@ def evaluate_enabling(clock: ClockSpec, view: StateView, now: float, previously)
     Returns DISABLED, Enabled (with a concrete enabling time), or UNCHANGED
     when the functional form and enabling time are identical to `previously`.
     `previously` is DISABLED for a clock never queried (or just fired, whose
-    draw was consumed: re-enabling is regenerative).
+    draw was consumed: re-enabling is regenerative).  Raises ModelError if
+    the rule itself returns UNCHANGED.
     """
     raw = clock.enabling(view, now)
     if raw is UNCHANGED:
-        return UNCHANGED
+        raise ModelError(f"clock {clock.id}: enabling rule returned UNCHANGED, not DISABLED or an Enabled")
     if raw is DISABLED:
         return UNCHANGED if previously is DISABLED else DISABLED
     was_enabled = isinstance(previously, Enabled)

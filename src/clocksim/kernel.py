@@ -22,7 +22,6 @@ from . import graph as depgraph
 from .clocks import (
     DISABLED,
     UNCHANGED,
-    Enabled,
     StateView,
     SystemState,
     apply_mark_inplace,
@@ -140,15 +139,15 @@ class Engine:
         self._changed = {}
         self._view = StateView(self._counts, self._changed)
         self._cache = {}
-        enabled = {}
+        delta = EnablingDelta()
         for cid in sorted(self._by_id):
             out = evaluate_enabling(self._by_id[cid], self._view, now, DISABLED)
-            if isinstance(out, Enabled):
-                self._cache[cid] = out
-                enabled[cid] = (out.spec, out.enabling_time)
-            else:
+            if out is UNCHANGED:
                 self._cache[cid] = DISABLED
-        sampler.initialize(enabled, now, stream)
+            else:
+                self._cache[cid] = out
+                delta.newly_enabled.append((cid, out.spec, out.enabling_time))
+        sampler.absorb(delta, now, stream)
 
     def state(self) -> SystemState:
         return SystemState(dict(self._counts))
@@ -174,40 +173,24 @@ class Engine:
         apply_mark_inplace(self._counts, clock.mark)
         for key in clock.mark.deltas:
             self._changed[key] = t
+        # the jump consumed the fired clock's draw: re-enabling is regenerative
+        self._cache[fired] = DISABLED
         delta = EnablingDelta(fired=fired)
         for cid in sorted(depgraph.affected(self.graph, fired)):
-            c = self._by_id[cid]
-            if cid == fired:
-                raw = c.enabling(self._view, t)
-                if raw is UNCHANGED:
-                    prev = self._cache[cid]
-                    raw = Enabled(prev.spec, None) if isinstance(prev, Enabled) else DISABLED
-                if raw is DISABLED:
-                    self._cache[cid] = DISABLED
-                    delta.newly_disabled.append(cid)
-                else:
-                    # the fired clock regenerates: default anchor is now
-                    te = raw.enabling_time if raw.enabling_time is not None else t
-                    if te > t:
-                        raise ValueError(f"clock {cid}: enabling time {te} is in the future (now={t})")
-                    resolved = Enabled(raw.spec, te)
-                    self._cache[cid] = resolved
-                    delta.newly_enabled.append((cid, resolved.spec, te))
+            prev = self._cache[cid]
+            out = evaluate_enabling(self._by_id[cid], self._view, t, prev)
+            if out is UNCHANGED:
+                continue
+            if out is DISABLED:
+                self._cache[cid] = DISABLED
+                delta.newly_disabled.append(cid)
             else:
-                prev = self._cache[cid]
-                out = evaluate_enabling(c, self._view, t, prev)
-                if out is UNCHANGED:
-                    continue
-                if out is DISABLED:
-                    self._cache[cid] = DISABLED
-                    delta.newly_disabled.append(cid)
+                self._cache[cid] = out
+                entry = (cid, out.spec, out.enabling_time)
+                if prev is DISABLED:
+                    delta.newly_enabled.append(entry)
                 else:
-                    self._cache[cid] = out
-                    entry = (cid, out.spec, out.enabling_time)
-                    if isinstance(prev, Enabled):
-                        delta.modified.append(entry)
-                    else:
-                        delta.newly_enabled.append(entry)
+                    delta.modified.append(entry)
         self.sampler.absorb(delta, t, self.stream)
         self.now = t
         return (fired, t)

@@ -2,13 +2,14 @@
 
 Every sampler implements the same contract:
 
-    initialize(enabled, now, stream)   enabled: {cid: (HazardSpec, te)}
     next_event(now, stream) -> SamplerEvent      (raises Stalled)
-    absorb(delta, now, stream)                   after a jump was applied
+    absorb(delta, now, stream)                   an EnablingDelta
 
-and is exclusively owned by one trajectory.  `stream.uniform()` yields the
-trajectory's uniform variates; each sampler consumes a documented number per
-call so runs are reproducible:
+and is exclusively owned by one trajectory.  The initial enabled set arrives
+as the first delta (newly_enabled only, fired None); after that, one delta
+follows each jump.  `stream.uniform()` yields the trajectory's uniform
+variates; each sampler consumes a documented number per call, the initial
+delta included, so runs are reproducible:
 
   first-reaction  next_event: one variate per enabled clock, ascending id.
   next-reaction   absorb: one variate per fresh draw (never-seen or just-
@@ -48,9 +49,10 @@ class SamplerEvent(NamedTuple):
 class EnablingDelta:
     """Enabling changes at one stopping time, as seen by a sampler.
 
-    The fired clock's old draw is consumed by the jump; if it is enabled in
-    the post-jump state it reappears in newly_enabled (fresh draw), if not it
-    appears in newly_disabled.  fired is None for children of a hierarchical
+    Each list is in ascending clock id order.  The fired clock's old draw
+    is consumed by the jump; it is listed only in newly_enabled (fresh
+    draw), and only when it is enabled in the post-jump state.  fired is
+    None for the initial enabled set and for children of a hierarchical
     sampler that do not own the jump.
     """
 
@@ -78,9 +80,6 @@ class FirstReactionSampler:
 
     def __init__(self):
         self._enabled = {}
-
-    def initialize(self, enabled, now, stream):
-        self._enabled = dict(sorted(enabled.items()))
 
     def enabled_ids(self):
         return set(self._enabled)
@@ -146,11 +145,6 @@ class NextReactionSampler:
     def queue_members(self):
         return set(self._queue.members())
 
-    def initialize(self, enabled, now, stream):
-        for cid in sorted(enabled):
-            spec, te = enabled[cid]
-            self._fresh(cid, spec, te, now, stream)
-
     def _fresh(self, cid, spec, te, now, stream):
         u = stream.uniform()
         e = _LedgerEntry(math.log1p(-u), spec, te, now)
@@ -188,9 +182,7 @@ class NextReactionSampler:
                 at_atom = any(e.te + a.offset == now for a in e.spec.atoms)
                 self.audit_log.append((fired, e.consumed, -e.drawn, at_atom))
             self._queue.delete(fired)
-        for cid in sorted(delta.newly_disabled):
-            if cid == fired:
-                continue
+        for cid in delta.newly_disabled:
             e = self._entries.get(cid)
             if e is None or not e.enabled:
                 raise UnknownClock(cid)
@@ -198,7 +190,7 @@ class NextReactionSampler:
             e.enabled = False
             e.putative = INF
             self._queue.delete(cid)
-        for cid, spec, te in sorted(delta.modified):
+        for cid, spec, te in delta.modified:
             e = self._entries.get(cid)
             if e is None or not e.enabled:
                 raise UnknownClock(cid)
@@ -207,7 +199,7 @@ class NextReactionSampler:
             e.te = te
             self._reinvert(e, now)
             self._queue.update(cid, e.putative)
-        for cid, spec, te in sorted(delta.newly_enabled):
+        for cid, spec, te in delta.newly_enabled:
             e = self._entries.get(cid)
             if e is None:
                 self._fresh(cid, spec, te, now, stream)
@@ -237,12 +229,6 @@ class NextToFireSampler:
     def queue_members(self):
         return set(self._queue.members())
 
-    def initialize(self, enabled, now, stream):
-        for cid in sorted(enabled):
-            spec, te = enabled[cid]
-            self._enabled[cid] = (spec, te)
-            self._queue.insert(cid, _conditional_draw(spec, te, now, stream.uniform()))
-
     def next_event(self, now, stream):
         top = self._queue.peek()
         if top is None or top[1] == INF:
@@ -256,19 +242,17 @@ class NextToFireSampler:
                 raise UnknownClock(fired)
             del self._enabled[fired]
             self._queue.delete(fired)
-        for cid in sorted(delta.newly_disabled):
-            if cid == fired:
-                continue
+        for cid in delta.newly_disabled:
             if cid not in self._enabled:
                 raise UnknownClock(cid)
             del self._enabled[cid]
             self._queue.delete(cid)
-        for cid, spec, te in sorted(delta.modified):
+        for cid, spec, te in delta.modified:
             if cid not in self._enabled:
                 raise UnknownClock(cid)
             self._enabled[cid] = (spec, te)
             self._queue.update(cid, _conditional_draw(spec, te, now, stream.uniform()))
-        for cid, spec, te in sorted(delta.newly_enabled):
+        for cid, spec, te in delta.newly_enabled:
             if cid in self._enabled:
                 raise UnknownClock(cid)
             self._enabled[cid] = (spec, te)
@@ -296,8 +280,7 @@ class DirectSampler:
         self._free = []
         self._next_slot = 0
         self._varying = set()      # enabled cids with time-varying continuous hazard
-        self._atom_clocks = set()  # enabled cids with atoms
-        self._atom_abs = {}        # absolute atom time -> cid, enabled clocks only
+        self._atoms = {}           # absolute atom time -> (mass, cid), enabled clocks only
         self._crate = 0.0          # sum of enabled constant (exponential) rates
         self._crate_ops = 0
 
@@ -305,20 +288,6 @@ class DirectSampler:
         return set(self._enabled)
 
     # -- bookkeeping ---------------------------------------------------
-
-    def _register_atoms(self, cid, spec, te, now):
-        for a in spec.atoms:
-            t = te + a.offset
-            if t <= now:
-                continue
-            other = self._atom_abs.get(t)
-            if other is not None and other != cid:
-                raise DuplicateAtoms(f"clocks {other} and {cid} share atom time {t}")
-            self._atom_abs[t] = cid
-
-    def _unregister_atoms(self, cid):
-        for t in [t for t, c in self._atom_abs.items() if c == cid]:
-            del self._atom_abs[t]
 
     def _bump_crate(self, delta):
         self._crate += delta
@@ -347,12 +316,16 @@ class DirectSampler:
         elif cont is not None:
             self._bump_crate(cont.rate)
         self._tree.set(slot, spec.continuous_hazard(max(now - te, 0.0)))
-        if spec.atoms:
-            self._atom_clocks.add(cid)
-            self._register_atoms(cid, spec, te, now)
+        for a in spec.atoms:
+            t = te + a.offset
+            if t > now:
+                other = self._atoms.get(t)
+                if other is not None:
+                    raise DuplicateAtoms(f"clocks {other[1]} and {cid} share atom time {t}")
+                self._atoms[t] = (a.mass, cid)
 
     def _remove(self, cid):
-        spec, _ = self._enabled[cid]
+        spec, te = self._enabled[cid]
         del self._enabled[cid]
         slot = self._slot.pop(cid)
         del self._owner[slot]
@@ -362,14 +335,9 @@ class DirectSampler:
             self._varying.discard(cid)
         elif spec.continuous is not None:
             self._bump_crate(-spec.continuous.rate)
-        if cid in self._atom_clocks:
-            self._atom_clocks.discard(cid)
-            self._unregister_atoms(cid)
-
-    def initialize(self, enabled, now, stream):
-        for cid in sorted(enabled):
-            spec, te = enabled[cid]
-            self._add(cid, spec, te, now)
+        for a in spec.atoms:
+            # an entry at a past time may be another clock's; past atoms are never read
+            self._atoms.pop(te + a.offset, None)
 
     def absorb(self, delta, now, stream):
         fired = delta.fired
@@ -377,18 +345,16 @@ class DirectSampler:
             if fired not in self._enabled:
                 raise UnknownClock(fired)
             self._remove(fired)
-        for cid in sorted(delta.newly_disabled):
-            if cid == fired:
-                continue
+        for cid in delta.newly_disabled:
             if cid not in self._enabled:
                 raise UnknownClock(cid)
             self._remove(cid)
-        for cid, spec, te in sorted(delta.modified):
+        for cid, spec, te in delta.modified:
             if cid not in self._enabled:
                 raise UnknownClock(cid)
             self._remove(cid)
             self._add(cid, spec, te, now)
-        for cid, spec, te in sorted(delta.newly_enabled):
+        for cid, spec, te in delta.newly_enabled:
             if cid in self._enabled:
                 raise UnknownClock(cid)
             self._add(cid, spec, te, now)
@@ -440,13 +406,7 @@ class DirectSampler:
 
     def _invert_waiting(self, now, budget):
         """(absolute event time, atom owner cid | None); raises Stalled."""
-        upcoming = []
-        for cid in self._atom_clocks:
-            spec, te = self._enabled[cid]
-            for a in spec.atoms:
-                if te + a.offset > now:
-                    upcoming.append((te + a.offset, a.mass, cid))
-        upcoming.sort()
+        upcoming = sorted((t, mass, cid) for t, (mass, cid) in self._atoms.items() if t > now)
         varying = self._varying_items()
         crate = self._crate if varying else self._tree.total()
         s_prev = now
@@ -527,9 +487,10 @@ class DirectSampler:
 class HierarchicalSampler:
     """Partition the clocks over child samplers; the soonest proposal wins.
 
-    parts: list of (sampler, clock-id set or None); at most one None entry
-    catches every clock not named elsewhere.  Children keep their own
-    contracts for retained vs re-proposed draws.
+    parts: list of (sampler, clock-id set or None); the sets must be
+    disjoint, and at most one None entry catches every clock not named
+    elsewhere.  Children keep their own contracts for retained vs
+    re-proposed draws.
     """
 
     name = "hierarchical"
@@ -539,6 +500,12 @@ class HierarchicalSampler:
             raise ModelError("at most one catch-all partition")
         self._children = [s for s, _ in parts]
         self._sets = [frozenset(c) if c is not None else None for _, c in parts]
+        seen = set()
+        for cids in self._sets:
+            if cids is not None:
+                if seen & cids:
+                    raise ModelError(f"clocks {sorted(seen & cids)} are in more than one partition")
+                seen |= cids
         self._rest = next((i for i, c in enumerate(self._sets) if c is None), -1)
         self._owners = {}
 
@@ -560,13 +527,6 @@ class HierarchicalSampler:
         for child in self._children:
             out |= child.enabled_ids()
         return out
-
-    def initialize(self, enabled, now, stream):
-        split = [dict() for _ in self._children]
-        for cid in sorted(enabled):
-            split[self._owner_index(cid)][cid] = enabled[cid]
-        for child, part in zip(self._children, split):
-            child.initialize(part, now, stream)
 
     def next_event(self, now, stream):
         best = None
@@ -610,11 +570,17 @@ def _parse_id_set(text):
     out = set()
     for part in text.split(","):
         part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            out.update(range(int(lo), int(hi) + 1))
-        elif part:
-            out.add(int(part))
+        if not part:
+            continue
+        lo, sep, hi = part.partition("-")
+        try:
+            lo = int(lo)
+            hi = int(hi) if sep else lo
+        except ValueError:
+            raise ModelError(f"bad clock id set {text!r}: {part!r} is not an id or a range") from None
+        if hi < lo:
+            raise ModelError(f"bad clock id set {text!r}: range {part!r} is reversed")
+        out.update(range(lo, hi + 1))
     return out
 
 

@@ -3,6 +3,8 @@ import math
 import pytest
 from scipy.integrate import quad
 
+from clocksim.samplers import EnablingDelta
+
 
 class FakeStream:
     """Scripted uniform variates for exact sampler-contract tests."""
@@ -14,6 +16,13 @@ class FakeStream:
     def uniform(self):
         self.count += 1
         return self.values.pop(0)
+
+
+def enable(sampler, enabled, now, stream):
+    """Hand a sampler its initial enabled set {cid: (spec, te)} as the
+    kernel does: one delta listing every clock in newly_enabled, ascending id."""
+    entries = [(cid, spec, te) for cid, (spec, te) in sorted(enabled.items())]
+    sampler.absorb(EnablingDelta(newly_enabled=entries), now, stream)
 
 
 def survival_quadrature(spec, t):

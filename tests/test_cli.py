@@ -90,6 +90,19 @@ def test_unknown_sampler_exits_2_with_valid_names(runner, tmp_path):
     assert "first-reaction" in result.output and "direct" in result.output
 
 
+def test_bad_hierarchical_partition_exits_2(runner, tmp_path):
+    for spec in (
+        "hierarchical:direct=a",
+        "hierarchical:direct=5-3",
+        "hierarchical:direct=0-5;next-reaction=3-8",
+    ):
+        result = runner.invoke(cli, [
+            "run", "--model", "poisson", "--sampler", spec, "--max-events", "3",
+            "--output", str(tmp_path / "x"),
+        ])
+        assert result.exit_code == 2, (spec, result.output)
+
+
 def test_unknown_model_and_bad_param_exit_2(runner, tmp_path):
     result = runner.invoke(cli, ["run", "--model", "nope", "--output", str(tmp_path / "x")])
     assert result.exit_code == 2

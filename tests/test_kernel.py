@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from clocksim.clocks import ClockSpec, Enabled, JumpMark, SystemState
+from clocksim.clocks import UNCHANGED, ClockSpec, Enabled, JumpMark, SystemState
 from clocksim.errors import ModelError, Stalled
 from clocksim.hazards import Exponential, HazardSpec
 from clocksim.kernel import (
@@ -204,3 +204,61 @@ def test_fired_clock_anchored_in_the_future_is_rejected():
     engine = Engine(model, make_sampler("next-reaction"), CountingStream(derived_generator(1, 0)))
     with pytest.raises(ValueError, match="in the future"):
         engine.step()
+
+
+class RecordingSampler:
+    """Pass-through sampler that keeps the ids of every delta it absorbs."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.deltas = []
+
+    def next_event(self, now, stream):
+        return self.inner.next_event(now, stream)
+
+    def absorb(self, delta, now, stream):
+        self.deltas.append((
+            delta.fired,
+            [e[0] for e in delta.newly_enabled],
+            list(delta.newly_disabled),
+            [e[0] for e in delta.modified],
+        ))
+        self.inner.absorb(delta, now, stream)
+
+
+DELTA_MODELS = {
+    # infection clocks fire and are disabled by their own jump
+    "sir": build_sir(4, recover="weibull:2,1", infect="exponential:2", initial_infected=2),
+    # both clocks re-enable after firing, and the death rate is modified
+    "birth-death": build("birth-death", {"birth": 1.0, "death": 0.5, "x0": 2, "capacity": 4}),
+}
+
+
+@pytest.mark.parametrize("sampler", [*SAMPLERS, "hierarchical:direct=0-5;next-to-fire=rest"])
+@pytest.mark.parametrize("name", DELTA_MODELS)
+def test_deltas_ascend_and_list_the_fired_clock_only_when_it_re_enables(name, sampler):
+    recorder = RecordingSampler(make_sampler(sampler))
+    engine = Engine(DELTA_MODELS[name], recorder, CountingStream(derived_generator(5, 0)))
+    fired_seen = []
+    for _ in range(40):
+        try:
+            fired, _ = engine.step()
+        except Stalled:
+            break
+        fired_seen.append((fired, isinstance(engine._cache[fired], Enabled)))
+    assert len(recorder.deltas) == len(fired_seen) + 1 >= 4
+    assert recorder.deltas[0][0] is None
+    for _, *lists in recorder.deltas:
+        for ids in lists:
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+    for (fired, enabled, disabled, modified), (cid, re_enabled) in zip(recorder.deltas[1:], fired_seen):
+        assert fired == cid
+        assert fired not in disabled and fired not in modified
+        assert (fired in enabled) == re_enabled
+
+
+def test_rule_returning_unchanged_is_rejected():
+    clock = ClockSpec(id=0, enabling=lambda view, now: UNCHANGED, mark=JumpMark({"n": 1}), reads=frozenset())
+    model = Model("unchanged", (clock,), SystemState({}))
+    with pytest.raises(ModelError, match="UNCHANGED"):
+        Engine(model, make_sampler("next-reaction"), CountingStream(derived_generator(1, 0)))

@@ -16,7 +16,7 @@ from clocksim.samplers import (
     make_sampler,
 )
 
-from conftest import FakeStream
+from conftest import FakeStream, enable
 
 LN2 = math.log(2.0)
 EXP1 = HazardSpec(Exponential(1.0))
@@ -32,7 +32,7 @@ def u_for_budget(budget):
 
 def test_fr_two_exponentials_minimum():
     s = FirstReactionSampler()
-    s.initialize({0: (EXP1, 0.0), 1: (EXP2, 0.0)}, 0.0, FakeStream([]))
+    enable(s, {0: (EXP1, 0.0), 1: (EXP2, 0.0)}, 0.0, FakeStream([]))
     ev = s.next_event(0.0, FakeStream([0.5, 0.5]))
     assert ev.clock == 1
     assert ev.time == pytest.approx(LN2 / 2.0, rel=1e-12)
@@ -40,7 +40,7 @@ def test_fr_two_exponentials_minimum():
 
 def test_fr_single_clock_any_variate():
     s = FirstReactionSampler()
-    s.initialize({4: (EXP1, 0.0)}, 0.0, FakeStream([]))
+    enable(s, {4: (EXP1, 0.0)}, 0.0, FakeStream([]))
     assert s.next_event(0.0, FakeStream([0.99])).clock == 4
 
 
@@ -48,14 +48,14 @@ def test_fr_atom_beats_slow_exponential():
     # clock 1's draw at u=0.9 is -ln(0.1)/ln(2) ~ 3.32; clock 2 is certain at 0.5
     atom = HazardSpec(None, (Atom(0.5, 1.0),))
     s = FirstReactionSampler()
-    s.initialize({1: (HazardSpec(Exponential(LN2)), 0.0), 2: (atom, 0.0)}, 0.0, FakeStream([]))
+    enable(s, {1: (HazardSpec(Exponential(LN2)), 0.0), 2: (atom, 0.0)}, 0.0, FakeStream([]))
     ev = s.next_event(0.0, FakeStream([0.9, 0.37]))
     assert (ev.clock, ev.time) == (2, 0.5)
 
 
 def test_fr_stalled():
     s = FirstReactionSampler()
-    s.initialize({0: (HazardSpec(None, (Atom(1.0, 0.4),)), 0.0)}, 0.0, FakeStream([]))
+    enable(s, {0: (HazardSpec(None, (Atom(1.0, 0.4),)), 0.0)}, 0.0, FakeStream([]))
     with pytest.raises(Stalled):
         s.next_event(2.0, FakeStream([0.9]))  # atom is in the past, no hazard left
 
@@ -64,7 +64,7 @@ def test_fr_conditional_on_survival_to_now():
     # Weibull clock enabled at 0; at now=1 the draw conditions on survival to 1:
     # (t^2 - 1) = budget
     s = FirstReactionSampler()
-    s.initialize({0: (HazardSpec(Weibull(2.0, 1.0)), 0.0)}, 0.0, FakeStream([]))
+    enable(s, {0: (HazardSpec(Weibull(2.0, 1.0)), 0.0)}, 0.0, FakeStream([]))
     ev = s.next_event(1.0, FakeStream([u_for_budget(3.0)]))
     assert ev.time == pytest.approx(2.0, rel=1e-12)
 
@@ -73,7 +73,7 @@ def test_fr_conditional_on_survival_to_now():
 
 def test_nr_modified_rate_keeps_budget():
     s = NextReactionSampler()
-    s.initialize({0: (EXP1, 0.0)}, 0.0, FakeStream([u_for_budget(2.0)]))
+    enable(s, {0: (EXP1, 0.0)}, 0.0, FakeStream([u_for_budget(2.0)]))
     assert s.next_event(0.0, FakeStream([])).time == pytest.approx(2.0, rel=1e-12)
     # at t=1 the rate doubles: consumed 1, remaining 1, putative 1 + 1/2
     s.absorb(EnablingDelta(modified=[(0, EXP2, 0.0)]), 1.0, FakeStream([]))
@@ -84,7 +84,7 @@ def test_nr_modified_rate_keeps_budget():
 
 def test_nr_disable_freezes_budget():
     s = NextReactionSampler()
-    s.initialize({0: (EXP1, 0.0)}, 0.0, FakeStream([u_for_budget(2.0)]))
+    enable(s, {0: (EXP1, 0.0)}, 0.0, FakeStream([u_for_budget(2.0)]))
     s.absorb(EnablingDelta(newly_disabled=[0]), 1.0, FakeStream([]))
     with pytest.raises(Stalled):
         s.next_event(1.0, FakeStream([]))
@@ -96,15 +96,15 @@ def test_nr_disable_freezes_budget():
 def test_nr_atom_consumes_past_budget():
     spec = HazardSpec(None, (Atom(1.0, 0.5),))
     s = NextReactionSampler()
-    s.initialize({0: (spec, 0.0)}, 0.0, FakeStream([u_for_budget(0.6)]))
+    enable(s, {0: (spec, 0.0)}, 0.0, FakeStream([u_for_budget(0.6)]))
     # remaining budget 0.6 < ln 2 consumed by the atom: putative at the atom
     assert s.next_event(0.0, FakeStream([])).time == 1.0
 
 
 def test_nr_fired_clock_redrawn_fresh():
     s = NextReactionSampler()
-    s.initialize({0: (EXP1, 0.0), 1: (EXP1, 0.0)},
-                 0.0, FakeStream([u_for_budget(0.5), u_for_budget(9.0)]))
+    enable(s, {0: (EXP1, 0.0), 1: (EXP1, 0.0)},
+           0.0, FakeStream([u_for_budget(0.5), u_for_budget(9.0)]))
     ev = s.next_event(0.0, FakeStream([]))
     assert (ev.clock, ev.time) == (0, 0.5)
     s.absorb(EnablingDelta(fired=0, newly_enabled=[(0, EXP1, 0.5)]),
@@ -116,7 +116,7 @@ def test_nr_fired_clock_redrawn_fresh():
 
 def test_nr_unknown_clock():
     s = NextReactionSampler()
-    s.initialize({0: (EXP1, 0.0)}, 0.0, FakeStream([0.5]))
+    enable(s, {0: (EXP1, 0.0)}, 0.0, FakeStream([0.5]))
     with pytest.raises(UnknownClock):
         s.absorb(EnablingDelta(fired=3), 1.0, FakeStream([]))
     with pytest.raises(UnknownClock):
@@ -125,21 +125,21 @@ def test_nr_unknown_clock():
 
 def test_nr_queue_tracks_enabled_set():
     s = NextReactionSampler()
-    s.initialize({0: (EXP1, 0.0), 1: (EXP1, 0.0), 2: (EXP1, 0.0)},
-                 0.0, FakeStream([0.3, 0.4, 0.5]))
+    enable(s, {0: (EXP1, 0.0), 1: (EXP1, 0.0), 2: (EXP1, 0.0)},
+           0.0, FakeStream([0.3, 0.4, 0.5]))
     assert s.queue_members() == {0, 1, 2} == s.enabled_ids()
     s.absorb(EnablingDelta(newly_disabled=[1]), 0.1, FakeStream([]))
     assert s.queue_members() == {0, 2} == s.enabled_ids()
-    s.absorb(EnablingDelta(fired=0, newly_disabled=[0], newly_enabled=[(1, EXP1, 0.2)]),
+    s.absorb(EnablingDelta(fired=0, newly_enabled=[(1, EXP1, 0.2)]),
              0.2, FakeStream([]))
     assert s.queue_members() == {1, 2} == s.enabled_ids()
 
 
 def test_nr_audit_records_budget():
     s = NextReactionSampler(record_audit=True)
-    s.initialize({0: (EXP1, 0.0)}, 0.0, FakeStream([u_for_budget(1.25)]))
+    enable(s, {0: (EXP1, 0.0)}, 0.0, FakeStream([u_for_budget(1.25)]))
     ev = s.next_event(0.0, FakeStream([]))
-    s.absorb(EnablingDelta(fired=0, newly_disabled=[0]), ev.time, FakeStream([]))
+    s.absorb(EnablingDelta(fired=0), ev.time, FakeStream([]))
     ((cid, consumed, budget, at_atom),) = s.audit_log
     assert cid == 0 and not at_atom
     assert consumed == pytest.approx(budget, abs=1e-9)
@@ -150,26 +150,26 @@ def test_nr_audit_records_budget():
 
 def test_ntf_modified_redrawn_conditionally():
     s = NextToFireSampler()
-    s.initialize({0: (EXP1, 0.0)}, 0.0, FakeStream([0.5]))
+    enable(s, {0: (EXP1, 0.0)}, 0.0, FakeStream([0.5]))
     s.absorb(EnablingDelta(modified=[(0, EXP2, 0.0)]), 1.0, FakeStream([u_for_budget(1.0)]))
     assert s.next_event(1.0, FakeStream([])).time == pytest.approx(1.5, rel=1e-12)
 
 
 def test_ntf_unaffected_keeps_putative():
     s = NextToFireSampler()
-    s.initialize({0: (EXP1, 0.0), 1: (EXP1, 0.0)},
-                 0.0, FakeStream([u_for_budget(0.3), u_for_budget(2.0)]))
+    enable(s, {0: (EXP1, 0.0), 1: (EXP1, 0.0)},
+           0.0, FakeStream([u_for_budget(0.3), u_for_budget(2.0)]))
     ev = s.next_event(0.0, FakeStream([]))
     assert (ev.clock, ev.time) == (0, pytest.approx(0.3))
-    s.absorb(EnablingDelta(fired=0, newly_disabled=[0]), 0.3, FakeStream([]))
+    s.absorb(EnablingDelta(fired=0), 0.3, FakeStream([]))
     assert s.next_event(0.3, FakeStream([])).time == pytest.approx(2.0, rel=1e-12)
 
 
 def test_ntf_queue_tracks_enabled_set():
     s = NextToFireSampler()
-    s.initialize({0: (EXP1, 0.0), 1: (EXP1, 0.0)}, 0.0, FakeStream([0.3, 0.4]))
+    enable(s, {0: (EXP1, 0.0), 1: (EXP1, 0.0)}, 0.0, FakeStream([0.3, 0.4]))
     assert s.queue_members() == {0, 1} == s.enabled_ids()
-    s.absorb(EnablingDelta(fired=0, newly_disabled=[0], newly_enabled=[(2, EXP2, 0.1)]),
+    s.absorb(EnablingDelta(fired=0, newly_enabled=[(2, EXP2, 0.1)]),
              0.1, FakeStream([0.5]))
     assert s.queue_members() == {1, 2} == s.enabled_ids()
 
@@ -177,7 +177,7 @@ def test_ntf_queue_tracks_enabled_set():
 def test_ntf_weibull_conditional_matches_quadrature():
     spec = HazardSpec(Weibull(1.7, 1.3))
     s = NextToFireSampler()
-    s.initialize({0: (spec, 0.0)}, 0.0, FakeStream([0.2]))
+    enable(s, {0: (spec, 0.0)}, 0.0, FakeStream([0.2]))
     budget = 0.9
     s.absorb(EnablingDelta(modified=[(0, spec, 0.0)]), 1.0, FakeStream([u_for_budget(budget)]))
     got = s.next_event(1.0, FakeStream([])).time
@@ -194,7 +194,7 @@ def test_ntf_weibull_conditional_matches_quadrature():
 
 def test_direct_two_exponentials():
     s = DirectSampler()
-    s.initialize({1: (EXP1, 0.0), 2: (EXP2, 0.0)}, 0.0, FakeStream([]))
+    enable(s, {1: (EXP1, 0.0), 2: (EXP2, 0.0)}, 0.0, FakeStream([]))
     ev = s.next_event(0.0, FakeStream([0.5, 0.5]))
     # waiting time ln2/3; cumulative fractions (1/3, 1): 0.5 > 1/3 -> clock 2
     assert ev.clock == 2
@@ -205,7 +205,7 @@ def test_direct_two_exponentials():
 
 def test_direct_pure_atom():
     s = DirectSampler()
-    s.initialize({0: (HazardSpec(None, (Atom(3.0, 1.0),)), 0.0)}, 0.0, FakeStream([]))
+    enable(s, {0: (HazardSpec(None, (Atom(3.0, 1.0),)), 0.0)}, 0.0, FakeStream([]))
     for u1 in (0.01, 0.5, 0.99):
         ev = s.next_event(0.0, FakeStream([u1, 0.5]))
         assert (ev.clock, ev.time) == (0, 3.0)
@@ -214,7 +214,8 @@ def test_direct_pure_atom():
 def test_direct_atom_vs_exponential_race():
     # total survival at 1-: 0.5, at 1: 0.25; u1=0.6 targets 0.4 in [0.25, 0.5)
     s = DirectSampler()
-    s.initialize(
+    enable(
+        s,
         {0: (HazardSpec(Exponential(LN2)), 0.0), 1: (HazardSpec(None, (Atom(1.0, 0.5),)), 0.0)},
         0.0, FakeStream([]),
     )
@@ -231,17 +232,29 @@ def test_direct_duplicate_atoms_rejected():
     b = HazardSpec(None, (Atom(1.0, 0.5),))
     s = DirectSampler()
     with pytest.raises(DuplicateAtoms):
-        s.initialize({0: (a, 0.0), 1: (a, 0.0)}, 0.0, FakeStream([]))
+        enable(s, {0: (a, 0.0), 1: (a, 0.0)}, 0.0, FakeStream([]))
     s = DirectSampler()
-    s.initialize({0: (a, 0.0), 1: (b, 0.0)}, 0.0, FakeStream([]))
+    enable(s, {0: (a, 0.0), 1: (b, 0.0)}, 0.0, FakeStream([]))
     # re-anchoring clock 1 lands its atom at absolute 2.0 == clock 0's
     with pytest.raises(DuplicateAtoms):
         s.absorb(EnablingDelta(modified=[(1, b, 1.0)]), 0.5, FakeStream([]))
 
 
+def test_direct_atom_table_holds_upcoming_atoms_of_enabled_clocks():
+    spec = HazardSpec(EXP1.continuous, (Atom(1.0, 0.5), Atom(3.0, 0.5)))
+    s = DirectSampler()
+    enable(s, {0: (spec, 0.0), 1: (EXP2, 0.0)}, 0.0, FakeStream([]))
+    assert s._atoms == {1.0: (0.5, 0), 3.0: (0.5, 0)}
+    s.absorb(EnablingDelta(newly_disabled=[0]), 0.5, FakeStream([]))
+    assert s._atoms == {}
+    # re-enabled at 2.0 with anchor 0.5: the atom at 1.5 is already past
+    s.absorb(EnablingDelta(newly_enabled=[(0, spec, 0.5)]), 2.0, FakeStream([]))
+    assert s._atoms == {3.5: (0.5, 0)}
+
+
 def test_direct_stalled_when_mass_insufficient():
     s = DirectSampler()
-    s.initialize({0: (HazardSpec(None, (Atom(1.0, 0.5),)), 0.0)}, 0.0, FakeStream([]))
+    enable(s, {0: (HazardSpec(None, (Atom(1.0, 0.5),)), 0.0)}, 0.0, FakeStream([]))
     with pytest.raises(Stalled):
         s.next_event(0.0, FakeStream([0.9, 0.5]))  # budget beyond the single atom
 
@@ -249,7 +262,7 @@ def test_direct_stalled_when_mass_insufficient():
 def test_direct_weibull_waiting_time_matches_quadrature():
     specs = {0: (HazardSpec(Weibull(2.0, 1.0)), 0.0), 1: (EXP1, 0.0)}
     s = DirectSampler()
-    s.initialize(specs, 0.0, FakeStream([]))
+    enable(s, specs, 0.0, FakeStream([]))
     budget = 1.1
     ev = s.next_event(0.0, FakeStream([u_for_budget(budget), 0.0]))
 
@@ -266,16 +279,16 @@ def test_direct_weibull_waiting_time_matches_quadrature():
 def test_hier_single_child_identical_to_child():
     for mk in (lambda: DirectSampler(), lambda: NextReactionSampler()):
         solo = mk()
-        solo.initialize({0: (EXP1, 0.0), 1: (EXP2, 0.0)}, 0.0, FakeStream([0.3, 0.6]))
+        enable(solo, {0: (EXP1, 0.0), 1: (EXP2, 0.0)}, 0.0, FakeStream([0.3, 0.6]))
         hier = HierarchicalSampler([(mk(), None)])
-        hier.initialize({0: (EXP1, 0.0), 1: (EXP2, 0.0)}, 0.0, FakeStream([0.3, 0.6]))
+        enable(hier, {0: (EXP1, 0.0), 1: (EXP2, 0.0)}, 0.0, FakeStream([0.3, 0.6]))
         vs = [0.25, 0.75]
         assert solo.next_event(0.0, FakeStream(list(vs))) == hier.next_event(0.0, FakeStream(list(vs)))
 
 
 def test_hier_empty_second_partition():
     hier = HierarchicalSampler([(NextToFireSampler(), None), (DirectSampler(), set())])
-    hier.initialize({0: (EXP1, 0.0)}, 0.0, FakeStream([u_for_budget(0.8)]))
+    enable(hier, {0: (EXP1, 0.0)}, 0.0, FakeStream([u_for_budget(0.8)]))
     ev = hier.next_event(0.0, FakeStream([]))
     assert (ev.clock, ev.time) == (0, pytest.approx(0.8))
 
@@ -284,13 +297,13 @@ def test_hier_routes_delta_to_owner():
     child_a = NextReactionSampler()
     child_b = NextReactionSampler()
     hier = HierarchicalSampler([(child_a, {0}), (child_b, None)])
-    hier.initialize({0: (EXP1, 0.0), 1: (EXP1, 0.0)},
-                    0.0, FakeStream([u_for_budget(1.0), u_for_budget(2.0)]))
+    enable(hier, {0: (EXP1, 0.0), 1: (EXP1, 0.0)},
+           0.0, FakeStream([u_for_budget(1.0), u_for_budget(2.0)]))
     assert child_a.enabled_ids() == {0}
     assert child_b.enabled_ids() == {1}
     ev = hier.next_event(0.0, FakeStream([]))
     assert ev.clock == 0
-    hier.absorb(EnablingDelta(fired=0, newly_disabled=[0]), ev.time, FakeStream([]))
+    hier.absorb(EnablingDelta(fired=0), ev.time, FakeStream([]))
     assert child_a.enabled_ids() == set()
     assert hier.next_event(ev.time, FakeStream([])).clock == 1
 
@@ -308,3 +321,10 @@ def test_make_sampler_names_and_partition_spec():
         make_sampler("bogus")
     with pytest.raises(ModelError):
         make_sampler("hierarchical:bogus=rest")
+    for bad in (
+        "hierarchical:direct=a",
+        "hierarchical:direct=5-3;next-reaction=rest",
+        "hierarchical:direct=0-5;next-reaction=3-8",
+    ):
+        with pytest.raises(ModelError):
+            make_sampler(bad)
