@@ -77,7 +77,7 @@ class RunSpec:
         try:
             return models.build(self.model, self.params)
         except ClocksimError as exc:
-            raise ConfigError(f"model {self.model!r}: {exc}") from exc
+            raise ConfigError(str(exc)) from exc
 
 
 def _parse_param_value(text: str):
@@ -162,14 +162,18 @@ def cmd_run(config, model, param, sampler, seed, trajectories, t_end, max_events
     except (ConfigError, ClocksimError) as exc:
         raise click.UsageError(str(exc))
     os.makedirs(spec.output, exist_ok=True)
-    if spec.workers == 1:
-        results = _run_trajectories(built, spec, range(spec.trajectories))
-    else:
-        k = min(spec.workers, spec.trajectories)
-        ctx = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(k, mp_context=ctx) as pool:
-            futures = [pool.submit(_run_strided, spec, w, k) for w in range(k)]
-            results = sorted(r for f in futures for r in f.result())
+    try:
+        if spec.workers == 1:
+            results = _run_trajectories(built, spec, range(spec.trajectories))
+        else:
+            k = min(spec.workers, spec.trajectories)
+            ctx = multiprocessing.get_context("fork")
+            with concurrent.futures.ProcessPoolExecutor(k, mp_context=ctx) as pool:
+                futures = [pool.submit(_run_strided, spec, w, k) for w in range(k)]
+                results = sorted(r for f in futures for r in f.result())
+    except ClocksimError as exc:
+        # a model that violates the clock contract mid-run (e.g. DuplicateAtoms)
+        raise click.UsageError(f"{type(exc).__name__}: {exc}")
     manifest = {
         "model": spec.model,
         "params": spec.params,

@@ -13,6 +13,7 @@ compares successive answers and collapses identical ones to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Callable, Mapping
 
 from .errors import ModelError, NegativeSubstate
@@ -55,38 +56,20 @@ class JumpMark:
         return frozenset(self.deltas)
 
 
-class _DisabledType:
-    """Singleton enabling outcome: the clock cannot fire."""
+class _Outcome(Enum):
+    """Enabling outcomes other than Enabled: the clock cannot fire
+    (DISABLED), or its hazard and enabling time are identical to the last
+    query (UNCHANGED)."""
 
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    DISABLED = "Disabled"
+    UNCHANGED = "UnchangedSinceLastQuery"
 
     def __repr__(self):
-        return "Disabled"
+        return self.value
 
 
-class _UnchangedType:
-    """Singleton outcome: identical hazard and enabling time as last query."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UnchangedSinceLastQuery"
-
-
-DISABLED = _DisabledType()
-UNCHANGED = _UnchangedType()
+DISABLED = _Outcome.DISABLED
+UNCHANGED = _Outcome.UNCHANGED
 
 
 @dataclass(frozen=True)
@@ -122,9 +105,6 @@ class StateView:
 
     def changed_at(self, key: SubstateKey) -> float:
         return self._changed.get(key, 0.0)
-
-    def counts_snapshot(self) -> SystemState:
-        return SystemState(dict(self._counts))
 
 
 @dataclass(frozen=True)

@@ -285,8 +285,18 @@ class PiecewiseConstant:
         return INF
 
 
+#: The continuous hazard families by the name model strings spell them with
+#: (see :func:`clocksim.models.parse_hazard`); the only list of them.
+FAMILIES = {
+    "exponential": Exponential,
+    "weibull": Weibull,
+    "gamma": Gamma,
+    "uniform": UniformInterval,
+    "piecewise": PiecewiseConstant,
+}
+
 #: Families accepted as the continuous part of a HazardSpec.
-CONTINUOUS_FAMILIES = (Exponential, Weibull, Gamma, UniformInterval, PiecewiseConstant)
+CONTINUOUS_FAMILIES = tuple(FAMILIES.values())
 
 
 def _invert_monotone(cumulative, hazard, x, scale_guess):

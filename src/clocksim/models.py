@@ -7,31 +7,32 @@ birth-death (rate modifications at every step), the atomic showcase (a
 continuous/atomic race), a token ring (constant-size dependency
 neighborhoods, for scaling runs), and two renewal processes.
 
-Hazard families are nameable as strings: ``family:p1,p2`` with optional
+A builder's signature is its model's parameter table.  ``build(name,
+params)`` binds a mapping to it, so an unknown or missing parameter is a
+ModelError, and each builder checks every argument once: integers must be
+integral (``3``, ``3.0`` and ``"3"`` pass, ``3.7`` does not) and numbers
+finite.  The normalised values go into ``Model.params``.
+
+Hazard families (``hazards.FAMILIES``) are nameable as strings:
+``family:p1,p2`` with the family's fields in declaration order and optional
 atoms appended as ``@offset,mass;offset,mass`` -- e.g. ``weibull:2,1``,
 ``exponential:0.693@1,0.5``, ``none@5,1`` (atoms only),
-``piecewise:0,1,2|0.5,0,2`` (breakpoints|rates).
+``piecewise:0,1,2|0.5,0,2`` (tuple fields separated by ``|``:
+breakpoints|rates).
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping
 
 from . import graph as depgraph
 from .clocks import DISABLED, ClockSpec, Enabled, JumpMark, SystemState
 from .errors import ModelError
-from .hazards import (
-    Atom,
-    Exponential,
-    Gamma,
-    HazardSpec,
-    PiecewiseConstant,
-    UniformInterval,
-    Weibull,
-)
+from .hazards import FAMILIES, Atom, Exponential, HazardSpec, Weibull
 
 
 @dataclass(frozen=True)
@@ -70,91 +71,67 @@ def parse_hazard(text) -> HazardSpec:
     if not isinstance(text, str):
         raise ModelError(f"expected a hazard string or HazardSpec, got {text!r}")
     body, _, atom_text = text.partition("@")
-    atoms = []
-    if atom_text:
-        for chunk in atom_text.split(";"):
-            off, _, mass = chunk.partition(",")
-            try:
-                atoms.append(Atom(float(off), float(mass)))
-            except ValueError as exc:
-                raise ModelError(f"bad atom {chunk!r} in {text!r}: {exc}") from exc
     family, _, arg_text = body.partition(":")
     family = family.strip().lower()
+    if family != "none" and family not in FAMILIES:
+        raise ModelError(f"unknown hazard family {family!r}; valid: {', '.join([*FAMILIES, 'none'])}")
     try:
+        atoms = []
+        if atom_text:
+            for chunk in atom_text.split(";"):
+                off, _, mass = chunk.partition(",")
+                atoms.append(Atom(float(off), float(mass)))
         if family == "none":
-            return HazardSpec(None, tuple(atoms))
-        args = [float(a) for a in arg_text.split(",")] if family != "piecewise" else None
-        if family == "exponential":
-            return HazardSpec(Exponential(*args), tuple(atoms))
-        if family == "weibull":
-            return HazardSpec(Weibull(*args), tuple(atoms))
-        if family == "gamma":
-            return HazardSpec(Gamma(*args), tuple(atoms))
-        if family == "uniform":
-            return HazardSpec(UniformInterval(*args), tuple(atoms))
-        if family == "piecewise":
-            bp_text, _, rate_text = arg_text.partition("|")
-            bp = tuple(float(b) for b in bp_text.split(","))
-            rs = tuple(float(r) for r in rate_text.split(","))
-            return HazardSpec(PiecewiseConstant(bp, rs), tuple(atoms))
+            return HazardSpec(None, atoms)
+        # fields in declaration order; tuple fields (piecewise) are |-separated
+        groups = [tuple(float(a) for a in g.split(",")) for g in arg_text.split("|")]
+        args = groups[0] if len(groups) == 1 else groups
+        return HazardSpec(FAMILIES[family](*args), atoms)
     except (TypeError, ValueError) as exc:
         raise ModelError(f"bad hazard spec {text!r}: {exc}") from exc
-    raise ModelError(
-        f"unknown hazard family {family!r}; valid: exponential, weibull, gamma, "
-        "uniform, piecewise, none"
-    )
 
 
 def unparse_hazard(spec: HazardSpec) -> str:
+    """The ``family:params[@atoms]`` string parse_hazard reads back."""
     cont = spec.continuous
     if cont is None:
         body = "none"
-    elif isinstance(cont, Exponential):
-        body = f"exponential:{cont.rate!r}"
-    elif isinstance(cont, Weibull):
-        body = f"weibull:{cont.shape!r},{cont.scale!r}"
-    elif isinstance(cont, Gamma):
-        body = f"gamma:{cont.shape!r},{cont.rate!r}"
-    elif isinstance(cont, UniformInterval):
-        body = f"uniform:{cont.a!r},{cont.b!r}"
-    elif isinstance(cont, PiecewiseConstant):
-        body = (
-            "piecewise:"
-            + ",".join(repr(b) for b in cont.breakpoints)
-            + "|"
-            + ",".join(repr(r) for r in cont.rates)
-        )
     else:
-        raise ModelError(f"cannot name family {cont!r}")
+        family = next((name for name, cls in FAMILIES.items() if isinstance(cont, cls)), None)
+        if family is None:
+            raise ModelError(f"cannot name family {cont!r}")
+        values = [getattr(cont, f.name) for f in fields(cont)]
+        groups = values if isinstance(values[0], tuple) else [values]
+        body = f"{family}:" + "|".join(",".join(repr(v) for v in g) for g in groups)
     if spec.atoms:
         body += "@" + ";".join(f"{a.offset!r},{a.mass!r}" for a in spec.atoms)
     return body
 
 
-def _as_int(params, key, default=None, minimum=None):
-    value = params.get(key, default)
-    if value is None:
-        raise ModelError(f"missing required parameter {key!r}")
+# -- parameter checks ----------------------------------------------------------
+
+def _int(key, value, minimum):
+    """An integer parameter: 3, 3.0 and "3" are accepted, 3.7 is not."""
     try:
-        value = int(value)
-    except (TypeError, ValueError):
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (isinstance(value, float) and value != out):
         raise ModelError(f"parameter {key!r} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ModelError(f"parameter {key!r} must be >= {minimum}, got {value}")
-    return value
+    if out < minimum:
+        raise ModelError(f"parameter {key!r} must be >= {minimum}, got {out}")
+    return out
 
 
-def _as_float(params, key, default=None, positive=False):
-    value = params.get(key, default)
-    if value is None:
-        raise ModelError(f"missing required parameter {key!r}")
+def _float(key, value, positive=False):
+    """A finite number parameter, > 0 if positive, else >= 0."""
     try:
-        value = float(value)
+        out = float(value)
     except (TypeError, ValueError):
-        raise ModelError(f"parameter {key!r} must be a number, got {value!r}")
-    if positive and value <= 0.0:
-        raise ModelError(f"parameter {key!r} must be > 0, got {value}")
-    return value
+        raise ModelError(f"parameter {key!r} must be a number, got {value!r}") from None
+    if not math.isfinite(out) or out < 0.0 or (positive and out == 0.0):
+        raise ModelError(f"parameter {key!r} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+    return out
 
 
 # -- SIR -------------------------------------------------------------------
@@ -163,10 +140,10 @@ def build_sir(n, infect="exponential:1", recover="exponential:1", initial_infect
     """Fully expanded SIR: one clock per (infectious, susceptible) pair plus
     one recovery clock per individual.  A recovery clock's enabling time is
     the moment its individual was infected."""
-    if n < 1:
-        raise ModelError(f"need n >= 1, got {n}")
-    if not 0 <= initial_infected <= n:
-        raise ModelError(f"need 0 <= initial_infected <= n, got {initial_infected}")
+    n = _int("n", n, 1)
+    initial_infected = _int("initial_infected", initial_infected, 0)
+    if initial_infected > n:
+        raise ModelError(f"need initial_infected <= n, got {initial_infected} > {n}")
     infect_spec = parse_hazard(infect)
     recover_spec = parse_hazard(recover)
     infect_on = Enabled(infect_spec)
@@ -223,23 +200,25 @@ def build_sir(n, infect="exponential:1", recover="exponential:1", initial_infect
 
 # -- rabbits eating ---------------------------------------------------------
 
-def build_rabbits(m, food_rate, portions, shape=2.0, scale_rule=None, initial_food=0) -> Model:
+def build_rabbits(m, food_rate, portions=(1,), shape=2.0, initial_food=0) -> Model:
     """Poisson food production racing rabbit meals.
 
     Each rabbit has one eating clock per portion size d_k, enabled while
     d_k <= available food, with a Weibull hazard anchored at the rabbit's
-    last meal and scaled by scale_rule(last meal size) (default: the size
-    itself, 1.0 before the first meal).
+    last meal and scaled by the last meal's size (1.0 before the first
+    meal).  portions is a sequence of sizes or a string such as ``"1;2"``.
     """
-    if m < 1:
-        raise ModelError(f"need m >= 1 rabbits, got {m}")
-    if food_rate <= 0.0:
-        raise ModelError(f"need food_rate > 0, got {food_rate}")
-    portions = tuple(int(d) for d in portions)
-    if not portions or any(d < 1 for d in portions):
-        raise ModelError(f"portions must be positive integers, got {portions}")
-    if scale_rule is None:
-        scale_rule = lambda last: float(last) if last > 0 else 1.0
+    m = _int("m", m, 1)
+    food_rate = _float("food_rate", food_rate, positive=True)
+    shape = _float("shape", shape, positive=True)
+    initial_food = _int("initial_food", initial_food, 0)
+    if isinstance(portions, str):
+        portions = portions.split(";")
+    elif not isinstance(portions, (list, tuple)):
+        portions = (portions,)
+    portions = tuple(_int("portions", d, 1) for d in portions)
+    if not portions:
+        raise ModelError("parameter 'portions' must name at least one size")
 
     clocks = [
         ClockSpec(
@@ -255,8 +234,7 @@ def build_rabbits(m, food_rate, portions, shape=2.0, scale_rule=None, initial_fo
         meal_keys = tuple(f"meal_{r}_{k}" for k in range(len(portions)))
         for k, dk in enumerate(portions):
 
-            def rule(view, now, dk=dk, meal_keys=meal_keys, portions=portions,
-                     shape=shape, rule_fn=scale_rule):
+            def rule(view, now, dk=dk, meal_keys=meal_keys, portions=portions, shape=shape):
                 if view.count("food") < dk:
                     return DISABLED
                 last_t = 0.0
@@ -267,9 +245,8 @@ def build_rabbits(m, food_rate, portions, shape=2.0, scale_rule=None, initial_fo
                         if t2 >= last_t:
                             last_t = t2
                             last_size = portions[k2]
-                return Enabled(
-                    HazardSpec(Weibull(shape, rule_fn(last_size))), enabling_time=last_t
-                )
+                scale = float(last_size) if last_size > 0 else 1.0
+                return Enabled(HazardSpec(Weibull(shape, scale)), enabling_time=last_t)
 
             clocks.append(
                 ClockSpec(
@@ -321,15 +298,17 @@ def build_atomic_showcase() -> Model:
 
 # -- birth-death -------------------------------------------------------------
 
-def build_birth_death(birth, death, x0, capacity) -> Model:
+def build_birth_death(birth=1.0, death=1.0, x0=1, capacity=100) -> Model:
     """Constant-rate birth up to a capacity, per-individual exponential death.
 
     The death clock's rate is death * x, so its hazard is modified at every
     jump while x stays positive."""
-    if capacity < 1 or not 0 <= x0 <= capacity:
-        raise ModelError(f"need 1 <= capacity and 0 <= x0 <= capacity, got x0={x0}, capacity={capacity}")
-    if birth < 0.0 or death < 0.0:
-        raise ModelError("rates must be >= 0")
+    birth = _float("birth", birth)
+    death = _float("death", death)
+    x0 = _int("x0", x0, 0)
+    capacity = _int("capacity", capacity, 1)
+    if x0 > capacity:
+        raise ModelError(f"need x0 <= capacity, got x0={x0}, capacity={capacity}")
 
     def birth_rule(view, now, b=birth, cap=capacity):
         return Enabled(HazardSpec(Exponential(b))) if view.count("x") < cap else DISABLED
@@ -355,10 +334,9 @@ def build_ring(m, rate=1.0, tokens=1) -> Model:
     rate proportional to the tokens at i.  Dependency neighborhoods have
     constant size, so per-event cost is dominated by the sampler's data
     structures."""
-    if m < 2:
-        raise ModelError(f"need m >= 2 sites, got {m}")
-    if rate <= 0.0 or tokens < 1:
-        raise ModelError("need rate > 0 and tokens >= 1")
+    m = _int("m", m, 2)
+    rate = _float("rate", rate, positive=True)
+    tokens = _int("tokens", tokens, 1)
     clocks = []
     for i in range(m):
         xi = f"x_{i}"
@@ -384,8 +362,8 @@ def build_ring(m, rate=1.0, tokens=1) -> Model:
 # -- renewal processes ---------------------------------------------------------
 
 def build_poisson(rate=1.0) -> Model:
-    if rate <= 0.0:
-        raise ModelError(f"need rate > 0, got {rate}")
+    """Always-enabled exponential clock."""
+    rate = _float("rate", rate, positive=True)
     outcome = Enabled(HazardSpec(Exponential(rate)))
     clocks = (
         ClockSpec(
@@ -417,58 +395,36 @@ def build_renewal(interarrival="weibull:2,1") -> Model:
 
 # -- registry -------------------------------------------------------------------
 
-def _build_sir_cfg(params):
-    return build_sir(
-        n=_as_int(params, "n", minimum=1),
-        infect=params.get("infect", "exponential:1"),
-        recover=params.get("recover", "exponential:1"),
-        initial_infected=_as_int(params, "initial_infected", default=1, minimum=0),
-    )
-
-
-def _build_rabbits_cfg(params):
-    portions = params.get("portions", [1])
-    if isinstance(portions, str):
-        portions = [int(p) for p in portions.split(";")]
-    return build_rabbits(
-        m=_as_int(params, "m", minimum=1),
-        food_rate=_as_float(params, "food_rate", positive=True),
-        portions=portions,
-        shape=_as_float(params, "shape", default=2.0, positive=True),
-        initial_food=_as_int(params, "initial_food", default=0, minimum=0),
-    )
-
-
-def _build_birth_death_cfg(params):
-    return build_birth_death(
-        birth=_as_float(params, "birth", default=1.0),
-        death=_as_float(params, "death", default=1.0),
-        x0=_as_int(params, "x0", default=1, minimum=0),
-        capacity=_as_int(params, "capacity", default=100, minimum=1),
-    )
-
-
-def _build_ring_cfg(params):
-    return build_ring(
-        m=_as_int(params, "m", minimum=2),
-        rate=_as_float(params, "rate", default=1.0, positive=True),
-        tokens=_as_int(params, "tokens", default=1, minimum=1),
-    )
-
-
+#: Each builder's signature is its model's parameter table: names, required
+#: parameters and defaults are declared there and nowhere else.
 MODEL_BUILDERS = {
-    "sir": _build_sir_cfg,
-    "rabbits": _build_rabbits_cfg,
-    "atomic-showcase": lambda params: build_atomic_showcase(),
-    "birth-death": _build_birth_death_cfg,
-    "ring": _build_ring_cfg,
-    "poisson": lambda params: build_poisson(_as_float(params, "rate", default=1.0, positive=True)),
-    "renewal": lambda params: build_renewal(params.get("interarrival", "weibull:2,1")),
+    "sir": build_sir,
+    "rabbits": build_rabbits,
+    "atomic-showcase": build_atomic_showcase,
+    "birth-death": build_birth_death,
+    "ring": build_ring,
+    "poisson": build_poisson,
+    "renewal": build_renewal,
 }
+_SIGNATURES = {name: inspect.signature(fn) for name, fn in MODEL_BUILDERS.items()}
 
 
 def build(name, params=None) -> Model:
-    """Build a named model from a parameter mapping (CLI/config entry point)."""
+    """Build a named model from a parameter mapping (CLI/config entry point).
+
+    params binds to the builder's signature; an unknown, missing or
+    malformed parameter raises ModelError naming the model.
+    """
     if name not in MODEL_BUILDERS:
         raise ModelError(f"unknown model {name!r}; valid: {', '.join(sorted(MODEL_BUILDERS))}")
-    return MODEL_BUILDERS[name](dict(params or {}))
+    signature = _SIGNATURES[name]
+    try:
+        bound = signature.bind(**(params or {}))
+    except TypeError as exc:
+        valid = ", ".join(signature.parameters) or "none"
+        raise ModelError(f"model {name!r}: {exc}; parameters: {valid}") from None
+    try:
+        # every builder parameter is positional-or-keyword
+        return MODEL_BUILDERS[name](**bound.arguments)
+    except ModelError as exc:
+        raise ModelError(f"model {name!r}: {exc}") from exc

@@ -99,14 +99,21 @@ class FirstReactionSampler:
         return SamplerEvent(best_cid, best_t)
 
     def absorb(self, delta, now, stream):
-        if delta.fired is not None:
-            self._enabled.pop(delta.fired, None)
+        enabled = self._enabled
+        fired = delta.fired
+        if fired is not None and enabled.pop(fired, None) is None:
+            raise UnknownClock(fired)
         for cid in delta.newly_disabled:
-            self._enabled.pop(cid, None)
+            if enabled.pop(cid, None) is None:
+                raise UnknownClock(cid)
         for cid, spec, te in delta.modified:
-            self._enabled[cid] = (spec, te)
+            if cid not in enabled:
+                raise UnknownClock(cid)
+            enabled[cid] = (spec, te)
         for cid, spec, te in delta.newly_enabled:
-            self._enabled[cid] = (spec, te)
+            if cid in enabled:
+                raise UnknownClock(cid)
+            enabled[cid] = (spec, te)
 
 
 class _LedgerEntry:
@@ -215,19 +222,20 @@ class NextReactionSampler:
 
 
 class NextToFireSampler:
-    """Keep putative times; redraw affected clocks with fresh variates."""
+    """Keep putative times; redraw affected clocks with fresh variates.
+
+    The queue is the enabled set: a clock is enabled exactly while queued.
+    """
 
     name = "next-to-fire"
 
     def __init__(self):
-        self._enabled = {}
         self._queue = PutativeQueue()
 
     def enabled_ids(self):
-        return set(self._enabled)
-
-    def queue_members(self):
         return set(self._queue.members())
+
+    queue_members = enabled_ids
 
     def next_event(self, now, stream):
         top = self._queue.peek()
@@ -236,27 +244,24 @@ class NextToFireSampler:
         return SamplerEvent(top[0], top[1])
 
     def absorb(self, delta, now, stream):
+        queue = self._queue
         fired = delta.fired
         if fired is not None:
-            if fired not in self._enabled:
+            if fired not in queue:
                 raise UnknownClock(fired)
-            del self._enabled[fired]
-            self._queue.delete(fired)
+            queue.delete(fired)
         for cid in delta.newly_disabled:
-            if cid not in self._enabled:
+            if cid not in queue:
                 raise UnknownClock(cid)
-            del self._enabled[cid]
-            self._queue.delete(cid)
+            queue.delete(cid)
         for cid, spec, te in delta.modified:
-            if cid not in self._enabled:
+            if cid not in queue:
                 raise UnknownClock(cid)
-            self._enabled[cid] = (spec, te)
-            self._queue.update(cid, _conditional_draw(spec, te, now, stream.uniform()))
+            queue.update(cid, _conditional_draw(spec, te, now, stream.uniform()))
         for cid, spec, te in delta.newly_enabled:
-            if cid in self._enabled:
+            if cid in queue:
                 raise UnknownClock(cid)
-            self._enabled[cid] = (spec, te)
-            self._queue.insert(cid, _conditional_draw(spec, te, now, stream.uniform()))
+            queue.insert(cid, _conditional_draw(spec, te, now, stream.uniform()))
 
 
 class DirectSampler:

@@ -116,6 +116,28 @@ def test_unknown_model_and_bad_param_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_unknown_param_exits_2(runner, tmp_path):
+    result = runner.invoke(cli, [
+        "run", "--model", "sir", "--param", "n=3", "--param", "initial_infectd=2",
+        "--max-events", "5", "--output", str(tmp_path / "x"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "initial_infectd" in result.output
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_model_error_mid_run_exits_2(runner, tmp_path, workers):
+    # both initially infected individuals' recovery atoms land at t = 1.5
+    result = runner.invoke(cli, [
+        "run", "--model", "sir", "--param", "n=3", "--param", "initial_infected=2",
+        "--param", "recover=weibull:2,1@1.5,0.5", "--sampler", "direct",
+        "--max-events", "20", "--trajectories", "2", "--workers", workers,
+        "--output", str(tmp_path / "x"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "DuplicateAtoms" in result.output
+
+
 def test_stalled_before_any_event_exits_3(runner, tmp_path):
     result = runner.invoke(cli, [
         "run", "--model", "sir", "--param", "n=2", "--param", "initial_infected=0",

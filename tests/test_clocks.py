@@ -21,6 +21,10 @@ def view(counts, changed=None):
     return StateView(counts, changed or {})
 
 
+def test_outcome_reprs():
+    assert (repr(DISABLED), repr(UNCHANGED)) == ("Disabled", "UnchangedSinceLastQuery")
+
+
 def test_apply_mark_examples():
     out = apply_mark(SystemState({"S": 3, "I": 1}), JumpMark({"S": -1, "I": +1}))
     assert out.counts == {"S": 2, "I": 2}

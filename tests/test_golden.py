@@ -1,12 +1,15 @@
 """Byte-identity guard: every built-in model under every sampler.
 
-Each digest is the sha256 of the trajectory's `seq\\ttime\\tclock` lines
+Each model's `model_hash` (name, recorded params, initial state) is pinned
+too, so a change to how parameters are bound or normalised shows here.
+Each trajectory digest is the sha256 of the trajectory's `seq\\ttime\\tclock` lines
 (times at 17 significant digits, as `write_trajectory` prints them) at
 seed 1, stream 0, stopped after 200 events or when the run stalls.  The
 parameters make Weibull and gamma hazards, atoms, past-anchored enabling
 times and per-jump rate modifications all occur.
 
-Re-record (only for a deliberate change of a sampler's variate contract):
+Re-record (only for a deliberate change of a sampler's variate contract or
+of a model's recorded params):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,7 +20,7 @@ import pathlib
 
 import pytest
 
-from clocksim.kernel import EventCount, run_trajectory
+from clocksim.kernel import EventCount, model_hash, run_trajectory
 from clocksim.models import build
 
 DIGESTS = pathlib.Path(__file__).with_name("golden_digests.json")
@@ -39,6 +42,7 @@ SAMPLERS = (
     "hierarchical:direct=0;next-reaction=rest",
 )
 CASES = [f"{m}/{s}" for m in MODELS for s in SAMPLERS]
+HASHES = [f"model_hash:{m}" for m in MODELS]
 
 
 def digest(case):
@@ -48,10 +52,22 @@ def digest(case):
     return hashlib.sha256(lines.encode()).hexdigest()
 
 
+def golden(key):
+    if key.startswith("model_hash:"):
+        name = key.partition(":")[2]
+        return model_hash(build(name, MODELS[name]))
+    return digest(key)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_trajectory_digest_unchanged(case):
     assert digest(case) == json.loads(DIGESTS.read_text())[case]
 
 
+@pytest.mark.parametrize("key", HASHES)
+def test_model_hash_unchanged(key):
+    assert golden(key) == json.loads(DIGESTS.read_text())[key]
+
+
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps({case: digest(case) for case in CASES}, indent=1) + "\n")
+    DIGESTS.write_text(json.dumps({key: golden(key) for key in CASES + HASHES}, indent=1) + "\n")

@@ -8,7 +8,15 @@ from clocksim import graph as depgraph
 from clocksim.clocks import DISABLED, Enabled, StateView, UNCHANGED, evaluate_enabling
 from clocksim.errors import ModelError
 from clocksim.hazards import Exponential, HazardSpec, Weibull
-from clocksim.kernel import EventCount, StalledOnly, final_state, replay_states, run_ensemble, run_trajectory
+from clocksim.kernel import (
+    EventCount,
+    StalledOnly,
+    final_state,
+    model_hash,
+    replay_states,
+    run_ensemble,
+    run_trajectory,
+)
 from clocksim.models import (
     build,
     build_atomic_showcase,
@@ -51,6 +59,33 @@ def test_unknown_model_rejected():
         build("sir", {"n": 0})
     with pytest.raises(ModelError):
         build("sir", {})  # n required
+
+
+@pytest.mark.parametrize("name,params,key", [
+    ("sir", {"n": 3, "initial_infectd": 2}, "initial_infectd"),
+    ("sir", {"n": 3.7}, "n"),
+    ("ring", {"m": 4, "rate": math.inf}, "rate"),
+    ("poisson", {"rate": math.nan}, "rate"),
+    ("atomic-showcase", {"n": 1}, "n"),
+])
+def test_bad_parameter_names_model_and_parameter(name, params, key):
+    with pytest.raises(ModelError) as info:
+        build(name, params)
+    message = str(info.value)
+    assert message.count(repr(name)) == 1 and repr(key) in message, message
+
+
+def test_integer_parameters_accept_integral_spellings():
+    for n in (3, 3.0, "3"):
+        assert build("sir", {"n": n}).params["n"] == 3
+    model = build("rabbits", {"m": 1, "food_rate": 2, "portions": 2})
+    assert model.params["portions"] == [2] and model.params["food_rate"] == 2.0
+
+
+@pytest.mark.parametrize("name,params", ALL_BUILTINS, ids=[m[0] for m in ALL_BUILTINS])
+def test_recorded_params_rebuild_the_same_model(name, params):
+    model = build(name, params)
+    assert model_hash(build(name, model.params)) == model_hash(model)
 
 
 def test_sir_structure():

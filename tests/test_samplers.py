@@ -123,6 +123,21 @@ def test_nr_unknown_clock():
         s.absorb(EnablingDelta(modified=[(7, EXP1, 0.0)]), 1.0, FakeStream([]))
 
 
+@pytest.mark.parametrize("cls", [FirstReactionSampler, NextReactionSampler, NextToFireSampler, DirectSampler])
+def test_malformed_delta_raises_unknown_clock(cls):
+    malformed = [
+        EnablingDelta(newly_disabled=[7]),            # disable an unknown clock
+        EnablingDelta(fired=7),                       # fire an unknown clock
+        EnablingDelta(newly_enabled=[(0, EXP1, 0.0)]),  # re-enable an enabled clock
+        EnablingDelta(modified=[(7, EXP1, 0.0)]),     # modify an unknown clock
+    ]
+    for delta in malformed:
+        s = cls()
+        enable(s, {0: (EXP1, 0.0)}, 0.0, FakeStream([0.5]))
+        with pytest.raises(UnknownClock):
+            s.absorb(delta, 1.0, FakeStream([0.5]))
+
+
 def test_nr_queue_tracks_enabled_set():
     s = NextReactionSampler()
     enable(s, {0: (EXP1, 0.0), 1: (EXP1, 0.0), 2: (EXP1, 0.0)},
