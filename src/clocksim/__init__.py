@@ -39,9 +39,6 @@ from .hazards import (
     UniformInterval,
     Weibull,
     invert_conditional,
-    left_survival,
-    next_atoms,
-    sample_first,
     survival,
     time_process,
 )

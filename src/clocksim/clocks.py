@@ -52,9 +52,6 @@ class JumpMark:
         cleaned = {k: int(v) for k, v in self.deltas.items() if int(v) != 0}
         object.__setattr__(self, "deltas", cleaned)
 
-    def support(self) -> frozenset:
-        return frozenset(self.deltas)
-
 
 class _Outcome(Enum):
     """Enabling outcomes other than Enabled: the clock cannot fire

@@ -21,9 +21,13 @@ class NegativeSubstate(ClocksimError):
     """
 
     def __init__(self, key, count):
-        super().__init__(f"substate {key!r} would become {count}")
+        # args are the constructor's, so pickle rebuilds the same error
+        super().__init__(key, count)
         self.key = key
         self.count = count
+
+    def __str__(self):
+        return f"substate {self.key!r} would become {self.count}"
 
 
 class Stalled(ClocksimError):
@@ -34,8 +38,11 @@ class UnknownClock(ClocksimError):
     """An enabling delta referenced a clock the sampler does not hold."""
 
     def __init__(self, clock):
-        super().__init__(f"clock {clock} not held by sampler")
+        super().__init__(clock)
         self.clock = clock
+
+    def __str__(self):
+        return f"clock {self.clock} not held by sampler"
 
 
 class DuplicateAtoms(ClocksimError):

@@ -1,62 +1,50 @@
 """Bipartite clock/substate dependency graph.
 
-Edges run from each clock to the substates its enabling rule reads and to
-the substates its mark writes.  After clock j fires, only the clocks
-reading some substate j writes can see a different enabling outcome; the
-graph answers that set in O(edges touched).
+Edges run from each clock to the substates its enabling rule reads
+(`ClockSpec.reads`) and to the substates its mark writes (the keys of
+`mark.deltas`).  After clock j fires, only the clocks reading some substate
+j writes can see a different enabling outcome; the reverse index from
+substate to readers answers that set in O(edges touched).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ModelError
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    reads: dict    # ClockId -> frozenset of SubstateKey
-    writes: dict   # ClockId -> frozenset of SubstateKey (mark support)
-    reverse: dict  # SubstateKey -> frozenset of ClockId reading it
+def build(clocks) -> dict:
+    """Reverse index: substate -> frozenset of the ids of clocks reading it.
 
-
-def build(clocks) -> DependencyGraph:
-    """Build the graph from clock declarations; ids must be unique."""
-    reads = {}
-    writes = {}
-    reverse = {}
+    Clock ids must be unique.
+    """
+    ids = set()
+    readers = {}
     for clock in clocks:
-        if clock.id in reads:
+        if clock.id in ids:
             raise ModelError(f"duplicate clock id {clock.id}")
-        reads[clock.id] = frozenset(clock.reads)
-        writes[clock.id] = clock.mark.support()
+        ids.add(clock.id)
         for key in clock.reads:
-            reverse.setdefault(key, set()).add(clock.id)
-    reverse = {k: frozenset(v) for k, v in reverse.items()}
-    return DependencyGraph(reads=reads, writes=writes, reverse=reverse)
+            readers.setdefault(key, set()).add(clock.id)
+    return {k: frozenset(v) for k, v in readers.items()}
 
 
-def affected(graph: DependencyGraph, fired: int) -> set:
-    """Clocks whose enabling must be re-evaluated after `fired` jumps.
+def affected(readers: dict, clock) -> set:
+    """Ids of the clocks whose enabling must be re-evaluated after `clock` jumps.
 
-    Union of readers of every substate the fired clock writes, always
+    Union of readers of every substate the fired clock's mark writes, always
     including the fired clock itself.
     """
-    if fired not in graph.writes:
-        raise ModelError(f"unknown clock id {fired}")
-    out = {fired}
+    out = {clock.id}
     empty = frozenset()
-    for key in graph.writes[fired]:
-        out |= graph.reverse.get(key, empty)
+    for key in clock.mark.deltas:
+        out |= readers.get(key, empty)
     return out
 
 
-def export_edges(graph: DependencyGraph) -> str:
+def export_edges(clocks) -> str:
     """Debug dump: one `clock-id TAB substate TAB read|write` line per edge."""
     lines = []
-    for cid in sorted(graph.reads):
-        for key in sorted(graph.reads[cid]):
-            lines.append(f"{cid}\t{key}\tread")
-        for key in sorted(graph.writes[cid]):
-            lines.append(f"{cid}\t{key}\twrite")
+    for clock in sorted(clocks, key=lambda c: c.id):
+        lines.extend(f"{clock.id}\t{key}\tread" for key in sorted(clock.reads))
+        lines.extend(f"{clock.id}\t{key}\twrite" for key in sorted(clock.mark.deltas))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -12,9 +12,12 @@ consumed hazard over an interval,
 
     time_process(t1, t2) = H(t2) - H(t1) + sum_{t1 < offset <= t2} -ln(1 - mass),
 
-so that S(t2) = S(t1) * exp(-time_process(t1, t2)) identically.  Every
-sampling strategy in :mod:`clocksim.samplers` is built from the three
-operations ``sample_first``, ``invert_conditional`` and ``time_process``.
+so that S(t2) = S(t1) * exp(-time_process(t1, t2)) identically.  The
+per-clock samplers in :mod:`clocksim.samplers` (first-reaction,
+next-reaction, next-to-fire) are built from ``invert_conditional`` and
+``time_process``, a fresh uniform variate u entering as the required
+log-survival ln(1 - u); the direct sampler inverts the summed cumulative
+hazards of all enabled clocks itself.
 
 Log-survivals are plain non-positive floats (-inf means survival exhausted);
 putative times use ``math.inf`` as the distinguished "never" value, ordered
@@ -396,18 +399,6 @@ def survival(spec: HazardSpec, t: float) -> float:
     return s
 
 
-def left_survival(spec: HazardSpec, t: float) -> float:
-    """Left limit S(t-): atoms at exactly t excluded."""
-    if t < 0.0:
-        raise ValueError("duration must be >= 0")
-    s = math.exp(-spec._cum(t))
-    for a in spec.atoms:
-        if a.offset >= t:
-            break
-        s *= 1.0 - a.mass
-    return s
-
-
 def time_process(spec: HazardSpec, t1: float, t2: float) -> float:
     """Consumed hazard over (t1, t2]; equals -ln(S(t2)/S(t1)).
 
@@ -428,13 +419,6 @@ def time_process(spec: HazardSpec, t1: float, t2: float) -> float:
                 return INF
             total -= math.log1p(-a.mass)
     return total
-
-
-def next_atoms(spec: HazardSpec, t1: float, t2: float) -> list:
-    """Atoms with offset in the half-open interval (t1, t2], in order."""
-    if t2 < t1:
-        raise ValueError(f"need t1 <= t2, got ({t1}, {t2})")
-    return [a for a in spec.atoms if t1 < a.offset <= t2]
 
 
 def invert_conditional(spec: HazardSpec, shift: float, required_log_survival: float) -> float:
@@ -470,15 +454,3 @@ def invert_conditional(spec: HazardSpec, shift: float, required_log_survival: fl
             return a.offset
     return max(spec._cum_inv(base + (need - atoms_acc)), shift)
 
-
-def sample_first(spec: HazardSpec, u: float) -> tuple:
-    """Invert a fresh uniform variate; returns (putative duration, ln(1-u)).
-
-    The putative duration lands on an atom whenever 1-u falls inside the
-    atom's survival drop; it is inf when the survival plateaus above 1-u.
-    The second element is the consumed log-survival of the draw.
-    """
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"uniform variate must be in [0, 1), got {u}")
-    log_surv = math.log1p(-u)
-    return invert_conditional(spec, 0.0, log_surv), log_surv

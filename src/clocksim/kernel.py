@@ -131,26 +131,34 @@ class Engine:
 
     def __init__(self, model, sampler, stream, now=0.0):
         self.model = model
-        self.graph, self._by_id = model.graph, model.by_id
+        self._readers, self._by_id = model.graph, model.by_id
         self.sampler = sampler
         self.stream = stream
         self.now = now
         self._counts = dict(model.initial_state.counts)
         self._changed = {}
         self._view = StateView(self._counts, self._changed)
-        self._cache = {}
+        self._cache = dict.fromkeys(self._by_id, DISABLED)
         delta = EnablingDelta()
-        for cid in sorted(self._by_id):
-            out = evaluate_enabling(self._by_id[cid], self._view, now, DISABLED)
-            if out is UNCHANGED:
-                self._cache[cid] = DISABLED
-            else:
-                self._cache[cid] = out
-                delta.newly_enabled.append((cid, out.spec, out.enabling_time))
+        self._resolve(sorted(self._by_id), now, delta)
         sampler.absorb(delta, now, stream)
 
     def state(self) -> SystemState:
         return SystemState(dict(self._counts))
+
+    def _resolve(self, cids, t, delta):
+        """Re-evaluate `cids` (ascending) at time t against the cache; record changes in delta."""
+        cache, by_id, view = self._cache, self._by_id, self._view
+        for cid in cids:
+            prev = cache[cid]
+            out = evaluate_enabling(by_id[cid], view, t, prev)
+            if out is DISABLED:
+                cache[cid] = DISABLED
+                delta.newly_disabled.append(cid)
+            elif out is not UNCHANGED:
+                cache[cid] = out
+                entry = (cid, out.spec, out.enabling_time)
+                (delta.newly_enabled if prev is DISABLED else delta.modified).append(entry)
 
     def step(self, limit=None):
         """Fire the next event; returns (clock, time), or None if censored.
@@ -176,21 +184,7 @@ class Engine:
         # the jump consumed the fired clock's draw: re-enabling is regenerative
         self._cache[fired] = DISABLED
         delta = EnablingDelta(fired=fired)
-        for cid in sorted(depgraph.affected(self.graph, fired)):
-            prev = self._cache[cid]
-            out = evaluate_enabling(self._by_id[cid], self._view, t, prev)
-            if out is UNCHANGED:
-                continue
-            if out is DISABLED:
-                self._cache[cid] = DISABLED
-                delta.newly_disabled.append(cid)
-            else:
-                self._cache[cid] = out
-                entry = (cid, out.spec, out.enabling_time)
-                if prev is DISABLED:
-                    delta.newly_enabled.append(entry)
-                else:
-                    delta.modified.append(entry)
+        self._resolve(sorted(depgraph.affected(self._readers, clock)), t, delta)
         self.sampler.absorb(delta, t, self.stream)
         self.now = t
         return (fired, t)

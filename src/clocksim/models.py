@@ -39,8 +39,9 @@ from .hazards import FAMILIES, Atom, Exponential, HazardSpec, Weibull
 class Model:
     """Immutable clocks over an initial state.
 
-    `graph` and `by_id` are computed once per instance and freed with it;
-    ``dataclasses.replace`` returns a new instance with fresh tables.
+    `graph` (substate -> frozenset of reader ids) and `by_id` are computed
+    once per instance and freed with it; ``dataclasses.replace`` returns a
+    new instance with fresh tables.
     """
 
     name: str
@@ -49,7 +50,7 @@ class Model:
     params: Mapping[str, object] = field(default_factory=dict)
 
     @cached_property
-    def graph(self) -> depgraph.DependencyGraph:
+    def graph(self) -> dict:
         return depgraph.build(self.clocks)
 
     @cached_property

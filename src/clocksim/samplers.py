@@ -81,9 +81,6 @@ class FirstReactionSampler:
     def __init__(self):
         self._enabled = {}
 
-    def enabled_ids(self):
-        return set(self._enabled)
-
     def next_event(self, now, stream):
         best_t = INF
         best_cid = -1
@@ -145,12 +142,6 @@ class NextReactionSampler:
         self._entries = {}
         self._queue = PutativeQueue()
         self.audit_log = [] if record_audit else None
-
-    def enabled_ids(self):
-        return {cid for cid, e in self._entries.items() if e.enabled}
-
-    def queue_members(self):
-        return set(self._queue.members())
 
     def _fresh(self, cid, spec, te, now, stream):
         u = stream.uniform()
@@ -232,11 +223,6 @@ class NextToFireSampler:
     def __init__(self):
         self._queue = PutativeQueue()
 
-    def enabled_ids(self):
-        return set(self._queue.members())
-
-    queue_members = enabled_ids
-
     def next_event(self, now, stream):
         top = self._queue.peek()
         if top is None or top[1] == INF:
@@ -283,14 +269,10 @@ class DirectSampler:
         self._slot = {}
         self._owner = {}
         self._free = []
-        self._next_slot = 0
         self._varying = set()      # enabled cids with time-varying continuous hazard
         self._atoms = {}           # absolute atom time -> (mass, cid), enabled clocks only
         self._crate = 0.0          # sum of enabled constant (exponential) rates
         self._crate_ops = 0
-
-    def enabled_ids(self):
-        return set(self._enabled)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -310,9 +292,8 @@ class DirectSampler:
 
     def _add(self, cid, spec, te, now):
         self._enabled[cid] = (spec, te)
-        slot = self._free.pop() if self._free else self._next_slot
-        if slot == self._next_slot:
-            self._next_slot += 1
+        # no free slot means slots 0..len-1 are all occupied
+        slot = self._free.pop() if self._free else len(self._owner)
         self._slot[cid] = slot
         self._owner[slot] = cid
         cont = spec.continuous
@@ -501,37 +482,25 @@ class HierarchicalSampler:
     name = "hierarchical"
 
     def __init__(self, parts):
-        if sum(1 for _, cids in parts if cids is None) > 1:
-            raise ModelError("at most one catch-all partition")
         self._children = [s for s, _ in parts]
-        self._sets = [frozenset(c) if c is not None else None for _, c in parts]
-        seen = set()
-        for cids in self._sets:
-            if cids is not None:
-                if seen & cids:
-                    raise ModelError(f"clocks {sorted(seen & cids)} are in more than one partition")
-                seen |= cids
-        self._rest = next((i for i, c in enumerate(self._sets) if c is None), -1)
-        self._owners = {}
+        self._owner = {}  # cid -> index of the child named for it
+        self._rest = None  # index of the catch-all child
+        for i, (_, cids) in enumerate(parts):
+            if cids is None:
+                if self._rest is not None:
+                    raise ModelError("at most one catch-all partition")
+                self._rest = i
+                continue
+            overlap = self._owner.keys() & cids
+            if overlap:
+                raise ModelError(f"clocks {sorted(overlap)} are in more than one partition")
+            self._owner.update(dict.fromkeys(cids, i))
 
     def _owner_index(self, cid):
-        cached = self._owners.get(cid)
-        if cached is not None:
-            return cached
-        for i, cids in enumerate(self._sets):
-            if cids is not None and cid in cids:
-                self._owners[cid] = i
-                return i
-        if self._rest >= 0:
-            self._owners[cid] = self._rest
-            return self._rest
-        raise ModelError(f"clock {cid} not covered by the partition")
-
-    def enabled_ids(self):
-        out = set()
-        for child in self._children:
-            out |= child.enabled_ids()
-        return out
+        i = self._owner.get(cid, self._rest)
+        if i is None:
+            raise ModelError(f"clock {cid} not covered by the partition")
+        return i
 
     def next_event(self, now, stream):
         best = None
@@ -547,16 +516,20 @@ class HierarchicalSampler:
         return best
 
     def absorb(self, delta, now, stream):
-        for i, child in enumerate(self._children):
-            sub = EnablingDelta(
-                fired=delta.fired if (delta.fired is not None and self._owner_index(delta.fired) == i) else None,
-                newly_enabled=[e for e in delta.newly_enabled if self._owner_index(e[0]) == i],
-                newly_disabled=[c for c in delta.newly_disabled if self._owner_index(c) == i],
-                modified=[e for e in delta.modified if self._owner_index(e[0]) == i],
-            )
-            if sub.fired is None and not (sub.newly_enabled or sub.newly_disabled or sub.modified):
-                continue
-            child.absorb(sub, now, stream)
+        subs = [EnablingDelta() for _ in self._children]
+        owner = self._owner_index
+        if delta.fired is not None:
+            subs[owner(delta.fired)].fired = delta.fired
+        for entry in delta.newly_enabled:
+            subs[owner(entry[0])].newly_enabled.append(entry)
+        for cid in delta.newly_disabled:
+            subs[owner(cid)].newly_disabled.append(cid)
+        for entry in delta.modified:
+            subs[owner(entry[0])].modified.append(entry)
+        # children absorb in construction order, and only those the delta touches
+        for child, sub in zip(self._children, subs):
+            if sub.fired is not None or sub.newly_enabled or sub.newly_disabled or sub.modified:
+                child.absorb(sub, now, stream)
 
 
 _BASE_SAMPLERS = {

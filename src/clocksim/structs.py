@@ -41,9 +41,6 @@ class PutativeQueue:
     def __contains__(self, cid):
         return cid in self._time
 
-    def members(self):
-        return list(self._time)
-
     def _compact(self):
         heap = self._heap
         if len(heap) > 2 * len(self._time) + 16:

@@ -37,7 +37,7 @@ def test_apply_mark_examples():
 def test_zero_entries_removed_on_construction():
     assert SystemState({"a": 0, "b": 2}).counts == {"b": 2}
     assert JumpMark({"a": 0, "b": -1}).deltas == {"b": -1}
-    assert JumpMark({"a": 1}).support() == frozenset({"a"})
+    assert JumpMark({"a": 1}).deltas == {"a": 1}
 
 
 _keys = ("a", "b", "c")

@@ -15,9 +15,6 @@ from clocksim.hazards import (
     UniformInterval,
     Weibull,
     invert_conditional,
-    left_survival,
-    next_atoms,
-    sample_first,
     survival,
     time_process,
 )
@@ -25,6 +22,12 @@ from clocksim.hazards import (
 from conftest import survival_quadrature
 
 LN2 = math.log(2.0)
+
+
+def first_draw(spec, u):
+    """Putative duration of a clock's first draw from the uniform variate u."""
+    return invert_conditional(spec, 0.0, math.log1p(-u))
+
 
 MATRIX = [
     HazardSpec(Exponential(1.0)),
@@ -72,15 +75,13 @@ def test_time_process_examples():
 
 
 def test_sample_first_examples():
-    t, ls = sample_first(HazardSpec(Exponential(2.0)), 1.0 - math.exp(-1.0))
-    assert t == pytest.approx(0.5, rel=1e-12)
-    assert ls == pytest.approx(-1.0, rel=1e-12)
+    assert first_draw(HazardSpec(Exponential(2.0)), 1.0 - math.exp(-1.0)) == pytest.approx(0.5, rel=1e-12)
     certain = HazardSpec(None, (Atom(5.0, 1.0),))
     for u in (0.0, 0.3, 0.999):
-        assert sample_first(certain, u)[0] == 5.0
+        assert first_draw(certain, u) == 5.0
     mixed = HazardSpec(Exponential(LN2), (Atom(1.0, 0.5),))
     # target survival 0.3: continuous part reaches 0.5 at t=1, atom drops to 0.25
-    assert sample_first(mixed, 0.7)[0] == 1.0
+    assert first_draw(mixed, 0.7) == 1.0
 
 
 def test_invert_conditional_examples():
@@ -88,14 +89,6 @@ def test_invert_conditional_examples():
     zero = HazardSpec(PiecewiseConstant((0.0,), (0.0,)))
     assert invert_conditional(zero, 0.0, -0.5) == INF
     assert invert_conditional(HazardSpec(Weibull(2.0, 1.0)), 0.0, -4.0) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_next_atoms_examples():
-    spec = HazardSpec(None, (Atom(1.0, 0.2), Atom(3.0, 0.4)))
-    assert next_atoms(spec, 0.0, 2.0) == [Atom(1.0, 0.2)]
-    assert next_atoms(HazardSpec(Exponential(1.0)), 0.0, 10.0) == []
-    # half-open interval excludes the left endpoint
-    assert next_atoms(spec, 1.0, 3.0) == [Atom(3.0, 0.4)]
 
 
 # -- oracles and invariants --------------------------------------------------
@@ -146,7 +139,11 @@ def test_round_trip_inversion(spec):
 @pytest.mark.parametrize("spec", [m for m in MATRIX if m.atoms], ids=lambda s: "atoms")
 def test_atom_drop_exact(spec):
     for a in spec.atoms:
-        before = left_survival(spec, a.offset)
+        # left limit S(offset-): the continuous part at the offset, atoms strictly before it
+        before = math.exp(-spec.cumulative_hazard(a.offset))
+        for earlier in spec.atoms:
+            if earlier.offset < a.offset:
+                before *= 1.0 - earlier.mass
         after = survival(spec, a.offset)
         assert after == before * (1.0 - a.mass)
 
@@ -154,7 +151,7 @@ def test_atom_drop_exact(spec):
 @pytest.mark.parametrize("spec", MATRIX, ids=_ids(MATRIX))
 def test_sample_first_sweep_reproduces_distribution(spec):
     n = 10_000
-    draws = [sample_first(spec, (i + 0.5) / n)[0] for i in range(n)]
+    draws = [first_draw(spec, (i + 0.5) / n) for i in range(n)]
     assert all(b >= a for a, b in zip(draws, draws[1:]))
     finite = [d for d in draws if d < INF]
     if not finite:
@@ -219,21 +216,18 @@ def test_mass_one_atom_is_certain():
     assert survival(spec, 2.0) == 0.0
     assert invert_conditional(spec, 0.0, -50.0) == 2.0
     assert invert_conditional(spec, 1.0, -50.0) == 2.0
-    t, _ = sample_first(spec, 0.9999)
-    assert t <= 2.0
+    assert first_draw(spec, 0.9999) <= 2.0
 
 
 def test_insufficient_mass_gives_infinity():
     spec = HazardSpec(None, (Atom(2.0, 0.3),))
-    t, _ = sample_first(spec, 0.5)  # target survival 0.5 < plateau 0.7? no: 0.7 > 0.5
-    assert t == INF
-    assert sample_first(spec, 0.2)[0] == 2.0
+    assert first_draw(spec, 0.5) == INF  # target survival 0.5 lies below the plateau 0.7
+    assert first_draw(spec, 0.2) == 2.0
 
 
 def test_uniform_interval_never_evaluates_hazard_at_b():
     spec = HazardSpec(UniformInterval(0.5, 2.0))
-    t, _ = sample_first(spec, 0.999999999)
-    assert t < 2.0
+    assert first_draw(spec, 0.999999999) < 2.0
     assert survival(spec, 2.0) == 0.0
     assert invert_conditional(spec, 0.0, -0.5) == pytest.approx(
         2.0 - 1.5 * math.exp(-0.5), rel=1e-12
@@ -270,7 +264,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         PiecewiseConstant((1.0, 2.0), (1.0, 1.0))
     with pytest.raises(ValueError):
-        sample_first(HazardSpec(Exponential(1.0)), 1.0)
+        invert_conditional(HazardSpec(Exponential(1.0)), 0.0, 0.5)
     with pytest.raises(ValueError):
         invert_conditional(HazardSpec(Exponential(1.0)), -1.0, -1.0)
     with pytest.raises(ValueError):

@@ -224,9 +224,9 @@ def test_ring_conserves_tokens():
 def test_graph_soundness_fuzz(name, params):
     """Unaffected clocks see an unchanged enabling outcome after any jump."""
     model = build(name, params)
-    g = depgraph.build(model.clocks)
+    readers = depgraph.build(model.clocks)
     by_id = {c.id: c for c in model.clocks}
-    keys = sorted({k for c in model.clocks for k in c.reads | c.mark.support()})
+    keys = sorted({k for c in model.clocks for k in c.reads | c.mark.deltas.keys()})
     rng = np.random.default_rng(1234)
     trials = 0
     while trials < 120:
@@ -247,7 +247,7 @@ def test_graph_soundness_fuzz(name, params):
         now = 6.0
         for k in mark.deltas:
             changed_after[k] = now
-        aff = depgraph.affected(g, fired)
+        aff = depgraph.affected(readers, by_id[fired])
         for cid, clock in by_id.items():
             if cid in aff:
                 continue

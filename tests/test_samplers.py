@@ -28,6 +28,19 @@ def u_for_budget(budget):
     return 1.0 - math.exp(-budget)
 
 
+def queued(sampler, universe=range(8)):
+    """Ids in a queue-based sampler's putative queue, all drawn from `universe`."""
+    ids = {cid for cid in universe if cid in sampler._queue}
+    assert len(sampler._queue) == len(ids)
+    return ids
+
+
+def assert_not_enabled(sampler, cid):
+    """The sampler rejects disabling `cid`: it does not hold it as enabled."""
+    with pytest.raises(UnknownClock):
+        sampler.absorb(EnablingDelta(newly_disabled=[cid]), 0.0, FakeStream([]))
+
+
 # -- first reaction -----------------------------------------------------------
 
 def test_fr_two_exponentials_minimum():
@@ -142,12 +155,14 @@ def test_nr_queue_tracks_enabled_set():
     s = NextReactionSampler()
     enable(s, {0: (EXP1, 0.0), 1: (EXP1, 0.0), 2: (EXP1, 0.0)},
            0.0, FakeStream([0.3, 0.4, 0.5]))
-    assert s.queue_members() == {0, 1, 2} == s.enabled_ids()
+    assert queued(s) == {0, 1, 2}
     s.absorb(EnablingDelta(newly_disabled=[1]), 0.1, FakeStream([]))
-    assert s.queue_members() == {0, 2} == s.enabled_ids()
+    assert queued(s) == {0, 2}
+    assert_not_enabled(s, 1)
     s.absorb(EnablingDelta(fired=0, newly_enabled=[(1, EXP1, 0.2)]),
              0.2, FakeStream([]))
-    assert s.queue_members() == {1, 2} == s.enabled_ids()
+    assert queued(s) == {1, 2}
+    assert_not_enabled(s, 0)
 
 
 def test_nr_audit_records_budget():
@@ -183,10 +198,11 @@ def test_ntf_unaffected_keeps_putative():
 def test_ntf_queue_tracks_enabled_set():
     s = NextToFireSampler()
     enable(s, {0: (EXP1, 0.0), 1: (EXP1, 0.0)}, 0.0, FakeStream([0.3, 0.4]))
-    assert s.queue_members() == {0, 1} == s.enabled_ids()
+    assert queued(s) == {0, 1}
     s.absorb(EnablingDelta(fired=0, newly_enabled=[(2, EXP2, 0.1)]),
              0.1, FakeStream([0.5]))
-    assert s.queue_members() == {1, 2} == s.enabled_ids()
+    assert queued(s) == {1, 2}
+    assert_not_enabled(s, 0)
 
 
 def test_ntf_weibull_conditional_matches_quadrature():
@@ -314,13 +330,59 @@ def test_hier_routes_delta_to_owner():
     hier = HierarchicalSampler([(child_a, {0}), (child_b, None)])
     enable(hier, {0: (EXP1, 0.0), 1: (EXP1, 0.0)},
            0.0, FakeStream([u_for_budget(1.0), u_for_budget(2.0)]))
-    assert child_a.enabled_ids() == {0}
-    assert child_b.enabled_ids() == {1}
+    assert queued(child_a) == {0}
+    assert queued(child_b) == {1}
     ev = hier.next_event(0.0, FakeStream([]))
     assert ev.clock == 0
     hier.absorb(EnablingDelta(fired=0), ev.time, FakeStream([]))
-    assert child_a.enabled_ids() == set()
+    assert queued(child_a) == set()
     assert hier.next_event(ev.time, FakeStream([])).clock == 1
+
+
+class RecordingChild:
+    """Child sampler that logs each delta it absorbs under its own tag."""
+
+    def __init__(self, tag, log):
+        self.tag = tag
+        self.log = log
+
+    def absorb(self, delta, now, stream):
+        self.log.append((self.tag, delta.fired, [e[0] for e in delta.newly_enabled],
+                         list(delta.newly_disabled), [e[0] for e in delta.modified]))
+
+
+def test_hier_splits_delta_in_construction_order():
+    log = []
+    hier = HierarchicalSampler([
+        (RecordingChild("a", log), {4, 1}),
+        (RecordingChild("b", log), None),
+        (RecordingChild("c", log), {2, 6}),
+    ])
+    hier.absorb(EnablingDelta(
+        fired=2,
+        newly_enabled=[(0, EXP1, 0.0), (1, EXP1, 0.0), (2, EXP1, 0.0), (5, EXP1, 0.0)],
+        newly_disabled=[4, 6],
+        modified=[(3, EXP1, 0.0), (7, EXP1, 0.0)],
+    ), 1.0, FakeStream([]))
+    assert log == [
+        ("a", None, [1], [4], []),
+        ("b", None, [0, 5], [], [3, 7]),
+        ("c", 2, [2], [6], []),
+    ]
+    log.clear()
+    # a child the delta does not touch absorbs nothing; a fired-only delta counts
+    hier.absorb(EnablingDelta(fired=4), 2.0, FakeStream([]))
+    assert log == [("a", 4, [], [], [])]
+
+
+def test_hier_uncovered_clock_and_second_catch_all_rejected():
+    from clocksim.errors import ModelError
+
+    hier = HierarchicalSampler([(NextToFireSampler(), {0}), (DirectSampler(), {1})])
+    with pytest.raises(ModelError, match="clock 2 not covered"):
+        enable(hier, {0: (EXP1, 0.0), 2: (EXP1, 0.0)}, 0.0, FakeStream([0.5, 0.5]))
+    with pytest.raises(ModelError, match="catch-all"):
+        HierarchicalSampler([(NextToFireSampler(), None), (DirectSampler(), {1}), (DirectSampler(), None)])
 
 
 def test_make_sampler_names_and_partition_spec():
