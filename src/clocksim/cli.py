@@ -24,7 +24,7 @@ import yaml
 from . import kernel, models, verify
 from .clocks import apply_mark_inplace
 from .errors import ClocksimError, ConfigError
-from .samplers import make_sampler
+from .samplers import SAMPLER_NAMES, make_sampler
 
 
 @dataclass
@@ -142,8 +142,7 @@ def cli():
               help="YAML run spec; flags override file values.")
 @click.option("--model", default=None, help="Built-in model name.")
 @click.option("--param", multiple=True, help="Model parameter key=value (repeatable).")
-@click.option("--sampler", default=None,
-              help="first-reaction | next-reaction | next-to-fire | direct | hierarchical:<spec>")
+@click.option("--sampler", default=None, help=" | ".join(SAMPLER_NAMES) + ":<spec>")
 @click.option("--seed", type=int, default=None)
 @click.option("--trajectories", type=int, default=None)
 @click.option("--t-end", type=float, default=None)

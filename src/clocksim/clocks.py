@@ -160,7 +160,7 @@ def evaluate_enabling(clock: ClockSpec, view: StateView, now: float, previously)
     if te is None:
         te = previously.enabling_time if was_enabled else now
     if te > now:
-        raise ValueError(f"clock {clock.id}: enabling time {te} is in the future (now={now})")
+        raise ModelError(f"clock {clock.id}: enabling time {te} is in the future (now={now})")
     if (
         was_enabled
         and previously.enabling_time == te

@@ -27,7 +27,7 @@ from .clocks import (
     apply_mark_inplace,
     evaluate_enabling,
 )
-from .errors import ModelError, Stalled
+from .errors import DuplicateAtoms, ModelError, Stalled
 from .hazards import INF
 from .samplers import EnablingDelta, make_sampler
 
@@ -127,38 +127,63 @@ class StalledOnly:
 
 
 class Engine:
-    """Mutable per-trajectory state: counts, hazard cache, sampler."""
+    """Mutable per-trajectory state: counts, hazard cache, sampler, and the table
+    of enabled clocks' future atom times, where a shared time raises DuplicateAtoms."""
 
-    def __init__(self, model, sampler, stream, now=0.0):
+    def __init__(self, model, sampler, stream):
         self.model = model
         self._readers, self._by_id = model.graph, model.by_id
         self.sampler = sampler
         self.stream = stream
-        self.now = now
+        self.now = 0.0
         self._counts = dict(model.initial_state.counts)
         self._changed = {}
         self._view = StateView(self._counts, self._changed)
         self._cache = dict.fromkeys(self._by_id, DISABLED)
+        self._atoms = {}
         delta = EnablingDelta()
-        self._resolve(sorted(self._by_id), now, delta)
-        sampler.absorb(delta, now, stream)
+        self._resolve(sorted(self._by_id), 0.0, delta)
+        sampler.absorb(delta, 0.0, stream)
 
     def state(self) -> SystemState:
         return SystemState(dict(self._counts))
 
+    def _drop_atoms(self, cid, prev):
+        """Remove the atom table entries `cid` holds under its cached outcome `prev`."""
+        if prev is not DISABLED:
+            for a in prev.spec.atoms:
+                at = prev.enabling_time + a.offset
+                if self._atoms.get(at) == cid:
+                    del self._atoms[at]
+
     def _resolve(self, cids, t, delta):
         """Re-evaluate `cids` (ascending) at time t against the cache; record changes in delta."""
         cache, by_id, view = self._cache, self._by_id, self._view
+        with_atoms = []
         for cid in cids:
             prev = cache[cid]
             out = evaluate_enabling(by_id[cid], view, t, prev)
+            if out is UNCHANGED:
+                continue
+            if prev is not DISABLED and prev.spec.atoms:
+                self._drop_atoms(cid, prev)
+            cache[cid] = out
             if out is DISABLED:
-                cache[cid] = DISABLED
                 delta.newly_disabled.append(cid)
-            elif out is not UNCHANGED:
-                cache[cid] = out
+            else:
                 entry = (cid, out.spec, out.enabling_time)
                 (delta.newly_enabled if prev is DISABLED else delta.modified).append(entry)
+                if out.spec.atoms:
+                    with_atoms.append(entry)
+        # added after every changed clock dropped its old atoms: one may take a time another leaves
+        atoms = self._atoms
+        for cid, spec, te in with_atoms:
+            for a in spec.atoms:
+                at = te + a.offset
+                if at > t:
+                    other = atoms.setdefault(at, cid)
+                    if other != cid:
+                        raise DuplicateAtoms(f"clocks {other} and {cid} share atom time {at}")
 
     def step(self, limit=None):
         """Fire the next event; returns (clock, time), or None if censored.
@@ -182,6 +207,7 @@ class Engine:
         for key in clock.mark.deltas:
             self._changed[key] = t
         # the jump consumed the fired clock's draw: re-enabling is regenerative
+        self._drop_atoms(fired, self._cache[fired])
         self._cache[fired] = DISABLED
         delta = EnablingDelta(fired=fired)
         self._resolve(sorted(depgraph.affected(self._readers, clock)), t, delta)

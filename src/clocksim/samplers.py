@@ -7,9 +7,10 @@ Every sampler implements the same contract:
 
 and is exclusively owned by one trajectory.  The initial enabled set arrives
 as the first delta (newly_enabled only, fired None); after that, one delta
-follows each jump.  `stream.uniform()` yields the trajectory's uniform
-variates; each sampler consumes a documented number per call, the initial
-delta included, so runs are reproducible:
+follows each jump.  A base sampler checks a delta before any state changes
+(`_check_delta`), so a rejected delta changes nothing.  `stream.uniform()`
+yields the trajectory's uniform variates; each sampler consumes a documented
+number per call, the initial delta included, so runs are reproducible:
 
   first-reaction  next_event: one variate per enabled clock, ascending id.
   next-reaction   absorb: one variate per fresh draw (never-seen or just-
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 from scipy.optimize import brentq as _brentq
 
-from .errors import DuplicateAtoms, ModelError, Stalled, UnknownClock
+from .errors import ModelError, Stalled, UnknownClock
 from .hazards import INF, Exponential, HazardSpec, invert_conditional, time_process
 from .structs import PrefixSumTree, PutativeQueue
 
@@ -65,12 +66,35 @@ class EnablingDelta:
         self.modified = [] if modified is None else modified  # (cid, spec, te)
 
 
-def _conditional_draw(spec: HazardSpec, te: float, now: float, u: float) -> float:
-    """Absolute putative time from a fresh variate, given survival to now."""
+def _check_delta(delta, enabled):
+    """Raise UnknownClock unless `delta` applies to the ids in `enabled`.
+
+    Each clock is listed at most once, except that a fired or newly disabled
+    clock may also be newly enabled; only enabled clocks fire, are disabled
+    or are modified, and only the others are newly enabled.
+    """
+    fired = delta.fired
+    freed = {}  # id listed so far -> whether this delta frees it to be enabled
+    for cid in delta.newly_disabled if fired is None else (fired, *delta.newly_disabled):
+        if cid in freed or cid not in enabled:
+            raise UnknownClock(cid)
+        freed[cid] = True
+    for cid, _, _ in delta.modified:
+        if cid in freed or cid not in enabled:
+            raise UnknownClock(cid)
+        freed[cid] = False
+    for cid, _, _ in delta.newly_enabled:
+        if not freed.get(cid, cid not in enabled):
+            raise UnknownClock(cid)
+        freed[cid] = False
+
+
+def _conditional_draw(spec: HazardSpec, te: float, now: float, log_survival: float) -> float:
+    """Absolute putative time whose survival, conditional on survival to now, is exp(log_survival)."""
     shift = now - te
     if shift < 0.0:
         shift = 0.0
-    return te + invert_conditional(spec, shift, math.log1p(-u))
+    return te + invert_conditional(spec, shift, log_survival)
 
 
 class FirstReactionSampler:
@@ -86,8 +110,7 @@ class FirstReactionSampler:
         best_cid = -1
         for cid in sorted(self._enabled):
             spec, te = self._enabled[cid]
-            u = stream.uniform()
-            t = _conditional_draw(spec, te, now, u)
+            t = _conditional_draw(spec, te, now, math.log1p(-stream.uniform()))
             if t < best_t:
                 best_t = t
                 best_cid = cid
@@ -97,24 +120,19 @@ class FirstReactionSampler:
 
     def absorb(self, delta, now, stream):
         enabled = self._enabled
-        fired = delta.fired
-        if fired is not None and enabled.pop(fired, None) is None:
-            raise UnknownClock(fired)
+        _check_delta(delta, enabled)
+        if delta.fired is not None:
+            del enabled[delta.fired]
         for cid in delta.newly_disabled:
-            if enabled.pop(cid, None) is None:
-                raise UnknownClock(cid)
+            del enabled[cid]
         for cid, spec, te in delta.modified:
-            if cid not in enabled:
-                raise UnknownClock(cid)
             enabled[cid] = (spec, te)
         for cid, spec, te in delta.newly_enabled:
-            if cid in enabled:
-                raise UnknownClock(cid)
             enabled[cid] = (spec, te)
 
 
 class _LedgerEntry:
-    __slots__ = ("drawn", "consumed", "spec", "te", "seg_start", "enabled", "putative")
+    __slots__ = ("drawn", "consumed", "spec", "te", "seg_start")
 
     def __init__(self, drawn, spec, te, seg_start):
         self.drawn = drawn          # drawn log-survival, <= 0
@@ -122,8 +140,6 @@ class _LedgerEntry:
         self.spec = spec
         self.te = te
         self.seg_start = seg_start  # absolute time this spec segment began
-        self.enabled = True
-        self.putative = INF
 
 
 class NextReactionSampler:
@@ -132,8 +148,9 @@ class NextReactionSampler:
     A clock's budget survives disabling (frozen, resumed on re-enable) and
     spec changes (consumption accrues under the old spec, then the remaining
     budget is re-inverted under the new one).  Only the jumping clock's draw
-    is removed and resampled.  Set record_audit=True to log
-    (cid, consumed, budget, at_atom) at every jump.
+    is removed and resampled.  The queue is the enabled set; `_entries`
+    also keeps the frozen budgets of disabled clocks.  Set record_audit=True
+    to log (cid, consumed, budget, at_atom) at every jump.
     """
 
     name = "next-reaction"
@@ -143,22 +160,14 @@ class NextReactionSampler:
         self._queue = PutativeQueue()
         self.audit_log = [] if record_audit else None
 
-    def _fresh(self, cid, spec, te, now, stream):
-        u = stream.uniform()
-        e = _LedgerEntry(math.log1p(-u), spec, te, now)
-        self._entries[cid] = e
-        self._reinvert(e, now)
-        self._queue.insert(cid, e.putative)
-
-    def _reinvert(self, e, now):
+    @staticmethod
+    def _reinvert(e, now):
+        """Start a spec segment at now and return the remaining budget's putative time."""
         remaining = -e.drawn - e.consumed
         if remaining < 0.0:
             remaining = 0.0
-        shift = now - e.te
-        if shift < 0.0:
-            shift = 0.0
         e.seg_start = now
-        e.putative = e.te + invert_conditional(e.spec, shift, -remaining)
+        return _conditional_draw(e.spec, e.te, now, -remaining)
 
     def _accrue(self, e, now):
         e.consumed += time_process(e.spec, max(e.seg_start - e.te, 0.0), max(now - e.te, 0.0))
@@ -170,46 +179,34 @@ class NextReactionSampler:
         return SamplerEvent(top[0], top[1])
 
     def absorb(self, delta, now, stream):
+        entries, queue = self._entries, self._queue
+        _check_delta(delta, queue)
         fired = delta.fired
         if fired is not None:
-            e = self._entries.pop(fired, None)
-            if e is None or not e.enabled:
-                raise UnknownClock(fired)
+            e = entries.pop(fired)
             if self.audit_log is not None:
                 self._accrue(e, now)
                 at_atom = any(e.te + a.offset == now for a in e.spec.atoms)
                 self.audit_log.append((fired, e.consumed, -e.drawn, at_atom))
-            self._queue.delete(fired)
+            queue.delete(fired)
         for cid in delta.newly_disabled:
-            e = self._entries.get(cid)
-            if e is None or not e.enabled:
-                raise UnknownClock(cid)
-            self._accrue(e, now)
-            e.enabled = False
-            e.putative = INF
-            self._queue.delete(cid)
+            self._accrue(entries[cid], now)
+            queue.delete(cid)
         for cid, spec, te in delta.modified:
-            e = self._entries.get(cid)
-            if e is None or not e.enabled:
-                raise UnknownClock(cid)
+            e = entries[cid]
             self._accrue(e, now)
             e.spec = spec
             e.te = te
-            self._reinvert(e, now)
-            self._queue.update(cid, e.putative)
+            queue.update(cid, self._reinvert(e, now))
         for cid, spec, te in delta.newly_enabled:
-            e = self._entries.get(cid)
+            e = entries.get(cid)
             if e is None:
-                self._fresh(cid, spec, te, now, stream)
-            elif not e.enabled:
+                e = entries[cid] = _LedgerEntry(math.log1p(-stream.uniform()), spec, te, now)
+            else:
                 # resume the frozen budget under the (possibly new) spec
                 e.spec = spec
                 e.te = te
-                e.enabled = True
-                self._reinvert(e, now)
-                self._queue.insert(cid, e.putative)
-            else:
-                raise UnknownClock(cid)
+            queue.insert(cid, self._reinvert(e, now))
 
 
 class NextToFireSampler:
@@ -231,23 +228,15 @@ class NextToFireSampler:
 
     def absorb(self, delta, now, stream):
         queue = self._queue
-        fired = delta.fired
-        if fired is not None:
-            if fired not in queue:
-                raise UnknownClock(fired)
-            queue.delete(fired)
+        _check_delta(delta, queue)
+        if delta.fired is not None:
+            queue.delete(delta.fired)
         for cid in delta.newly_disabled:
-            if cid not in queue:
-                raise UnknownClock(cid)
             queue.delete(cid)
         for cid, spec, te in delta.modified:
-            if cid not in queue:
-                raise UnknownClock(cid)
-            queue.update(cid, _conditional_draw(spec, te, now, stream.uniform()))
+            queue.update(cid, _conditional_draw(spec, te, now, math.log1p(-stream.uniform())))
         for cid, spec, te in delta.newly_enabled:
-            if cid in queue:
-                raise UnknownClock(cid)
-            queue.insert(cid, _conditional_draw(spec, te, now, stream.uniform()))
+            queue.insert(cid, _conditional_draw(spec, te, now, math.log1p(-stream.uniform())))
 
 
 class DirectSampler:
@@ -305,9 +294,6 @@ class DirectSampler:
         for a in spec.atoms:
             t = te + a.offset
             if t > now:
-                other = self._atoms.get(t)
-                if other is not None:
-                    raise DuplicateAtoms(f"clocks {other[1]} and {cid} share atom time {t}")
                 self._atoms[t] = (a.mass, cid)
 
     def _remove(self, cid):
@@ -322,27 +308,21 @@ class DirectSampler:
         elif spec.continuous is not None:
             self._bump_crate(-spec.continuous.rate)
         for a in spec.atoms:
-            # an entry at a past time may be another clock's; past atoms are never read
-            self._atoms.pop(te + a.offset, None)
+            t = te + a.offset
+            # t may be another clock's: past, or taken by a clock modified earlier in this delta
+            if self._atoms.get(t, (0.0, None))[1] == cid:
+                del self._atoms[t]
 
     def absorb(self, delta, now, stream):
-        fired = delta.fired
-        if fired is not None:
-            if fired not in self._enabled:
-                raise UnknownClock(fired)
-            self._remove(fired)
+        _check_delta(delta, self._enabled)
+        if delta.fired is not None:
+            self._remove(delta.fired)
         for cid in delta.newly_disabled:
-            if cid not in self._enabled:
-                raise UnknownClock(cid)
             self._remove(cid)
         for cid, spec, te in delta.modified:
-            if cid not in self._enabled:
-                raise UnknownClock(cid)
             self._remove(cid)
             self._add(cid, spec, te, now)
         for cid, spec, te in delta.newly_enabled:
-            if cid in self._enabled:
-                raise UnknownClock(cid)
             self._add(cid, spec, te, now)
 
     # -- waiting-time inversion ------------------------------------------
@@ -533,13 +513,10 @@ class HierarchicalSampler:
 
 
 _BASE_SAMPLERS = {
-    "first-reaction": FirstReactionSampler,
-    "next-reaction": NextReactionSampler,
-    "next-to-fire": NextToFireSampler,
-    "direct": DirectSampler,
+    cls.name: cls for cls in (FirstReactionSampler, NextReactionSampler, NextToFireSampler, DirectSampler)
 }
 
-SAMPLER_NAMES = ("first-reaction", "next-reaction", "next-to-fire", "direct", "hierarchical")
+SAMPLER_NAMES = (*_BASE_SAMPLERS, HierarchicalSampler.name)
 
 
 def _parse_id_set(text):
@@ -581,7 +558,7 @@ def make_sampler(name: str):
             child_name = child_name.strip()
             if child_name not in _BASE_SAMPLERS:
                 raise ModelError(
-                    f"unknown hierarchical child {child_name!r}; valid: {sorted(_BASE_SAMPLERS)}"
+                    f"unknown hierarchical child {child_name!r}; valid: {', '.join(_BASE_SAMPLERS)}"
                 )
             parts.append((_BASE_SAMPLERS[child_name](), _parse_id_set(ids.strip())))
         if not parts:

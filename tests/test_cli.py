@@ -125,12 +125,13 @@ def test_unknown_param_exits_2(runner, tmp_path):
     assert "initial_infectd" in result.output
 
 
+@pytest.mark.parametrize("sampler", ["direct", "next-reaction"])
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_model_error_mid_run_exits_2(runner, tmp_path, workers):
+def test_model_error_mid_run_exits_2(runner, tmp_path, workers, sampler):
     # both initially infected individuals' recovery atoms land at t = 1.5
     result = runner.invoke(cli, [
         "run", "--model", "sir", "--param", "n=3", "--param", "initial_infected=2",
-        "--param", "recover=weibull:2,1@1.5,0.5", "--sampler", "direct",
+        "--param", "recover=weibull:2,1@1.5,0.5", "--sampler", sampler,
         "--max-events", "20", "--trajectories", "2", "--workers", workers,
         "--output", str(tmp_path / "x"),
     ])

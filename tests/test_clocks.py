@@ -13,7 +13,7 @@ from clocksim.clocks import (
     apply_mark,
     evaluate_enabling,
 )
-from clocksim.errors import NegativeSubstate
+from clocksim.errors import ModelError, NegativeSubstate
 from clocksim.hazards import Exponential, HazardSpec, Weibull
 
 
@@ -124,7 +124,7 @@ def test_future_anchor_rejected():
         return Enabled(HazardSpec(Exponential(1.0)), enabling_time=now + 1.0)
 
     clock = ClockSpec(id=0, enabling=rule, mark=JumpMark({"a": 1}), reads=frozenset())
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError, match="in the future"):
         evaluate_enabling(clock, view({}), 1.0, DISABLED)
 
 

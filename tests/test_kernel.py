@@ -7,9 +7,9 @@ import weakref
 import numpy as np
 import pytest
 
-from clocksim.clocks import UNCHANGED, ClockSpec, Enabled, JumpMark, SystemState
-from clocksim.errors import ModelError, Stalled
-from clocksim.hazards import Exponential, HazardSpec
+from clocksim.clocks import DISABLED, UNCHANGED, ClockSpec, Enabled, JumpMark, SystemState
+from clocksim.errors import DuplicateAtoms, ModelError, Stalled
+from clocksim.hazards import Atom, Exponential, HazardSpec
 from clocksim.kernel import (
     CountingStream,
     EndTime,
@@ -202,8 +202,63 @@ def test_fired_clock_anchored_in_the_future_is_rejected():
     clock = ClockSpec(id=0, enabling=rule, mark=JumpMark({"n": 1}), reads=frozenset({"n"}))
     model = Model("future-anchor", (clock,), SystemState({}))
     engine = Engine(model, make_sampler("next-reaction"), CountingStream(derived_generator(1, 0)))
-    with pytest.raises(ValueError, match="in the future"):
+    with pytest.raises(ModelError, match="in the future"):
         engine.step()
+
+
+def _atoms_at(*offsets, mass=0.5):
+    return HazardSpec(None, tuple(Atom(o, mass) for o in offsets))
+
+
+def _certain_once(cid, offset, key):
+    """Jumps exactly at `offset` after time 0, setting `key`; disabled afterwards."""
+    spec = _atoms_at(offset, mass=1.0)
+    return ClockSpec(id=cid, enabling=lambda view, now: DISABLED if view.count(key) else Enabled(spec),
+                     mark=JumpMark({key: 1}), reads=frozenset({key}))
+
+
+def _atom_race(rule0, rule1):
+    """Clocks 0 and 1 follow the given rules; clock 2 jumps at 0.5 setting `a`, clock 3 at 1.0 setting `b`."""
+    clocks = [
+        ClockSpec(id=cid, enabling=rule, mark=JumpMark({f"x{cid}": 1}), reads=frozenset({"b"}))
+        for cid, rule in ((0, rule0), (1, rule1))
+    ]
+    return Model("atom-race", (*clocks, _certain_once(2, 0.5, "a"), _certain_once(3, 1.0, "b")), SystemState({}))
+
+
+ALL_SAMPLERS = [*SAMPLERS, "hierarchical:direct=0;next-reaction=rest"]
+
+
+@pytest.mark.parametrize("sampler", ALL_SAMPLERS)
+def test_shared_future_atom_time_is_rejected(sampler):
+    def engine(model):
+        return Engine(model, make_sampler(sampler), CountingStream(derived_generator(1, 0)))
+
+    at_2 = _atoms_at(2.0)
+    at_1_5 = _atoms_at(1.5)
+
+    def fixed(view, now):
+        return Enabled(at_2)
+
+    def re_anchored(view, now):
+        # at the second jump (b set, t=1.0) re-anchor at the first (a set, t=0.5): atom 1.5 moves to 2.0
+        return Enabled(at_1_5, view.changed_at("a") if view.count("b") else None)
+
+    def leaves_2(view, now):
+        return DISABLED if view.count("b") else Enabled(at_2)
+
+    # two clocks anchored at 0 share the atom at 2.0
+    with pytest.raises(DuplicateAtoms, match="clocks 0 and 1 share atom time 2.0"):
+        engine(_atom_race(fixed, fixed))
+    # a clock re-anchored to a past jump time lands on another enabled clock's future atom
+    eng = engine(_atom_race(fixed, re_anchored))
+    assert eng.step() == (2, 0.5)
+    with pytest.raises(DuplicateAtoms, match="clocks 0 and 1 share atom time 2.0"):
+        eng.step()
+    # a clock may take an atom time that another clock gives up at the same jump
+    eng = engine(_atom_race(re_anchored, leaves_2))
+    assert [eng.step(), eng.step()] == [(2, 0.5), (3, 1.0)]
+    assert eng._atoms == {2.0: 0}
 
 
 class RecordingSampler:

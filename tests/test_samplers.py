@@ -1,12 +1,14 @@
 import math
+import pickle
 
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from clocksim.errors import DuplicateAtoms, Stalled, UnknownClock
+from clocksim.errors import ModelError, Stalled, UnknownClock
 from clocksim.hazards import Atom, Exponential, HazardSpec, Weibull
 from clocksim.samplers import (
+    SAMPLER_NAMES,
     DirectSampler,
     EnablingDelta,
     FirstReactionSampler,
@@ -143,12 +145,20 @@ def test_malformed_delta_raises_unknown_clock(cls):
         EnablingDelta(fired=7),                       # fire an unknown clock
         EnablingDelta(newly_enabled=[(0, EXP1, 0.0)]),  # re-enable an enabled clock
         EnablingDelta(modified=[(7, EXP1, 0.0)]),     # modify an unknown clock
+        EnablingDelta(newly_disabled=[0, 7]),         # a known clock, then an unknown one
+        EnablingDelta(newly_enabled=[(1, EXP1, 0.0), (1, EXP1, 0.0)]),  # enable one clock twice
+        EnablingDelta(newly_disabled=[0], modified=[(0, EXP1, 0.0)]),  # disable, then modify
     ]
     for delta in malformed:
         s = cls()
         enable(s, {0: (EXP1, 0.0)}, 0.0, FakeStream([0.5]))
+        before = pickle.dumps(s)
+        stream = FakeStream([0.5, 0.5])
         with pytest.raises(UnknownClock):
-            s.absorb(delta, 1.0, FakeStream([0.5]))
+            s.absorb(delta, 1.0, stream)
+        # rejected before any state changed
+        assert pickle.dumps(s) == before
+        assert stream.count == 0
 
 
 def test_nr_queue_tracks_enabled_set():
@@ -258,19 +268,6 @@ def test_direct_atom_vs_exponential_race():
     assert ev.time == pytest.approx(-math.log(0.6) / LN2, rel=1e-12)
 
 
-def test_direct_duplicate_atoms_rejected():
-    a = HazardSpec(None, (Atom(2.0, 0.5),))
-    b = HazardSpec(None, (Atom(1.0, 0.5),))
-    s = DirectSampler()
-    with pytest.raises(DuplicateAtoms):
-        enable(s, {0: (a, 0.0), 1: (a, 0.0)}, 0.0, FakeStream([]))
-    s = DirectSampler()
-    enable(s, {0: (a, 0.0), 1: (b, 0.0)}, 0.0, FakeStream([]))
-    # re-anchoring clock 1 lands its atom at absolute 2.0 == clock 0's
-    with pytest.raises(DuplicateAtoms):
-        s.absorb(EnablingDelta(modified=[(1, b, 1.0)]), 0.5, FakeStream([]))
-
-
 def test_direct_atom_table_holds_upcoming_atoms_of_enabled_clocks():
     spec = HazardSpec(EXP1.continuous, (Atom(1.0, 0.5), Atom(3.0, 0.5)))
     s = DirectSampler()
@@ -281,6 +278,11 @@ def test_direct_atom_table_holds_upcoming_atoms_of_enabled_clocks():
     # re-enabled at 2.0 with anchor 0.5: the atom at 1.5 is already past
     s.absorb(EnablingDelta(newly_enabled=[(0, spec, 0.5)]), 2.0, FakeStream([]))
     assert s._atoms == {3.5: (0.5, 0)}
+    # clock 0 takes 4.5 from clock 2 within one delta, while clock 2 moves on to 5.5
+    late = HazardSpec(None, (Atom(4.0, 0.5),))
+    s.absorb(EnablingDelta(newly_enabled=[(2, late, 0.5)]), 2.0, FakeStream([]))
+    s.absorb(EnablingDelta(modified=[(0, late, 0.5), (2, late, 1.5)]), 3.0, FakeStream([]))
+    assert s._atoms == {4.5: (0.5, 0), 5.5: (0.5, 2)}
 
 
 def test_direct_stalled_when_mass_insufficient():
@@ -376,8 +378,6 @@ def test_hier_splits_delta_in_construction_order():
 
 
 def test_hier_uncovered_clock_and_second_catch_all_rejected():
-    from clocksim.errors import ModelError
-
     hier = HierarchicalSampler([(NextToFireSampler(), {0}), (DirectSampler(), {1})])
     with pytest.raises(ModelError, match="clock 2 not covered"):
         enable(hier, {0: (EXP1, 0.0), 2: (EXP1, 0.0)}, 0.0, FakeStream([0.5, 0.5]))
@@ -392,11 +392,11 @@ def test_make_sampler_names_and_partition_spec():
     assert hier._owner_index(1) == 0
     assert hier._owner_index(5) == 0
     assert hier._owner_index(9) == 1
-    from clocksim.errors import ModelError
-
-    with pytest.raises(ModelError):
+    assert SAMPLER_NAMES == ("first-reaction", "next-reaction", "next-to-fire", "direct", "hierarchical")
+    assert [make_sampler(name).name for name in SAMPLER_NAMES[:-1]] == list(SAMPLER_NAMES[:-1])
+    with pytest.raises(ModelError, match="valid: first-reaction, next-reaction, next-to-fire, direct, hierarchical$"):
         make_sampler("bogus")
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="valid: first-reaction, next-reaction, next-to-fire, direct$"):
         make_sampler("hierarchical:bogus=rest")
     for bad in (
         "hierarchical:direct=a",
