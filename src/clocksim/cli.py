@@ -26,6 +26,26 @@ from .clocks import apply_mark_inplace
 from .errors import ClocksimError, ConfigError
 from .samplers import SAMPLER_NAMES, make_sampler
 
+# RunSpec field -> (accepted types, what the message calls them); bools are
+# never accepted, although bool is a subclass of int
+_FIELD_TYPES = {
+    "model": (str, "a string"),
+    "params": (dict, "a mapping"),
+    "sampler": (str, "a string"),
+    "seed": (int, "an integer"),
+    "trajectories": (int, "an integer"),
+    "t_end": ((int, float, type(None)), "a number"),
+    "max_events": ((int, type(None)), "an integer"),
+    "output": (str, "a string"),
+    "workers": (int, "an integer"),
+}
+
+
+def _check_type(name, value):
+    kinds, what = _FIELD_TYPES[name]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
 
 @dataclass
 class RunSpec:
@@ -65,6 +85,10 @@ class RunSpec:
 
     def validate(self) -> models.Model:
         """Check every field; returns the model, built once here."""
+        for name in _FIELD_TYPES:
+            _check_type(name, getattr(self, name))
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.trajectories < 1:
             raise ConfigError(f"trajectories must be >= 1, got {self.trajectories}")
         if self.workers < 1:
@@ -100,7 +124,10 @@ def _load_run_spec(config, overrides) -> tuple[RunSpec, models.Model]:
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config}: top level must be a mapping")
         doc.update(loaded)
-    params = dict(doc.get("params") or {})
+    params = doc.get("params")
+    params = {} if params is None else params
+    _check_type("params", params)
+    params = dict(params)
     for item in overrides.pop("param", ()) or ():
         key, sep, value = item.partition("=")
         if not sep:
@@ -347,9 +374,9 @@ def _suite_oracle():
 
 
 _SUITES = {
-    "distributions": lambda: _suite_distributions(),
-    "sampler-equivalence": lambda: _suite_equivalence(),
-    "oracle": lambda: _suite_oracle(),
+    "distributions": _suite_distributions,
+    "sampler-equivalence": _suite_equivalence,
+    "oracle": _suite_oracle,
 }
 
 

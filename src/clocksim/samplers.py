@@ -7,8 +7,9 @@ Every sampler implements the same contract:
 
 and is exclusively owned by one trajectory.  The initial enabled set arrives
 as the first delta (newly_enabled only, fired None); after that, one delta
-follows each jump.  A base sampler checks a delta before any state changes
-(`_check_delta`), so a rejected delta changes nothing.  `stream.uniform()`
+follows each jump.  A sampler checks a delta before any state changes
+(`_check_delta`; hierarchical checks every child's part before any child
+absorbs), so a rejected delta changes nothing.  `stream.uniform()`
 yields the trajectory's uniform variates; each sampler consumes a documented
 number per call, the initial delta included, so runs are reproducible:
 
@@ -148,9 +149,10 @@ class NextReactionSampler:
     A clock's budget survives disabling (frozen, resumed on re-enable) and
     spec changes (consumption accrues under the old spec, then the remaining
     budget is re-inverted under the new one).  Only the jumping clock's draw
-    is removed and resampled.  The queue is the enabled set; `_entries`
-    also keeps the frozen budgets of disabled clocks.  Set record_audit=True
-    to log (cid, consumed, budget, at_atom) at every jump.
+    is removed and resampled.  The queue is the enabled set (`_enabled` is
+    its cid -> time dict); `_entries` also keeps the frozen budgets of
+    disabled clocks.  Set record_audit=True to log (cid, consumed, budget,
+    at_atom) at every jump.
     """
 
     name = "next-reaction"
@@ -158,6 +160,7 @@ class NextReactionSampler:
     def __init__(self, record_audit=False):
         self._entries = {}
         self._queue = PutativeQueue()
+        self._enabled = self._queue.times
         self.audit_log = [] if record_audit else None
 
     @staticmethod
@@ -180,7 +183,7 @@ class NextReactionSampler:
 
     def absorb(self, delta, now, stream):
         entries, queue = self._entries, self._queue
-        _check_delta(delta, queue)
+        _check_delta(delta, self._enabled)
         fired = delta.fired
         if fired is not None:
             e = entries.pop(fired)
@@ -212,13 +215,15 @@ class NextReactionSampler:
 class NextToFireSampler:
     """Keep putative times; redraw affected clocks with fresh variates.
 
-    The queue is the enabled set: a clock is enabled exactly while queued.
+    The queue is the enabled set: a clock is enabled exactly while queued,
+    and `_enabled` is the queue's cid -> time dict.
     """
 
     name = "next-to-fire"
 
     def __init__(self):
         self._queue = PutativeQueue()
+        self._enabled = self._queue.times
 
     def next_event(self, now, stream):
         top = self._queue.peek()
@@ -228,7 +233,7 @@ class NextToFireSampler:
 
     def absorb(self, delta, now, stream):
         queue = self._queue
-        _check_delta(delta, queue)
+        _check_delta(delta, self._enabled)
         if delta.fired is not None:
             queue.delete(delta.fired)
         for cid in delta.newly_disabled:
@@ -259,7 +264,7 @@ class DirectSampler:
         self._owner = {}
         self._free = []
         self._varying = set()      # enabled cids with time-varying continuous hazard
-        self._atoms = {}           # absolute atom time -> (mass, cid), enabled clocks only
+        self._atoms = {}           # cid -> [(absolute atom time, mass, cid)] of an enabled clock with atoms
         self._crate = 0.0          # sum of enabled constant (exponential) rates
         self._crate_ops = 0
 
@@ -291,14 +296,11 @@ class DirectSampler:
         elif cont is not None:
             self._bump_crate(cont.rate)
         self._tree.set(slot, spec.continuous_hazard(max(now - te, 0.0)))
-        for a in spec.atoms:
-            t = te + a.offset
-            if t > now:
-                self._atoms[t] = (a.mass, cid)
+        if spec.atoms:
+            self._atoms[cid] = [(te + a.offset, a.mass, cid) for a in spec.atoms]
 
     def _remove(self, cid):
-        spec, te = self._enabled[cid]
-        del self._enabled[cid]
+        spec = self._enabled.pop(cid)[0]
         slot = self._slot.pop(cid)
         del self._owner[slot]
         self._tree.set(slot, 0.0)
@@ -307,11 +309,7 @@ class DirectSampler:
             self._varying.discard(cid)
         elif spec.continuous is not None:
             self._bump_crate(-spec.continuous.rate)
-        for a in spec.atoms:
-            t = te + a.offset
-            # t may be another clock's: past, or taken by a clock modified earlier in this delta
-            if self._atoms.get(t, (0.0, None))[1] == cid:
-                del self._atoms[t]
+        self._atoms.pop(cid, None)
 
     def absorb(self, delta, now, stream):
         _check_delta(delta, self._enabled)
@@ -372,7 +370,7 @@ class DirectSampler:
 
     def _invert_waiting(self, now, budget):
         """(absolute event time, atom owner cid | None); raises Stalled."""
-        upcoming = sorted((t, mass, cid) for t, (mass, cid) in self._atoms.items() if t > now)
+        upcoming = sorted(entry for entries in self._atoms.values() for entry in entries if entry[0] > now)
         varying = self._varying_items()
         crate = self._crate if varying else self._tree.total()
         s_prev = now
@@ -453,10 +451,12 @@ class DirectSampler:
 class HierarchicalSampler:
     """Partition the clocks over child samplers; the soonest proposal wins.
 
-    parts: list of (sampler, clock-id set or None); the sets must be
+    parts: list of (base sampler, clock-id set or None); the sets must be
     disjoint, and at most one None entry catches every clock not named
     elsewhere.  Children keep their own contracts for retained vs
-    re-proposed draws.
+    re-proposed draws.  A delta is checked against every child's enabled
+    set before any child absorbs its part, so a rejected delta changes
+    nothing.
     """
 
     name = "hierarchical"
@@ -507,9 +507,14 @@ class HierarchicalSampler:
         for entry in delta.modified:
             subs[owner(entry[0])].modified.append(entry)
         # children absorb in construction order, and only those the delta touches
-        for child, sub in zip(self._children, subs):
-            if sub.fired is not None or sub.newly_enabled or sub.newly_disabled or sub.modified:
-                child.absorb(sub, now, stream)
+        touched = [
+            (child, sub) for child, sub in zip(self._children, subs)
+            if sub.fired is not None or sub.newly_enabled or sub.newly_disabled or sub.modified
+        ]
+        for child, sub in touched:
+            _check_delta(sub, child._enabled)
+        for child, sub in touched:
+            child.absorb(sub, now, stream)
 
 
 _BASE_SAMPLERS = {

@@ -3,12 +3,13 @@
 PutativeQueue: indexed min-priority queue over (time, clock id).  Ordering
 is lexicographic, so equal times break toward the smallest clock id and pop
 order is deterministic.  It is a binary heap of (time, cid) tuples on
-`heapq` with lazy deletion: a dict cid -> current time is the source of
-truth, and a heap entry is live only while its time equals that dict's
-entry.  `delete` drops the dict entry, `update` pushes a new entry, and
-`peek`/`pop` discard stale tops.  Whenever the heap holds more than
-2*len(queue) + 16 entries it is rebuilt from the dict, so after every
-operation stale entries number at most len(queue) + 16.
+`heapq` with lazy deletion: the dict `times` (cid -> current time; read
+only outside the queue) is the source of truth, and a heap entry is live
+only while its time equals that dict's entry.  `delete` drops the dict
+entry, `update` pushes a new entry, and `peek`/`pop` discard stale tops.
+Whenever the heap holds more than 2*len(queue) + 16 entries it is rebuilt
+from the dict, so after every operation stale entries number at most
+len(queue) + 16.
 
 PrefixSumTree: Fenwick tree over nonnegative float weights with point
 update, total, and find-by-prefix (smallest index whose inclusive prefix
@@ -33,29 +34,29 @@ class PutativeQueue:
 
     def __init__(self):
         self._heap = []
-        self._time = {}
+        self.times = {}
 
     def __len__(self):
-        return len(self._time)
+        return len(self.times)
 
     def __contains__(self, cid):
-        return cid in self._time
+        return cid in self.times
 
     def _compact(self):
         heap = self._heap
-        if len(heap) > 2 * len(self._time) + 16:
-            heap[:] = [(t, cid) for cid, t in self._time.items()]
+        if len(heap) > 2 * len(self.times) + 16:
+            heap[:] = [(t, cid) for cid, t in self.times.items()]
             heapify(heap)
 
     def insert(self, cid, time):
-        if cid in self._time:
+        if cid in self.times:
             raise KeyError(f"clock {cid} already queued")
-        self._time[cid] = time
+        self.times[cid] = time
         heappush(self._heap, (time, cid))
 
     def peek(self):
         heap = self._heap
-        times = self._time
+        times = self.times
         while heap:
             time, cid = heap[0]
             if times.get(cid) == time:
@@ -65,7 +66,7 @@ class PutativeQueue:
 
     def pop(self):
         heap = self._heap
-        times = self._time
+        times = self.times
         while heap:
             time, cid = heappop(heap)
             if times.get(cid) == time:
@@ -75,11 +76,11 @@ class PutativeQueue:
         raise IndexError("pop from empty queue")
 
     def delete(self, cid):
-        del self._time[cid]
+        del self.times[cid]
         self._compact()
 
     def update(self, cid, time):
-        times = self._time
+        times = self.times
         if times[cid] == time:
             return
         times[cid] = time

@@ -166,6 +166,27 @@ def test_config_file_with_flag_overrides(runner, tmp_path):
         assert yaml.safe_load(fh)["sampler"] == "next-to-fire"
 
 
+@pytest.mark.parametrize("fields, flags", [
+    ({"params": [1, 2]}, []),
+    ({"seed": "abc"}, []),
+    ({"seed": True}, []),
+    ({"trajectories": "3"}, []),
+    ({"workers": 1.5}, []),
+    ({"max_events": 2.5}, []),
+    ({"max_events": None, "t_end": "soon"}, []),
+    ({}, ["--seed", "-1"]),
+    ({}, ["--seed", str(2**64)]),
+], ids=["params-list", "seed-str", "seed-bool", "trajectories-str", "workers-float",
+        "max_events-float", "t_end-str", "seed-negative", "seed-2**64"])
+def test_malformed_config_value_exits_2(runner, tmp_path, fields, flags):
+    cfg = tmp_path / "run.yaml"
+    doc = {"model": "poisson", "max_events": 3, "output": str(tmp_path / "x")}
+    cfg.write_text(yaml.safe_dump({**doc, **fields}))
+    result = runner.invoke(cli, ["run", "--config", str(cfg), *flags])
+    assert result.exit_code == 2, result.output
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_run_spec_round_trip():
     spec = RunSpec(model="sir", params={"n": 5, "recover": "weibull:2,1"},
                    sampler="direct", seed=9, trajectories=4, t_end=2.5,

@@ -138,8 +138,11 @@ def test_nr_unknown_clock():
         s.absorb(EnablingDelta(modified=[(7, EXP1, 0.0)]), 1.0, FakeStream([]))
 
 
-@pytest.mark.parametrize("cls", [FirstReactionSampler, NextReactionSampler, NextToFireSampler, DirectSampler])
-def test_malformed_delta_raises_unknown_clock(cls):
+@pytest.mark.parametrize("make", [
+    FirstReactionSampler, NextReactionSampler, NextToFireSampler, DirectSampler,
+    pytest.param(lambda: make_sampler("hierarchical:next-to-fire=0;first-reaction=rest"), id="hierarchical"),
+])
+def test_malformed_delta_raises_unknown_clock(make):
     malformed = [
         EnablingDelta(newly_disabled=[7]),            # disable an unknown clock
         EnablingDelta(fired=7),                       # fire an unknown clock
@@ -150,7 +153,7 @@ def test_malformed_delta_raises_unknown_clock(cls):
         EnablingDelta(newly_disabled=[0], modified=[(0, EXP1, 0.0)]),  # disable, then modify
     ]
     for delta in malformed:
-        s = cls()
+        s = make()
         enable(s, {0: (EXP1, 0.0)}, 0.0, FakeStream([0.5]))
         before = pickle.dumps(s)
         stream = FakeStream([0.5, 0.5])
@@ -268,21 +271,31 @@ def test_direct_atom_vs_exponential_race():
     assert ev.time == pytest.approx(-math.log(0.6) / LN2, rel=1e-12)
 
 
-def test_direct_atom_table_holds_upcoming_atoms_of_enabled_clocks():
+def test_direct_atom_breakpoints_follow_enabling_changes():
+    # an atom assertion scripts a budget that runs out at that atom
+    half = 0.5 * LN2  # half the budget drop at a mass-0.5 atom
     spec = HazardSpec(EXP1.continuous, (Atom(1.0, 0.5), Atom(3.0, 0.5)))
     s = DirectSampler()
     enable(s, {0: (spec, 0.0), 1: (EXP2, 0.0)}, 0.0, FakeStream([]))
-    assert s._atoms == {1.0: (0.5, 0), 3.0: (0.5, 0)}
+    ev = s.next_event(0.0, FakeStream([u_for_budget(3.0 + half), 0.5]))
+    assert (ev.clock, ev.time) == (0, 1.0)
+    # disabled at 0.5: its atom at 1.0 no longer exhausts the same budget
     s.absorb(EnablingDelta(newly_disabled=[0]), 0.5, FakeStream([]))
-    assert s._atoms == {}
-    # re-enabled at 2.0 with anchor 0.5: the atom at 1.5 is already past
+    ev = s.next_event(0.5, FakeStream([u_for_budget(1.0 + half), 0.5]))
+    assert ev.clock == 1
+    assert ev.time == pytest.approx(0.5 + (1.0 + half) / 2.0, rel=1e-12)
+    # re-enabled at 2.0 with anchor 0.5: the atom at 1.5 is already past, 3.5 is next
     s.absorb(EnablingDelta(newly_enabled=[(0, spec, 0.5)]), 2.0, FakeStream([]))
-    assert s._atoms == {3.5: (0.5, 0)}
+    ev = s.next_event(2.0, FakeStream([u_for_budget(4.5 + half), 0.5]))
+    assert (ev.clock, ev.time) == (0, 3.5)
     # clock 0 takes 4.5 from clock 2 within one delta, while clock 2 moves on to 5.5
     late = HazardSpec(None, (Atom(4.0, 0.5),))
     s.absorb(EnablingDelta(newly_enabled=[(2, late, 0.5)]), 2.0, FakeStream([]))
     s.absorb(EnablingDelta(modified=[(0, late, 0.5), (2, late, 1.5)]), 3.0, FakeStream([]))
-    assert s._atoms == {4.5: (0.5, 0), 5.5: (0.5, 2)}
+    ev = s.next_event(3.0, FakeStream([u_for_budget(3.0 + half), 0.5]))
+    assert (ev.clock, ev.time) == (0, 4.5)
+    ev = s.next_event(3.0, FakeStream([u_for_budget(3.0 + LN2 + 2.0 + half), 0.5]))
+    assert (ev.clock, ev.time) == (2, 5.5)
 
 
 def test_direct_stalled_when_mass_insufficient():
@@ -342,11 +355,15 @@ def test_hier_routes_delta_to_owner():
 
 
 class RecordingChild:
-    """Child sampler that logs each delta it absorbs under its own tag."""
+    """Child sampler that logs each delta it absorbs under its own tag.
 
-    def __init__(self, tag, log):
+    `_enabled` is the fixed set of ids the parent checks each part against.
+    """
+
+    def __init__(self, tag, log, enabled):
         self.tag = tag
         self.log = log
+        self._enabled = enabled
 
     def absorb(self, delta, now, stream):
         self.log.append((self.tag, delta.fired, [e[0] for e in delta.newly_enabled],
@@ -356,9 +373,9 @@ class RecordingChild:
 def test_hier_splits_delta_in_construction_order():
     log = []
     hier = HierarchicalSampler([
-        (RecordingChild("a", log), {4, 1}),
-        (RecordingChild("b", log), None),
-        (RecordingChild("c", log), {2, 6}),
+        (RecordingChild("a", log, {4}), {4, 1}),
+        (RecordingChild("b", log, {3, 7}), None),
+        (RecordingChild("c", log, {2, 6}), {2, 6}),
     ])
     hier.absorb(EnablingDelta(
         fired=2,
