@@ -21,7 +21,7 @@ import click
 import numpy as np
 import yaml
 
-from . import kernel, models, verify
+from . import hazards, kernel, models, verify
 from .clocks import apply_mark_inplace
 from .errors import ClocksimError, ConfigError
 from .samplers import SAMPLER_NAMES, make_sampler
@@ -87,21 +87,14 @@ class RunSpec:
         """Check every field; returns the model, built once here."""
         for name in _FIELD_TYPES:
             _check_type(name, getattr(self, name))
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
+        kernel.stream_key("seed", self.seed)
         if self.trajectories < 1:
             raise ConfigError(f"trajectories must be >= 1, got {self.trajectories}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         self.stop()
-        try:
-            make_sampler(self.sampler)
-        except ClocksimError as exc:
-            raise ConfigError(str(exc)) from exc
-        try:
-            return models.build(self.model, self.params)
-        except ClocksimError as exc:
-            raise ConfigError(str(exc)) from exc
+        make_sampler(self.sampler)
+        return models.build(self.model, self.params)
 
 
 def _parse_param_value(text: str):
@@ -185,7 +178,7 @@ def cmd_run(config, model, param, sampler, seed, trajectories, t_end, max_events
             "trajectories": trajectories, "t_end": t_end, "max_events": max_events,
             "output": output, "workers": workers,
         })
-    except (ConfigError, ClocksimError) as exc:
+    except ClocksimError as exc:
         raise click.UsageError(str(exc))
     os.makedirs(spec.output, exist_ok=True)
     try:
@@ -276,20 +269,18 @@ def cmd_summarize(files, observable):
 
 
 def _suite_distributions():
-    from . import hazards
-
     matrix = [
-        ("exponential:1", None),
-        ("exponential:0.5@1,0.3", None),
-        ("weibull:2,1", None),
-        ("weibull:0.7,2", None),
-        ("gamma:2,3", None),
-        ("uniform:0.5,2", None),
-        ("piecewise:0,1,2|0.5,0,2", None),
-        ("none@1,0.25;2,0.5", None),
+        "exponential:1",
+        "exponential:0.5@1,0.3",
+        "weibull:2,1",
+        "weibull:0.7,2",
+        "gamma:2,3",
+        "uniform:0.5,2",
+        "piecewise:0,1,2|0.5,0,2",
+        "none@1,0.25;2,0.5",
     ]
     rows = []
-    for text, _ in matrix:
+    for text in matrix:
         spec = models.parse_hazard(text)
         ts = np.linspace(0.01, 4.0, 101)
         worst = 0.0

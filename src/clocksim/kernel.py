@@ -27,7 +27,7 @@ from .clocks import (
     apply_mark_inplace,
     evaluate_enabling,
 )
-from .errors import DuplicateAtoms, ModelError, Stalled
+from .errors import ConfigError, DuplicateAtoms, ModelError, Stalled
 from .hazards import INF
 from .samplers import EnablingDelta, make_sampler
 
@@ -46,7 +46,8 @@ class CountingStream:
         return self._random()
 
 
-_MASK64 = (1 << 64) - 1
+SEED_BOUND = 2**64  # seeds and stream indices are integers in [0, SEED_BOUND)
+_MASK64 = SEED_BOUND - 1
 
 
 def _mix64(x):
@@ -60,6 +61,14 @@ def _mix64(x):
     return x
 
 
+def stream_key(name, value):
+    """`value` as an int in [0, SEED_BOUND); ConfigError for anything else, bools included."""
+    key = value.__index__() if hasattr(value, "__index__") and not isinstance(value, bool) else -1
+    if not 0 <= key < SEED_BOUND:
+        raise ConfigError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return key
+
+
 def derived_generator(seed, index):
     """The uniform stream for trajectory `index` under base `seed`.
 
@@ -69,6 +78,7 @@ def derived_generator(seed, index):
     streams from a pure function of (seed, index).  Every call returns a
     Generator over a bit generator of its own.
     """
+    seed, index = stream_key("seed", seed), stream_key("stream index", index)
     s0 = _mix64(seed ^ 0x243F6A8885A308D3)
     s1 = _mix64(s0 ^ index)
     i0 = _mix64(seed + 0x452821E638D01377 + index * 0x9E3779B97F4A7C15)
@@ -117,8 +127,8 @@ class EventCount:
     n: int
 
     def __post_init__(self):
-        if self.n <= 0:
-            raise ModelError(f"event count must be > 0, got {self.n}")
+        if isinstance(self.n, bool) or not hasattr(self.n, "__index__") or self.n <= 0:
+            raise ModelError(f"event count must be an integer > 0, got {self.n!r}")
 
 
 @dataclass(frozen=True)

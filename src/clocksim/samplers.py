@@ -7,11 +7,12 @@ Every sampler implements the same contract:
 
 and is exclusively owned by one trajectory.  The initial enabled set arrives
 as the first delta (newly_enabled only, fired None); after that, one delta
-follows each jump.  A sampler checks a delta before any state changes
-(`_check_delta`; hierarchical checks every child's part before any child
-absorbs), so a rejected delta changes nothing.  `stream.uniform()`
-yields the trajectory's uniform variates; each sampler consumes a documented
-number per call, the initial delta included, so runs are reproducible:
+follows each jump.  Each delta is checked once (`_check_delta`) before any
+state changes, so a rejected delta changes nothing: in the one base `absorb`,
+or, under hierarchical, for every touched child's part before any child's
+unchecked `_apply`.  `stream.uniform()` yields the trajectory's uniform
+variates; each sampler consumes a documented number per call, the initial
+delta included, so runs are reproducible:
 
   first-reaction  next_event: one variate per enabled clock, ascending id.
   next-reaction   absorb: one variate per fresh draw (never-seen or just-
@@ -98,7 +99,15 @@ def _conditional_draw(spec: HazardSpec, te: float, now: float, log_survival: flo
     return te + invert_conditional(spec, shift, log_survival)
 
 
-class FirstReactionSampler:
+class _Sampler:
+    """Base sampler: `absorb` checks a delta against the ids in `_enabled`, then `_apply`s it."""
+
+    def absorb(self, delta, now, stream):
+        _check_delta(delta, self._enabled)
+        self._apply(delta, now, stream)
+
+
+class FirstReactionSampler(_Sampler):
     """Redraw every enabled clock each step and take the minimum."""
 
     name = "first-reaction"
@@ -119,9 +128,8 @@ class FirstReactionSampler:
             raise Stalled("all putative times are infinite")
         return SamplerEvent(best_cid, best_t)
 
-    def absorb(self, delta, now, stream):
+    def _apply(self, delta, now, stream):
         enabled = self._enabled
-        _check_delta(delta, enabled)
         if delta.fired is not None:
             del enabled[delta.fired]
         for cid in delta.newly_disabled:
@@ -143,24 +151,36 @@ class _LedgerEntry:
         self.seg_start = seg_start  # absolute time this spec segment began
 
 
-class NextReactionSampler:
+class _QueueSampler(_Sampler):
+    """The putative-time queue is the enabled set (`_enabled` is its cid -> time dict)."""
+
+    def __init__(self):
+        self._queue = PutativeQueue()
+        self._enabled = self._queue.times
+
+    def next_event(self, now, stream):
+        top = self._queue.peek()
+        if top is None or top[1] == INF:
+            raise Stalled("all putative times are infinite")
+        return SamplerEvent(top[0], top[1])
+
+
+class NextReactionSampler(_QueueSampler):
     """Keep one drawn log-survival per clock and consume it additively.
 
     A clock's budget survives disabling (frozen, resumed on re-enable) and
     spec changes (consumption accrues under the old spec, then the remaining
     budget is re-inverted under the new one).  Only the jumping clock's draw
-    is removed and resampled.  The queue is the enabled set (`_enabled` is
-    its cid -> time dict); `_entries` also keeps the frozen budgets of
-    disabled clocks.  Set record_audit=True to log (cid, consumed, budget,
-    at_atom) at every jump.
+    is removed and resampled.  `_entries` keeps the budgets of queued
+    clocks and the frozen budgets of disabled ones.  Set record_audit=True
+    to log (cid, consumed, budget, at_atom) at every jump.
     """
 
     name = "next-reaction"
 
     def __init__(self, record_audit=False):
+        super().__init__()
         self._entries = {}
-        self._queue = PutativeQueue()
-        self._enabled = self._queue.times
         self.audit_log = [] if record_audit else None
 
     @staticmethod
@@ -175,15 +195,8 @@ class NextReactionSampler:
     def _accrue(self, e, now):
         e.consumed += time_process(e.spec, max(e.seg_start - e.te, 0.0), max(now - e.te, 0.0))
 
-    def next_event(self, now, stream):
-        top = self._queue.peek()
-        if top is None or top[1] == INF:
-            raise Stalled("all putative times are infinite")
-        return SamplerEvent(top[0], top[1])
-
-    def absorb(self, delta, now, stream):
+    def _apply(self, delta, now, stream):
         entries, queue = self._entries, self._queue
-        _check_delta(delta, self._enabled)
         fired = delta.fired
         if fired is not None:
             e = entries.pop(fired)
@@ -212,28 +225,13 @@ class NextReactionSampler:
             queue.insert(cid, self._reinvert(e, now))
 
 
-class NextToFireSampler:
-    """Keep putative times; redraw affected clocks with fresh variates.
-
-    The queue is the enabled set: a clock is enabled exactly while queued,
-    and `_enabled` is the queue's cid -> time dict.
-    """
+class NextToFireSampler(_QueueSampler):
+    """Keep putative times; redraw affected clocks with fresh variates."""
 
     name = "next-to-fire"
 
-    def __init__(self):
-        self._queue = PutativeQueue()
-        self._enabled = self._queue.times
-
-    def next_event(self, now, stream):
-        top = self._queue.peek()
-        if top is None or top[1] == INF:
-            raise Stalled("all putative times are infinite")
-        return SamplerEvent(top[0], top[1])
-
-    def absorb(self, delta, now, stream):
+    def _apply(self, delta, now, stream):
         queue = self._queue
-        _check_delta(delta, self._enabled)
         if delta.fired is not None:
             queue.delete(delta.fired)
         for cid in delta.newly_disabled:
@@ -244,7 +242,7 @@ class NextToFireSampler:
             queue.insert(cid, _conditional_draw(spec, te, now, math.log1p(-stream.uniform())))
 
 
-class DirectSampler:
+class DirectSampler(_Sampler):
     """Sample the waiting-time factorization: when, then which clock.
 
     The total survival over all enabled clocks is inverted for the next
@@ -311,8 +309,7 @@ class DirectSampler:
             self._bump_crate(-spec.continuous.rate)
         self._atoms.pop(cid, None)
 
-    def absorb(self, delta, now, stream):
-        _check_delta(delta, self._enabled)
+    def _apply(self, delta, now, stream):
         if delta.fired is not None:
             self._remove(delta.fired)
         for cid in delta.newly_disabled:
@@ -454,9 +451,11 @@ class HierarchicalSampler:
     parts: list of (base sampler, clock-id set or None); the sets must be
     disjoint, and at most one None entry catches every clock not named
     elsewhere.  Children keep their own contracts for retained vs
-    re-proposed draws.  A delta is checked against every child's enabled
-    set before any child absorbs its part, so a rejected delta changes
-    nothing.
+    re-proposed draws.  A child provides `next_event(now, stream)`,
+    `_enabled` (its enabled ids) and `_apply(delta, now, stream)`, which
+    applies a part without checking it.  Every touched child's part is
+    checked against that child's `_enabled` before any child applies its
+    part, so a rejected delta changes nothing and each part is checked once.
     """
 
     name = "hierarchical"
@@ -506,7 +505,7 @@ class HierarchicalSampler:
             subs[owner(cid)].newly_disabled.append(cid)
         for entry in delta.modified:
             subs[owner(entry[0])].modified.append(entry)
-        # children absorb in construction order, and only those the delta touches
+        # children apply in construction order, and only those the delta touches
         touched = [
             (child, sub) for child, sub in zip(self._children, subs)
             if sub.fired is not None or sub.newly_enabled or sub.newly_disabled or sub.modified
@@ -514,7 +513,7 @@ class HierarchicalSampler:
         for child, sub in touched:
             _check_delta(sub, child._enabled)
         for child, sub in touched:
-            child.absorb(sub, now, stream)
+            child._apply(sub, now, stream)
 
 
 _BASE_SAMPLERS = {
@@ -541,7 +540,12 @@ def _parse_id_set(text):
         if hi < lo:
             raise ModelError(f"bad clock id set {text!r}: range {part!r} is reversed")
         out.update(range(lo, hi + 1))
+    if not out:
+        raise ModelError(f"bad clock id set {text!r}: no ids")
     return out
+
+
+_HIER_FORM = "hierarchical:<child>=<ids>;..."
 
 
 def make_sampler(name: str):
@@ -553,20 +557,19 @@ def make_sampler(name: str):
     """
     if name in _BASE_SAMPLERS:
         return _BASE_SAMPLERS[name]()
-    if name.startswith("hierarchical:"):
-        parts = []
-        for chunk in name[len("hierarchical:"):].split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            child_name, _, ids = chunk.partition("=")
-            child_name = child_name.strip()
-            if child_name not in _BASE_SAMPLERS:
-                raise ModelError(
-                    f"unknown hierarchical child {child_name!r}; valid: {', '.join(_BASE_SAMPLERS)}"
-                )
-            parts.append((_BASE_SAMPLERS[child_name](), _parse_id_set(ids.strip())))
-        if not parts:
-            raise ModelError("empty hierarchical partition")
-        return HierarchicalSampler(parts)
-    raise ModelError(f"unknown sampler {name!r}; valid: {', '.join(SAMPLER_NAMES)}")
+    head, _, spec = name.partition(":")
+    if head != HierarchicalSampler.name:
+        raise ModelError(f"unknown sampler {name!r}; valid: {', '.join(_BASE_SAMPLERS)}, {_HIER_FORM}")
+    parts = []
+    for chunk in spec.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        child_name, _, ids = chunk.partition("=")  # no "=" leaves no ids, which _parse_id_set rejects
+        child_name = child_name.strip()
+        if child_name not in _BASE_SAMPLERS:
+            raise ModelError(f"unknown hierarchical child {child_name!r}; valid: {', '.join(_BASE_SAMPLERS)}")
+        parts.append((_BASE_SAMPLERS[child_name](), _parse_id_set(ids.strip())))
+    if not parts:
+        raise ModelError(f"hierarchical needs a partition: {_HIER_FORM}")
+    return HierarchicalSampler(parts)

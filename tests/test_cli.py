@@ -95,6 +95,9 @@ def test_bad_hierarchical_partition_exits_2(runner, tmp_path):
         "hierarchical:direct=a",
         "hierarchical:direct=5-3",
         "hierarchical:direct=0-5;next-reaction=3-8",
+        "hierarchical:direct;next-reaction=rest",
+        "hierarchical:direct=;next-reaction=rest",
+        "hierarchical",
     ):
         result = runner.invoke(cli, [
             "run", "--model", "poisson", "--sampler", spec, "--max-events", "3",

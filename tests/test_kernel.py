@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from clocksim.clocks import DISABLED, UNCHANGED, ClockSpec, Enabled, JumpMark, SystemState
-from clocksim.errors import DuplicateAtoms, ModelError, Stalled
+from clocksim.errors import ConfigError, DuplicateAtoms, ModelError, Stalled
 from clocksim.hazards import Atom, Exponential, HazardSpec
 from clocksim.kernel import (
     CountingStream,
@@ -170,6 +170,27 @@ def test_stop_validation():
         EndTime(-1.0)
     with pytest.raises(ModelError):
         EndTime(math.inf)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: derived_generator(-1, 0), ConfigError),
+    (lambda: derived_generator(2**64, 0), ConfigError),
+    (lambda: derived_generator(5, -1), ConfigError),
+    (lambda: derived_generator(True, 0), ConfigError),
+    (lambda: run_trajectory(build_poisson(1.0), "direct", 1.5, EventCount(1)), ConfigError),
+    (lambda: derived_generator(np.int64(5), np.uint64(0)), None),
+    (lambda: EventCount(2.5), ModelError),
+    (lambda: EventCount(True), ModelError),
+], ids=["seed-negative", "seed-2**64", "index-negative", "seed-bool", "seed-float", "numpy-ints",
+        "events-float", "events-bool"])
+def test_seed_index_and_event_count_are_checked_not_wrapped(make, error):
+    # seeds and stream indices are integers in [0, 2**64); integer-like numpy
+    # scalars name the same stream as the equal int
+    if error is None:
+        assert make().random(3).tolist() == derived_generator(5, 0).random(3).tolist()
+    else:
+        with pytest.raises(error):
+            make()
 
 
 def test_model_tables_are_freed_with_the_model():

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from clocksim import samplers
 from clocksim.errors import ModelError, Stalled, UnknownClock
 from clocksim.hazards import Atom, Exponential, HazardSpec, Weibull
 from clocksim.samplers import (
@@ -365,7 +366,7 @@ class RecordingChild:
         self.log = log
         self._enabled = enabled
 
-    def absorb(self, delta, now, stream):
+    def _apply(self, delta, now, stream):
         self.log.append((self.tag, delta.fired, [e[0] for e in delta.newly_enabled],
                          list(delta.newly_disabled), [e[0] for e in delta.modified]))
 
@@ -394,6 +395,26 @@ def test_hier_splits_delta_in_construction_order():
     assert log == [("a", 4, [], [], [])]
 
 
+def test_hier_checks_each_touched_part_once(monkeypatch):
+    checked = []
+    check = samplers._check_delta
+
+    def counting_check(delta, enabled):
+        checked.append(sorted(e[0] for e in delta.newly_enabled))
+        check(delta, enabled)
+
+    monkeypatch.setattr(samplers, "_check_delta", counting_check)
+    hier = HierarchicalSampler([
+        (NextToFireSampler(), {0, 1}), (DirectSampler(), {2}), (FirstReactionSampler(), None),
+    ])
+    # touches the first and last children only
+    enable(hier, {0: (EXP1, 0.0), 1: (EXP1, 0.0), 5: (EXP1, 0.0)}, 0.0, FakeStream([0.5, 0.5]))
+    assert checked == [[0, 1], [5]]
+    checked.clear()
+    enable(NextReactionSampler(), {3: (EXP1, 0.0)}, 0.0, FakeStream([0.5]))
+    assert checked == [[3]]
+
+
 def test_hier_uncovered_clock_and_second_catch_all_rejected():
     hier = HierarchicalSampler([(NextToFireSampler(), {0}), (DirectSampler(), {1})])
     with pytest.raises(ModelError, match="clock 2 not covered"):
@@ -411,14 +432,22 @@ def test_make_sampler_names_and_partition_spec():
     assert hier._owner_index(9) == 1
     assert SAMPLER_NAMES == ("first-reaction", "next-reaction", "next-to-fire", "direct", "hierarchical")
     assert [make_sampler(name).name for name in SAMPLER_NAMES[:-1]] == list(SAMPLER_NAMES[:-1])
-    with pytest.raises(ModelError, match="valid: first-reaction, next-reaction, next-to-fire, direct, hierarchical$"):
+    # bare "hierarchical" is not a sampler; the message shows the partition spelling
+    form = r"hierarchical:<child>=<ids>;\.\.\.$"
+    with pytest.raises(ModelError, match="valid: first-reaction, next-reaction, next-to-fire, direct, " + form):
         make_sampler("bogus")
+    for bare in ("hierarchical", "hierarchical:", "hierarchical: ; "):
+        with pytest.raises(ModelError, match="hierarchical needs a partition: " + form):
+            make_sampler(bare)
     with pytest.raises(ModelError, match="valid: first-reaction, next-reaction, next-to-fire, direct$"):
         make_sampler("hierarchical:bogus=rest")
     for bad in (
         "hierarchical:direct=a",
         "hierarchical:direct=5-3;next-reaction=rest",
         "hierarchical:direct=0-5;next-reaction=3-8",
+        "hierarchical:direct;next-reaction=rest",
+        "hierarchical:direct=;next-reaction=rest",
+        "hierarchical:direct= , ;next-reaction=rest",
     ):
         with pytest.raises(ModelError):
             make_sampler(bad)
