@@ -1,8 +1,10 @@
 """Command-line front end: run models, verify, summarize trajectories.
 
-Configuration comes from an optional YAML file plus flags (flags win); every
-flag can also be set through the environment with the prefix CLOCKSIM_RUN_
-(for run flags), per click's auto-envvar rules.  Exit codes: 0 success,
+`RunSpec`'s fields are the one table of `clocksim run` settings: each is a
+YAML config key and a `run` flag (flags win), and every flag can also be set
+through the environment with the prefix CLOCKSIM_RUN_, per click's
+auto-envvar rules.  Values from every source are checked on one path, against
+types read from `RunSpec`'s annotations.  Exit codes: 0 success,
 1 verification failure, 2 configuration/usage error, 3 a trajectory stalled
 before producing any event under an event-count stop.
 """
@@ -15,6 +17,7 @@ import math
 import multiprocessing
 import os
 import time
+import typing
 from dataclasses import asdict, dataclass, field
 
 import click
@@ -25,26 +28,6 @@ from . import hazards, kernel, models, verify
 from .clocks import apply_mark_inplace
 from .errors import ClocksimError, ConfigError
 from .samplers import SAMPLER_NAMES, make_sampler
-
-# RunSpec field -> (accepted types, what the message calls them); bools are
-# never accepted, although bool is a subclass of int
-_FIELD_TYPES = {
-    "model": (str, "a string"),
-    "params": (dict, "a mapping"),
-    "sampler": (str, "a string"),
-    "seed": (int, "an integer"),
-    "trajectories": (int, "an integer"),
-    "t_end": ((int, float, type(None)), "a number"),
-    "max_events": ((int, type(None)), "an integer"),
-    "output": (str, "a string"),
-    "workers": (int, "an integer"),
-}
-
-
-def _check_type(name, value):
-    kinds, what = _FIELD_TYPES[name]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -66,8 +49,7 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
+        extra = set(doc) - cls.__dataclass_fields__.keys()
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
         if "model" not in doc:
@@ -85,7 +67,7 @@ class RunSpec:
 
     def validate(self) -> models.Model:
         """Check every field; returns the model, built once here."""
-        for name in _FIELD_TYPES:
+        for name in _ACCEPTS:
             _check_type(name, getattr(self, name))
         kernel.stream_key("seed", self.seed)
         if self.trajectories < 1:
@@ -97,6 +79,26 @@ class RunSpec:
         return models.build(self.model, self.params)
 
 
+_KIND_WORDS = {str: "a string", dict: "a mapping", int: "an integer", float: "a number"}
+
+
+def _accepted(hint):
+    """(types a field takes, what the message calls them) from its annotation."""
+    kinds = typing.get_args(hint) or (hint,)
+    return kinds + ((int,) if float in kinds else ()), _KIND_WORDS[kinds[0]]
+
+
+# RunSpec field -> (accepted types, their name); bools are never accepted,
+# although bool is a subclass of int
+_ACCEPTS = {name: _accepted(hint) for name, hint in typing.get_type_hints(RunSpec).items()}
+
+
+def _check_type(name, value):
+    kinds, what = _ACCEPTS[name]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 def _parse_param_value(text: str):
     for cast in (int, float):
         try:
@@ -106,7 +108,8 @@ def _parse_param_value(text: str):
     return text
 
 
-def _load_run_spec(config, overrides) -> tuple[RunSpec, models.Model]:
+def _load_run_spec(config, param, flags) -> tuple[RunSpec, models.Model]:
+    """The config file's values, then `--param` items, then every flag given."""
     doc = {}
     if config:
         try:
@@ -121,15 +124,13 @@ def _load_run_spec(config, overrides) -> tuple[RunSpec, models.Model]:
     params = {} if params is None else params
     _check_type("params", params)
     params = dict(params)
-    for item in overrides.pop("param", ()) or ():
+    for item in param:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--param needs key=value, got {item!r}")
         params[key.strip()] = _parse_param_value(value.strip())
     doc["params"] = params
-    for key, value in overrides.items():
-        if value is not None:
-            doc[key] = value
+    doc.update((key, value) for key, value in flags.items() if value is not None)
     spec = RunSpec.from_dict(doc)
     return spec, spec.validate()
 
@@ -167,20 +168,19 @@ def cli():
 @click.option("--trajectories", type=int, default=None)
 @click.option("--t-end", type=float, default=None)
 @click.option("--max-events", type=int, default=None)
-@click.option("--output", type=click.Path(file_okay=False), default=None)
+@click.option("--output", default=None, help="Directory for the trajectory files and manifest.")
 @click.option("--workers", type=int, default=None)
-def cmd_run(config, model, param, sampler, seed, trajectories, t_end, max_events, output, workers):
+def cmd_run(config, param, **flags):
     """Generate trajectory files and a manifest."""
     started = time.perf_counter()
     try:
-        spec, built = _load_run_spec(config, {
-            "model": model, "param": param, "sampler": sampler, "seed": seed,
-            "trajectories": trajectories, "t_end": t_end, "max_events": max_events,
-            "output": output, "workers": workers,
-        })
+        spec, built = _load_run_spec(config, param, flags)
     except ClocksimError as exc:
         raise click.UsageError(str(exc))
-    os.makedirs(spec.output, exist_ok=True)
+    try:
+        os.makedirs(spec.output, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot create output directory {spec.output!r}: {exc.strerror}")
     try:
         if spec.workers == 1:
             results = _run_trajectories(built, spec, range(spec.trajectories))
@@ -193,21 +193,15 @@ def cmd_run(config, model, param, sampler, seed, trajectories, t_end, max_events
     except ClocksimError as exc:
         # a model that violates the clock contract mid-run (e.g. DuplicateAtoms)
         raise click.UsageError(f"{type(exc).__name__}: {exc}")
-    manifest = {
-        "model": spec.model,
-        "params": spec.params,
-        "model_hash": kernel.model_hash(built),
-        "sampler": spec.sampler,
-        "seed": spec.seed,
-        "stream_derivation": kernel.STREAM_DERIVATION,
-        "trajectories": spec.trajectories,
-        "t_end": spec.t_end,
-        "max_events": spec.max_events,
-        "workers": spec.workers,
-        "files": [f"traj_{i:06d}.tsv" for i, _ in results],
-        "events": dict(results),
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
+    manifest = spec.to_dict()
+    del manifest["output"]  # the manifest is written inside that directory
+    manifest.update(
+        model_hash=kernel.model_hash(built),
+        stream_derivation=kernel.STREAM_DERIVATION,
+        files=[f"traj_{i:06d}.tsv" for i, _ in results],
+        events=dict(results),
+        wall_time_s=round(time.perf_counter() - started, 6),
+    )
     with open(os.path.join(spec.output, "manifest.yaml"), "w") as fh:
         yaml.safe_dump(manifest, fh, sort_keys=True)
     click.echo(f"wrote {spec.trajectories} trajectories to {spec.output}")
@@ -371,10 +365,9 @@ _SUITES = {
 }
 
 
-@cli.command("verify")
+@cli.command("verify", help="Run a verification suite: " + " | ".join([*_SUITES, "all"]) + ".")
 @click.argument("suite")
 def cmd_verify(suite):
-    """Run a verification suite: distributions | sampler-equivalence | oracle | all."""
     if suite == "all":
         names = list(_SUITES)
     elif suite in _SUITES:

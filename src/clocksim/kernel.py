@@ -354,4 +354,10 @@ def read_trajectory(fh, path="") -> TrajectoryFile:
         if len(parts) != 3:
             raise ModelError(f"malformed event line: {line!r}")
         events.append(EventRecord(seq=int(parts[0]), time=float(parts[1]), clock=int(parts[2])))
+    if "events" in header:
+        # a truncated or spliced file: the header's count or the seq column disagrees
+        if header["events"] != str(len(events)):
+            raise ModelError(f"header says {header['events']} events, found {len(events)} event lines")
+        if any(ev.seq != i for i, ev in enumerate(events)):
+            raise ModelError("event seq column does not run 0, 1, 2, ...")
     return TrajectoryFile(header=header, events=tuple(events), path=path)

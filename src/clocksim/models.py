@@ -112,9 +112,9 @@ def unparse_hazard(spec: HazardSpec) -> str:
 # -- parameter checks ----------------------------------------------------------
 
 def _int(key, value, minimum):
-    """An integer parameter: 3, 3.0 and "3" are accepted, 3.7 is not."""
+    """An integer parameter: 3, 3.0 and "3" are accepted, 3.7 and True are not."""
     try:
-        out = int(value)
+        out = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or (isinstance(value, float) and value != out):
@@ -125,8 +125,10 @@ def _int(key, value, minimum):
 
 
 def _float(key, value, positive=False):
-    """A finite number parameter, > 0 if positive, else >= 0."""
+    """A finite number parameter, > 0 if positive, else >= 0; never a bool."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         out = float(value)
     except (TypeError, ValueError):
         raise ModelError(f"parameter {key!r} must be a number, got {value!r}") from None

@@ -52,6 +52,13 @@ def test_run_writes_files_and_manifest(runner, tmp_path):
     assert len(manifest["files"]) == 4
     assert "wall_time_s" in manifest
     assert "model_hash" in manifest
+    # RunSpec is the table of run settings: each but params (fed by --param)
+    # is a run option, and the manifest records each but output
+    settings = set(RunSpec.__dataclass_fields__)
+    options = {p.name for p in cli.commands["run"].params}
+    assert settings - {"params"} <= options
+    runs = {"model_hash", "stream_derivation", "files", "events", "wall_time_s"}
+    assert set(manifest) == settings - {"output"} | runs
 
 
 def test_run_byte_identical_across_invocations(runner, tmp_path):
@@ -190,6 +197,38 @@ def test_malformed_config_value_exits_2(runner, tmp_path, fields, flags):
     assert not os.path.exists(tmp_path / "x")
 
 
+@pytest.mark.parametrize("fields", [
+    {"t_end": 5},
+    {"params": None, "max_events": 3},
+    {"max_events": None, "t_end": 2.5},
+], ids=["t_end-int", "params-null", "max_events-null"])
+def test_well_formed_config_value_runs(runner, tmp_path, fields):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({"model": "poisson", "output": str(tmp_path / "x"), **fields}))
+    result = runner.invoke(cli, ["run", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    assert len(_read_traj_files(tmp_path / "x")) == 1
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+@pytest.mark.parametrize("output", ["afile", "", "afile/sub"],
+                         ids=["existing-file", "empty", "under-a-file"])
+def test_output_that_cannot_be_a_directory_exits_2(runner, tmp_path, source, output):
+    (tmp_path / "afile").write_text("not a directory\n")
+    path = str(tmp_path / output) if output else ""
+    cfg = tmp_path / "run.yaml"
+    doc = {"model": "poisson", "max_events": 3}
+    if source == "config":
+        cfg.write_text(yaml.safe_dump({**doc, "output": path}))
+        result = runner.invoke(cli, ["run", "--config", str(cfg)])
+    else:
+        cfg.write_text(yaml.safe_dump(doc))
+        result = runner.invoke(cli, ["run", "--config", str(cfg), "--output", path])
+    assert result.exit_code == 2, result.output
+    assert repr(path) in result.output
+    assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
+
+
 def test_run_spec_round_trip():
     spec = RunSpec(model="sir", params={"n": 5, "recover": "weibull:2,1"},
                    sampler="direct", seed=9, trajectories=4, t_end=2.5,
@@ -255,6 +294,23 @@ def test_summarize_malformed_file_exits_2(runner, tmp_path):
     bad.write_text("# clocksim trajectory v1\nnot a valid line\n")
     result = runner.invoke(cli, ["summarize", "--observable", "event-count", str(bad)])
     assert result.exit_code == 2
+
+
+def test_summarize_truncated_file_exits_2(runner, tmp_path):
+    out = tmp_path / "out"
+    runner.invoke(cli, [
+        "run", "--model", "poisson", "--max-events", "5", "--output", str(out),
+    ])
+    lines = (out / "traj_000000.tsv").read_text().splitlines(keepends=True)
+    assert "# events: 5\n" in lines
+    truncated = tmp_path / "truncated.tsv"
+    truncated.write_text("".join(lines[:-2]))
+    # the header's count kept right, but the seq column skips event 2
+    spliced = tmp_path / "spliced.tsv"
+    spliced.write_text("".join(lines[:-3] + lines[-2:]).replace("# events: 5", "# events: 4"))
+    for bad in (truncated, spliced):
+        result = runner.invoke(cli, ["summarize", "--observable", "event-count", str(bad)])
+        assert result.exit_code == 2, (bad, result.output)
 
 
 def test_hierarchical_sampler_spec_accepted(runner, tmp_path):

@@ -67,6 +67,8 @@ def test_unknown_model_rejected():
     ("ring", {"m": 4, "rate": math.inf}, "rate"),
     ("poisson", {"rate": math.nan}, "rate"),
     ("atomic-showcase", {"n": 1}, "n"),
+    ("sir", {"n": True}, "n"),
+    ("rabbits", {"m": 2, "food_rate": True}, "food_rate"),
 ])
 def test_bad_parameter_names_model_and_parameter(name, params, key):
     with pytest.raises(ModelError) as info:
