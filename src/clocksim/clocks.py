@@ -7,7 +7,11 @@ time; it answers "can this clock fire, and with what hazard, measured from
 when" by returning :data:`DISABLED` or an :class:`Enabled`.  The kernel
 compares successive answers and collapses identical ones to
 :data:`UNCHANGED`, so rules may be re-evaluated freely; a rule never returns
-:data:`UNCHANGED` itself.
+:data:`UNCHANGED` itself.  The comparison is cheapest when the answer's
+HazardSpec is the very object returned last time, so a rule should return
+outcomes built once (in the model's builder), or taken from a table bounded
+by the state, such as one keyed by a count that cannot exceed a conserved
+total; then no spec is built per event.
 """
 
 from __future__ import annotations
@@ -110,6 +114,8 @@ class ClockSpec:
 
     The enabling callable returns DISABLED or an Enabled; it must depend
     only on substates in `reads` and be deterministic given (view, time).
+    It should return outcomes built once, or taken from a table bounded by
+    the state, rather than build a HazardSpec per call.
     """
 
     id: ClockId
@@ -167,4 +173,5 @@ def evaluate_enabling(clock: ClockSpec, view: StateView, now: float, previously)
         and (previously.spec is raw.spec or previously.spec == raw.spec)
     ):
         return UNCHANGED
-    return Enabled(raw.spec, te)
+    # an outcome with a concrete enabling time is already resolved: no copy
+    return raw if raw.enabling_time is not None else Enabled(raw.spec, te)

@@ -32,18 +32,30 @@ from .hazards import INF
 from .samplers import EnablingDelta, make_sampler
 
 
-class CountingStream:
-    """Uniform variate source that counts what it hands out."""
+_BLOCK = 256  # variates drawn from the generator at a time
 
-    __slots__ = ("_random", "count")
+
+class CountingStream:
+    """Uniform variate source that counts what it hands out.
+
+    Values are drawn from the generator in blocks of _BLOCK, which yields
+    the same sequence as one scalar `random()` per variate; `count` counts
+    only the values handed out, not the ones drawn ahead.
+    """
+
+    __slots__ = ("_random", "_block", "count")
 
     def __init__(self, rng):
         self._random = rng.random
+        self._block = None
         self.count = 0
 
     def uniform(self):
+        i = self.count % _BLOCK
+        if not i:
+            self._block = self._random(_BLOCK).tolist()
         self.count += 1
-        return self._random()
+        return self._block[i]
 
 
 SEED_BOUND = 2**64  # seeds and stream indices are integers in [0, SEED_BOUND)

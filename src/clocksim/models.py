@@ -23,6 +23,7 @@ breakpoints|rates).
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field, fields
@@ -56,11 +57,6 @@ class Model:
     @cached_property
     def by_id(self) -> dict:
         return {c.id: c for c in self.clocks}
-
-    def clock(self, cid):
-        if cid not in self.by_id:
-            raise ModelError(f"no clock {cid}")
-        return self.by_id[cid]
 
 
 # -- hazard spec strings --------------------------------------------------
@@ -223,10 +219,14 @@ def build_rabbits(m, food_rate, portions=(1,), shape=2.0, initial_food=0) -> Mod
     if not portions:
         raise ModelError("parameter 'portions' must name at least one size")
 
+    food_on = Enabled(HazardSpec(Exponential(food_rate)))
+    # one Weibull spec per scale, made on first use: the scale is the last
+    # meal's size (1 before the first meal), so at most len(portions) + 1
+    weibull = functools.cache(lambda size: HazardSpec(Weibull(shape, float(size))))
     clocks = [
         ClockSpec(
             id=0,
-            enabling=lambda view, now, r=food_rate: Enabled(HazardSpec(Exponential(r))),
+            enabling=lambda view, now, out=food_on: out,
             mark=JumpMark({"food": +1}),
             reads=frozenset(),
             name="food",
@@ -237,19 +237,18 @@ def build_rabbits(m, food_rate, portions=(1,), shape=2.0, initial_food=0) -> Mod
         meal_keys = tuple(f"meal_{r}_{k}" for k in range(len(portions)))
         for k, dk in enumerate(portions):
 
-            def rule(view, now, dk=dk, meal_keys=meal_keys, portions=portions, shape=shape):
+            def rule(view, now, dk=dk, meal_keys=meal_keys, portions=portions, weibull=weibull):
                 if view.count("food") < dk:
                     return DISABLED
                 last_t = 0.0
-                last_size = 0
+                last_size = 1
                 for k2, key in enumerate(meal_keys):
                     if view.count(key) > 0:
                         t2 = view.changed_at(key)
                         if t2 >= last_t:
                             last_t = t2
                             last_size = portions[k2]
-                scale = float(last_size) if last_size > 0 else 1.0
-                return Enabled(HazardSpec(Weibull(shape, scale)), enabling_time=last_t)
+                return Enabled(weibull(last_size), enabling_time=last_t)
 
             clocks.append(
                 ClockSpec(
@@ -313,12 +312,16 @@ def build_birth_death(birth=1.0, death=1.0, x0=1, capacity=100) -> Model:
     if x0 > capacity:
         raise ModelError(f"need x0 <= capacity, got x0={x0}, capacity={capacity}")
 
-    def birth_rule(view, now, b=birth, cap=capacity):
-        return Enabled(HazardSpec(Exponential(b))) if view.count("x") < cap else DISABLED
+    birth_on = Enabled(HazardSpec(Exponential(birth)))
+    # one outcome per population reached, made on first use: x <= capacity
+    death_on = functools.cache(lambda x: Enabled(HazardSpec(Exponential(death * x))))
 
-    def death_rule(view, now, d=death):
+    def birth_rule(view, now, out=birth_on, cap=capacity):
+        return out if view.count("x") < cap else DISABLED
+
+    def death_rule(view, now, out=death_on):
         x = view.count("x")
-        return Enabled(HazardSpec(Exponential(d * x))) if x >= 1 else DISABLED
+        return out(x) if x >= 1 else DISABLED
 
     clocks = (
         ClockSpec(id=0, enabling=birth_rule, mark=JumpMark({"x": +1}),
@@ -340,13 +343,16 @@ def build_ring(m, rate=1.0, tokens=1) -> Model:
     m = _int("m", m, 2)
     rate = _float("rate", rate, positive=True)
     tokens = _int("tokens", tokens, 1)
+    # one outcome per count reached, made on first use: a site holds at
+    # most the m * tokens tokens in the ring
+    hop_on = functools.cache(lambda c: Enabled(HazardSpec(Exponential(rate * c))))
     clocks = []
     for i in range(m):
         xi = f"x_{i}"
 
-        def rule(view, now, xi=xi, r=rate):
+        def rule(view, now, xi=xi, out=hop_on):
             c = view.count(xi)
-            return Enabled(HazardSpec(Exponential(r * c))) if c >= 1 else DISABLED
+            return out(c) if c >= 1 else DISABLED
 
         clocks.append(
             ClockSpec(

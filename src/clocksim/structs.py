@@ -101,15 +101,6 @@ class PrefixSumTree:
         self._rebuild_every = rebuild_every
         self._ops = 0
 
-    @property
-    def capacity(self):
-        return self._n
-
-    def get(self, index):
-        if index < 0:
-            raise IndexError(index)
-        return self._leaves[index]
-
     def _grow(self, needed):
         n = self._n
         while n < needed:

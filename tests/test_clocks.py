@@ -104,19 +104,25 @@ def test_spec_change_keeps_anchor():
 
 def test_explicit_anchor_from_state_history():
     spec = HazardSpec(Weibull(2.0, 1.0))
+    returned = []
 
     def rule(v, now):
         if v.count("food") < 1:
             return DISABLED
-        return Enabled(spec, enabling_time=v.changed_at("meal"))
+        returned.append(Enabled(spec, enabling_time=v.changed_at("meal")))
+        return returned[-1]
 
     clock = ClockSpec(id=0, enabling=rule, mark=JumpMark({"food": -1, "meal": +1}),
                       reads=frozenset({"food", "meal"}))
     v = view({"food": 2, "meal": 1}, changed={"meal": 3.25})
     out = evaluate_enabling(clock, v, 7.0, DISABLED)
     assert out == Enabled(spec, 3.25)
+    # an outcome with a concrete time is the rule's own, not a copy
+    assert out is returned[-1]
     # unchanged across a later query at a new stopping time
     assert evaluate_enabling(clock, v, 9.0, out) is UNCHANGED
+    moved = evaluate_enabling(clock, view({"food": 1, "meal": 2}, changed={"meal": 8.5}), 9.0, out)
+    assert moved == Enabled(spec, 8.5) and moved is returned[-1]
 
 
 def test_future_anchor_rejected():

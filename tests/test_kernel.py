@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from clocksim import graph, kernel, samplers
 from clocksim.clocks import DISABLED, UNCHANGED, ClockSpec, Enabled, JumpMark, SystemState
 from clocksim.errors import ConfigError, DuplicateAtoms, ModelError, Stalled
 from clocksim.hazards import Atom, Exponential, HazardSpec
@@ -88,7 +89,7 @@ def test_sir_infection_step_enables_recoveries():
     stream = CountingStream(np.random.default_rng(4))
     engine = Engine(model, make_sampler("first-reaction"), stream)
     fired, t = engine.step()
-    clock = model.clock(fired)
+    clock = model.by_id[fired]
     if clock.name.startswith("infect"):
         assert engine.state().counts == {"I_0": 1, "I_1": 1}
         # recovery of individual 1 now enabled, anchored at the infection time
@@ -191,6 +192,15 @@ def test_seed_index_and_event_count_are_checked_not_wrapped(make, error):
     else:
         with pytest.raises(error):
             make()
+
+
+def test_counting_stream_matches_scalar_draws():
+    # 1000 draws cross several of the stream's blocks
+    stream = CountingStream(derived_generator(7, 3))
+    scalar = derived_generator(7, 3)
+    for n in range(1, 1001):
+        assert stream.uniform() == scalar.random()
+        assert stream.count == n
 
 
 def test_model_tables_are_freed_with_the_model():
@@ -338,3 +348,37 @@ def test_rule_returning_unchanged_is_rejected():
     model = Model("unchanged", (clock,), SystemState({}))
     with pytest.raises(ModelError, match="UNCHANGED"):
         Engine(model, make_sampler("next-reaction"), CountingStream(derived_generator(1, 0)))
+
+
+# The benchmark's per-layer metrics wrap these names where the program looks
+# them up at call time; a name inlined away stops being called and its
+# metrics read 0 without an error.  Each sampler must keep calling the
+# names it uses on the ring.
+KERNEL_NAMES = {"evaluate_enabling", "apply_mark_inplace", "affected", "uniform"}
+WRAPPED = [
+    (kernel, "evaluate_enabling"),
+    (kernel, "apply_mark_inplace"),
+    (graph, "affected"),
+    (kernel.CountingStream, "uniform"),
+    (samplers, "invert_conditional"),
+    (samplers, "time_process"),
+]
+USED_ON_RING = {
+    "first-reaction": KERNEL_NAMES | {"invert_conditional"},
+    "next-reaction": KERNEL_NAMES | {"invert_conditional", "time_process"},
+    "next-to-fire": KERNEL_NAMES | {"invert_conditional"},
+    "direct": KERNEL_NAMES,
+    "hierarchical:direct=0-7;next-reaction=rest": KERNEL_NAMES | {"invert_conditional", "time_process"},
+}
+
+
+@pytest.mark.parametrize("sampler", USED_ON_RING)
+def test_benchmark_wrapped_names_stay_on_the_call_path(monkeypatch, sampler):
+    calls = dict.fromkeys((attr for _, attr in WRAPPED), 0)
+    for owner, attr in WRAPPED:
+        def counting(*args, _attr=attr, _fn=getattr(owner, attr), **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counting)
+    run_trajectory(build("ring", {"m": 16, "tokens": 2}), sampler, 5, EventCount(50))
+    assert [attr for attr in sorted(USED_ON_RING[sampler]) if not calls[attr]] == []

@@ -101,11 +101,43 @@ def test_sir_structure():
 def test_model_tables_computed_once_per_instance():
     model = build_sir(3)
     assert model.graph is model.graph and model.by_id is model.by_id
-    assert model.clock(4) is model.clocks[4]
-    with pytest.raises(ModelError):
-        model.clock(len(model.clocks))
+    assert model.by_id[4] is model.clocks[4]
     copy = dataclasses.replace(model)
     assert copy.graph is not model.graph and copy.graph == model.graph
+
+
+# Distinct HazardSpec objects a built-in model's rules may return: the
+# specs its builder makes, or one per entry of a table keyed by the state.
+SPEC_BOUNDS = {
+    "sir": lambda p: 2,
+    "rabbits": lambda p: len(p["portions"]) + 2,
+    "atomic-showcase": lambda p: 2,
+    "birth-death": lambda p: p["capacity"] + 1,
+    "ring": lambda p: p["m"] * p["tokens"],
+    "poisson": lambda p: 1,
+    "renewal": lambda p: 1,
+}
+
+
+@pytest.mark.parametrize("name,params", ALL_BUILTINS, ids=[m[0] for m in ALL_BUILTINS])
+def test_builtin_rules_share_outcomes(name, params):
+    model = build(name, params)
+    specs = {}  # id -> spec, holding each spec so that no id is reused
+
+    def sharing(rule):
+        def rule_twice(view, now):
+            out = rule(view, now)
+            again = rule(view, now)
+            if out is not DISABLED:
+                assert again.spec is out.spec
+                specs[id(out.spec)] = out.spec
+            return out
+        return rule_twice
+
+    clocks = tuple(dataclasses.replace(c, enabling=sharing(c.enabling)) for c in model.clocks)
+    run_trajectory(dataclasses.replace(model, clocks=clocks), "next-reaction", 8, EventCount(200))
+    assert specs
+    assert len(specs) <= SPEC_BOUNDS[name](model.params)
 
 
 def test_sir_two_individuals_second_infected_half_the_time():
@@ -129,7 +161,7 @@ def test_sir_weibull_recovery_anchored_at_infection_time():
     t_inf = infections[0].time
     view_counts = {"I_0": 1, "I_1": 1}
     out = evaluate_enabling(
-        model.clock(names["recover_1"]), StateView(view_counts, {"I_1": t_inf}), t_inf, DISABLED
+        model.by_id[names["recover_1"]], StateView(view_counts, {"I_1": t_inf}), t_inf, DISABLED
     )
     assert out == Enabled(HazardSpec(Weibull(2.0, 1.0)), t_inf)
 
