@@ -84,7 +84,11 @@ class Exponential:
 
 @dataclass(frozen=True)
 class Weibull:
-    """Weibull hazard; cumulative hazard (d / scale) ** shape."""
+    """Weibull hazard; cumulative hazard (d / scale) ** shape.
+
+    A power past the float range is INF, so an extreme shape saturates
+    instead of raising OverflowError.
+    """
 
     shape: float
     scale: float
@@ -103,17 +107,26 @@ class Weibull:
             if k == 1.0:
                 return 1.0 / self.scale
             return INF
-        return (k / self.scale) * (d / self.scale) ** (k - 1.0)
+        try:
+            return (k / self.scale) * (d / self.scale) ** (k - 1.0)
+        except OverflowError:
+            return INF
 
     def cumulative(self, d):
         if d <= 0.0:
             return 0.0
-        return (d / self.scale) ** self.shape
+        try:
+            return (d / self.scale) ** self.shape
+        except OverflowError:
+            return INF
 
     def inverse_cumulative(self, x):
         if x <= 0.0:
             return 0.0
-        return self.scale * x ** (1.0 / self.shape)
+        try:
+            return self.scale * x ** (1.0 / self.shape)
+        except OverflowError:
+            return INF
 
     def cumulative_limit(self):
         return INF
@@ -147,7 +160,7 @@ class Gamma:
                 return self.rate
             return INF
         x = self.rate * d
-        sf = _special.gammaincc(self.shape, x)
+        sf = float(_special.gammaincc(self.shape, x))
         if sf <= 0.0:
             return INF
         logpdf = (

@@ -246,11 +246,14 @@ class DirectSampler(_Sampler):
     """Sample the waiting-time factorization: when, then which clock.
 
     The total survival over all enabled clocks is inverted for the next
-    event time (closed form when every continuous part is constant-rate,
-    bracketed bisection otherwise, with atoms as exact breakpoints); if the
-    budget runs out at an atom, the owning clock jumps, otherwise a discrete
-    draw over the continuous hazards at the sampled time picks the clock via
-    find-by-prefix on the hazard tree.
+    event time, with atoms as exact breakpoints.  The inversion is closed
+    form when every continuous part is constant-rate; otherwise a segment's
+    upper bracket is an atom time, a support end, or found by doubling, and
+    `_crossing` solves inside it.  If the budget runs out at an atom, the
+    owning clock jumps; otherwise a discrete draw over the continuous
+    hazards at the sampled time picks the clock via find-by-prefix on the
+    hazard tree.  The tree holds only finite weights: a time-varying clock's
+    leaf is refreshed at the sampled time before every find.
     """
 
     name = "direct"
@@ -293,7 +296,9 @@ class DirectSampler(_Sampler):
             self._varying.add(cid)
         elif cont is not None:
             self._bump_crate(cont.rate)
-        self._tree.set(slot, spec.continuous_hazard(max(now - te, 0.0)))
+        # an infinite start (Weibull or gamma shape < 1) waits for the refresh in next_event
+        h = spec.continuous_hazard(max(now - te, 0.0))
+        self._tree.set(slot, h if h < INF else 0.0)
         if spec.atoms:
             self._atoms[cid] = [(te + a.offset, a.mass, cid) for a in spec.atoms]
 
@@ -326,30 +331,41 @@ class DirectSampler(_Sampler):
         return [self._enabled[cid] for cid in self._varying]
 
     @staticmethod
+    def _bases(varying, s_prev):
+        """Each varying clock's cumulative hazard at s_prev, in `varying` order."""
+        return [spec.cumulative_hazard(s_prev - te if s_prev > te else 0.0) for spec, te in varying]
+
+    @staticmethod
     def _g(varying, bases, crate, s_prev, t):
         """Total continuous consumption over (s_prev, t]."""
         g = crate * (t - s_prev)
-        for (spec, te), base in zip(varying, bases):
-            c = spec.cumulative_hazard(max(t - te, 0.0))
+        i = 0
+        for spec, te in varying:
+            c = spec.cumulative_hazard(t - te if t > te else 0.0)
             if c == INF:
                 return INF
-            g += c - base
+            g += c - bases[i]
+            i += 1
         return g
 
-    def _crossing(self, varying, bases, crate, s_prev, hi, budget):
-        """t in (s_prev, hi] where consumption hits budget.
+    def _crossing(self, varying, bases, crate, s_prev, hi, g_hi, budget):
+        """t in (s_prev, hi] where consumption hits budget; g_hi is the consumption at hi.
 
         Bisection until the upper bracket value is finite (it may start at a
         survival asymptote), then Brent's method to relative 1e-12 in time.
+        Brent opens by evaluating both bracket ends; those values are known
+        (at s_prev nothing is consumed, so f is -budget there), so every
+        consumption sum is evaluated at most once per time point.
         """
+        g = self._g
         lo = s_prev
         f_lo = -budget
-        f_hi = self._g(varying, bases, crate, s_prev, hi) - budget
+        f_hi = g_hi - budget
         for _ in range(_BISECT_MAXITER):
             if f_hi < INF:
                 break
             mid = 0.5 * (lo + hi)
-            f_mid = self._g(varying, bases, crate, s_prev, mid) - budget
+            f_mid = g(varying, bases, crate, s_prev, mid) - budget
             if f_mid >= 0.0:
                 hi = mid
                 f_hi = f_mid
@@ -360,28 +376,35 @@ class DirectSampler(_Sampler):
             return hi
         if f_lo >= 0.0:
             return lo
-        return float(_brentq(
-            lambda t: self._g(varying, bases, crate, s_prev, t) - budget,
-            lo, hi, xtol=1e-15, rtol=_BISECT_RTOL, maxiter=_BISECT_MAXITER,
-        ))
+
+        def f(t):
+            if t == lo:
+                return f_lo
+            if t == hi:
+                return f_hi
+            return g(varying, bases, crate, s_prev, t) - budget
+
+        return float(_brentq(f, lo, hi, xtol=1e-15, rtol=_BISECT_RTOL, maxiter=_BISECT_MAXITER))
 
     def _invert_waiting(self, now, budget):
-        """(absolute event time, atom owner cid | None); raises Stalled."""
+        """(absolute event time, atom owner cid | None); raises Stalled.
+
+        The time is INF when the budget outlasts the float range.
+        """
         upcoming = sorted(entry for entries in self._atoms.values() for entry in entries if entry[0] > now)
         varying = self._varying_items()
         crate = self._crate if varying else self._tree.total()
         s_prev = now
-        bases = None
         for at_time, mass, at_cid in upcoming:
             if not varying:
                 seg = crate * (at_time - s_prev)
                 if crate > 0.0 and budget <= seg:
                     return s_prev + budget / crate, None
             else:
-                bases = [spec.cumulative_hazard(max(s_prev - te, 0.0)) for spec, te in varying]
+                bases = self._bases(varying, s_prev)
                 seg = self._g(varying, bases, crate, s_prev, at_time)
                 if budget <= seg:
-                    return self._crossing(varying, bases, crate, s_prev, at_time, budget), None
+                    return self._crossing(varying, bases, crate, s_prev, at_time, seg, budget), None
             budget -= seg
             drop = INF if mass >= 1.0 else -math.log1p(-mass)
             if budget <= drop:
@@ -393,17 +416,18 @@ class DirectSampler(_Sampler):
             if crate <= 0.0:
                 raise Stalled("no hazard remains")
             return s_prev + budget / crate, None
-        bases = [spec.cumulative_hazard(max(s_prev - te, 0.0)) for spec, te in varying]
+        bases = self._bases(varying, s_prev)
         asym = INF
         for spec, te in varying:
             end = spec.support_end()
             if end < INF and s_prev < te + end < asym:
                 asym = te + end
         if asym < INF:
-            return self._crossing(varying, bases, crate, s_prev, asym, budget), None
+            g_asym = self._g(varying, bases, crate, s_prev, asym)
+            return self._crossing(varying, bases, crate, s_prev, asym, g_asym, budget), None
         if crate <= 0.0:
             limit = 0.0
-            for (spec, te), base in zip(varying, bases):
+            for (spec, _), base in zip(varying, bases):
                 top = spec.cumulative_limit()
                 if top == INF:
                     limit = INF
@@ -411,12 +435,15 @@ class DirectSampler(_Sampler):
                 limit += top - base
             if limit < budget:
                 raise Stalled("remaining hazard mass is insufficient")
+        # double the bracket until it holds the budget; past the float range, propose INF
         hi = s_prev + max(1.0, abs(s_prev) * 1e-6)
-        for _ in range(_BISECT_MAXITER):
-            if self._g(varying, bases, crate, s_prev, hi) >= budget:
-                break
+        g_hi = self._g(varying, bases, crate, s_prev, hi)
+        while g_hi < budget:
             hi = s_prev + 2.0 * (hi - s_prev)
-        return self._crossing(varying, bases, crate, s_prev, hi, budget), None
+            if hi == INF:
+                return INF, None
+            g_hi = self._g(varying, bases, crate, s_prev, hi)
+        return self._crossing(varying, bases, crate, s_prev, hi, g_hi, budget), None
 
     def next_event(self, now, stream):
         if not self._enabled:
@@ -426,10 +453,21 @@ class DirectSampler(_Sampler):
         t, atom_cid = self._invert_waiting(now, -math.log1p(-u1))
         if atom_cid is not None:
             return SamplerEvent(atom_cid, t)
+        if t == INF:
+            raise Stalled("waiting time beyond the float range")
         if self._varying:
+            enabled, slot, tree = self._enabled, self._slot, self._tree
+            surest = None  # smallest id whose hazard is infinite at t: it fires with certainty
             for cid in self._varying:
-                spec, te = self._enabled[cid]
-                self._tree.set(self._slot[cid], spec.continuous_hazard(max(t - te, 0.0)))
+                spec, te = enabled[cid]
+                h = spec.continuous_hazard(t - te if t > te else 0.0)
+                if h == INF:
+                    if surest is None or cid < surest:
+                        surest = cid
+                    h = 0.0
+                tree.set(slot[cid], h)
+            if surest is not None:
+                return SamplerEvent(surest, t)
         total = self._tree.total()
         if total > 0.0:
             slot = self._tree.find(u2 * total)

@@ -11,7 +11,7 @@ Whenever the heap holds more than 2*len(queue) + 16 entries it is rebuilt
 from the dict, so after every operation stale entries number at most
 len(queue) + 16.
 
-PrefixSumTree: Fenwick tree over nonnegative float weights with point
+PrefixSumTree: Fenwick tree over finite nonnegative float weights with point
 update, total, and find-by-prefix (smallest index whose inclusive prefix
 sum strictly exceeds the target -- zero-weight slots are never returned).
 Updates are deltas, so float error can drift; the tree is rebuilt from the
@@ -21,6 +21,7 @@ exact leaf array every `rebuild_every` updates to bound it.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import inf
 
 # Recorded by the benchmark with every result; records from different
 # backends are not compared.
@@ -122,8 +123,9 @@ class PrefixSumTree:
         self._ops = 0
 
     def set(self, index, value):
-        if value < 0.0:
-            raise ValueError(f"weights must be >= 0, got {value}")
+        if not 0.0 <= value < inf:
+            # a NaN or infinite weight would poison every prefix sum it enters
+            raise ValueError(f"weights must be finite and >= 0, got {value}")
         if index < 0:
             # Fenwick index 0 has no lowest set bit: the update loop would never end.
             raise IndexError(index)

@@ -97,6 +97,13 @@ def test_criterion_1_four_sampler_equivalence():
                                       (NextReactionSampler(), None)])),
         ("atomic-showcase", build("atomic-showcase", {}), EventCount(1),
          lambda: HierarchicalSampler([(DirectSampler(), {0}), (NextReactionSampler(), None)])),
+        # decreasing hazards, infinite at each recovery's enabling instant;
+        # the recoveries (ids 12-15) go to the direct child
+        ("sir4-weibull-decreasing", build("sir", {"n": 4, "infect": "exponential:1",
+                                                  "recover": "weibull:0.5,1"}),
+         StalledOnly(),
+         lambda: HierarchicalSampler([(DirectSampler(), set(range(12, 16))),
+                                      (NextReactionSampler(), None)])),
     ]
     target = 100_000
     all_ok = True

@@ -201,6 +201,8 @@ def test_gamma_inversion_against_closed_form():
         for x in [0.01, 0.5, 1.0, 3.0, 8.0]:
             expect = gammainccinv(shape, math.exp(-x)) / rate
             assert fam.inverse_cumulative(x) == pytest.approx(expect, rel=1e-9)
+            # a plain float, not numpy's: the direct sampler's tree takes it as a weight
+            assert type(fam.hazard(expect)) is float
 
 
 def test_flat_segment_inversion_returns_resuming_edge():

@@ -6,8 +6,11 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from clocksim import samplers
+from clocksim.clocks import ClockSpec, Enabled, JumpMark, SystemState
 from clocksim.errors import ModelError, Stalled, UnknownClock
 from clocksim.hazards import Atom, Exponential, HazardSpec, Weibull
+from clocksim.kernel import EventCount, run_trajectory
+from clocksim.models import Model, build, parse_hazard
 from clocksim.samplers import (
     SAMPLER_NAMES,
     DirectSampler,
@@ -319,6 +322,100 @@ def test_direct_weibull_waiting_time_matches_quadrature():
     expect = brentq(consumed, 0.0, 10.0, xtol=1e-13)
     assert ev.time == pytest.approx(expect, rel=1e-9)
     assert ev.clock == 0  # u2=0 picks the first positive-hazard slot
+
+
+def test_direct_bracket_search_reaches_the_float_range():
+    # Weibull shape 0.01 crosses budget 5 at 5**100 ~ 7.9e69, past 200 doublings (~1.6e60)
+    s = DirectSampler()
+    enable(s, {0: (HazardSpec(Weibull(0.01, 1.0)), 0.0)}, 0.0, FakeStream([]))
+    ev = s.next_event(0.0, FakeStream([u_for_budget(5.0), 0.5]))
+    assert ev.time == pytest.approx(5.0 ** 100, rel=1e-9)
+    s = DirectSampler()
+    enable(s, {0: (HazardSpec(Weibull(3.0, 1e300)), 0.0)}, 0.0, FakeStream([]))
+    ev = s.next_event(0.0, FakeStream([u_for_budget(1.0), 0.5]))
+    assert ev.time == pytest.approx(1e300, rel=1e-9)
+    # shape 0.001 needs 5**1000, beyond the float range: no finite time to propose
+    s = DirectSampler()
+    enable(s, {0: (HazardSpec(Weibull(0.001, 1.0)), 0.0)}, 0.0, FakeStream([]))
+    with pytest.raises(Stalled):
+        s.next_event(0.0, FakeStream([u_for_budget(5.0), 0.5]))
+
+
+def test_direct_infinite_hazard_at_the_sampled_time_fires():
+    # u1 = 0 samples t = now, where the Weibull clock's hazard is infinite:
+    # it fires with certainty, though the exponential clock has the smaller id
+    s = DirectSampler()
+    enable(s, {0: (EXP1, 0.0), 1: (HazardSpec(Weibull(0.5, 1.0)), 0.0)}, 0.0, FakeStream([]))
+    assert s.next_event(0.0, FakeStream([0.0, 0.0])) == (1, 0.0)
+
+
+def _renewal_pair(hazard):
+    """Two clocks, always enabled, each re-anchored at its own jumps."""
+    outcome = Enabled(parse_hazard(hazard))
+    clocks = tuple(
+        ClockSpec(id=i, enabling=lambda view, now, out=outcome: out, mark=JumpMark({f"n{i}": 1}),
+                  reads=frozenset(), name=f"renew_{i}")
+        for i in range(2)
+    )
+    return Model("renewal-pair", clocks, SystemState({}), {})
+
+
+@pytest.mark.parametrize("hazard", ["weibull:0.5,1", "gamma:0.5,1"])
+@pytest.mark.parametrize("sampler", ["direct", "hierarchical:direct=0-1"])
+def test_direct_race_with_infinite_starting_hazard(sampler, hazard):
+    # Both hazards are infinite at the enabling instant.  The first jump of
+    # each independent trajectory is a symmetric race, so clock 0 wins
+    # Binomial(n, 1/2) of them: mean 1000, sd 22.4; the bound is 4.5 sd.
+    model = _renewal_pair(hazard)
+    n = 2000
+    wins = sum(
+        run_trajectory(model, sampler, 4321, EventCount(1), stream_index=i).events[0].clock == 0
+        for i in range(n)
+    )
+    assert abs(wins - n / 2) <= 100, wins
+
+
+def test_direct_evaluates_each_consumption_sum_once(monkeypatch):
+    # One next_event never sweeps the enabled clocks twice at the same (s_prev, t).
+    seen, repeats, sweeps = set(), [], [0]
+    g = DirectSampler._g
+    next_event = DirectSampler.next_event
+
+    def once(varying, bases, crate, s_prev, t):
+        if (s_prev, t) in seen:
+            repeats.append((s_prev, t))
+        seen.add((s_prev, t))
+        sweeps[0] += 1
+        return g(varying, bases, crate, s_prev, t)
+
+    def fresh(self, now, stream):
+        seen.clear()
+        return next_event(self, now, stream)
+
+    monkeypatch.setattr(DirectSampler, "_g", staticmethod(once))
+    monkeypatch.setattr(DirectSampler, "next_event", fresh)
+    for name, params in (
+        ("sir", {"n": 6, "recover": "weibull:2,1@1.5,0.5", "infect": "exponential:2"}),
+        ("rabbits", {"m": 5, "food_rate": 10, "portions": "1;2"}),
+    ):
+        model = build(name, params)
+        events = sum(len(run_trajectory(model, "direct", 3, EventCount(300), stream_index=i).events)
+                     for i in range(10))
+        assert events > 100 and sweeps[0] > events
+        assert repeats == [], (name, repeats[:5])
+
+
+@pytest.mark.parametrize("sampler", [*SAMPLER_NAMES[:-1], "hierarchical:direct=0;next-reaction=rest"])
+def test_extreme_weibull_powers_stall_instead_of_raising(sampler):
+    # shape 0.001 puts about one draw in eight (budget > 2.03) past the float range
+    model = build("renewal", {"interarrival": "weibull:0.001,1"})
+    stalled = 0
+    for i in range(40):
+        events = run_trajectory(model, sampler, 99, EventCount(20), stream_index=i).events
+        times = [ev.time for ev in events]
+        assert times == sorted(times) and all(math.isfinite(t) for t in times)
+        stalled += len(events) < 20
+    assert stalled > 0
 
 
 # -- hierarchical -----------------------------------------------------------------

@@ -183,8 +183,12 @@ def test_tree_grows(backend):
 
 def test_tree_rejects_negative(backend):
     t = backend.PrefixSumTree()
-    with pytest.raises(ValueError):
-        t.set(0, -1.0)
+    t.set(1, 2.0)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            t.set(0, bad)
+    # a rejected weight leaves every prefix sum as it was
+    assert t.total() == 2.0 and t.find(1.0) == 1
 
 
 def test_tree_rejects_negative_index(backend):
