@@ -15,7 +15,6 @@ from .clocks import (
     JumpMark,
     StateView,
     SystemState,
-    apply_mark,
     evaluate_enabling,
 )
 from .errors import (

@@ -37,14 +37,6 @@ class SystemState:
         cleaned = {k: int(v) for k, v in self.counts.items() if int(v) != 0}
         object.__setattr__(self, "counts", cleaned)
 
-    def count(self, key: SubstateKey) -> int:
-        return self.counts.get(key, 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, SystemState):
-            return NotImplemented
-        return self.counts == other.counts
-
 
 @dataclass(frozen=True)
 class JumpMark:
@@ -138,13 +130,6 @@ def apply_mark_inplace(counts: dict, mark: JumpMark) -> None:
             counts.pop(key, None)
         else:
             counts[key] = new
-
-
-def apply_mark(state: SystemState, mark: JumpMark) -> SystemState:
-    """apply_mark_inplace on a copy of the state's counts."""
-    counts = dict(state.counts)
-    apply_mark_inplace(counts, mark)
-    return SystemState(counts)
 
 
 def evaluate_enabling(clock: ClockSpec, view: StateView, now: float, previously) -> object:

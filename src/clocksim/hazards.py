@@ -450,8 +450,6 @@ def invert_conditional(spec: HazardSpec, shift: float, required_log_survival: fl
     base = spec._cum(shift)
     if base == INF:
         return shift
-    if not spec.atoms or spec.atoms[-1].offset <= shift:
-        return max(spec._cum_inv(base + need), shift)
     atoms_acc = 0.0
     for a in spec.atoms:
         if a.offset <= shift:

@@ -292,19 +292,12 @@ def run_ensemble(model, sampler, base_seed, count, stop) -> list:
     return [run_trajectory(model, sampler, base_seed, stop, stream_index=i) for i in range(count)]
 
 
-def replay_states(model, trajectory):
-    """Yield (time, SystemState) after each event, validating counts."""
+def final_state(model, trajectory) -> SystemState:
+    """The state after the trajectory's last event; `trajectory` is a Trajectory or a TrajectoryFile."""
     counts = dict(trajectory.initial_state.counts)
     for ev in trajectory.events:
         apply_mark_inplace(counts, model.by_id[ev.clock].mark)
-        yield ev.time, SystemState(dict(counts))
-
-
-def final_state(model, trajectory) -> SystemState:
-    state = trajectory.initial_state
-    for _, state in replay_states(model, trajectory):
-        pass
-    return state
+    return SystemState(counts)
 
 
 # -- serialization -------------------------------------------------------
@@ -347,6 +340,14 @@ class TrajectoryFile:
     header: dict
     events: tuple
     path: str = ""
+
+    @property
+    def initial_state(self) -> SystemState:
+        """The header's initial state (empty when the header has none)."""
+        counts = dict(json.loads(self.header.get("initial_state", "{}")))
+        if not all(type(v) is int for v in counts.values()):
+            raise ModelError(f"initial_state counts must be integers: {counts}")
+        return SystemState(counts)
 
 
 def read_trajectory(fh, path="") -> TrajectoryFile:

@@ -370,36 +370,24 @@ def build_ring(m, rate=1.0, tokens=1) -> Model:
 
 # -- renewal processes ---------------------------------------------------------
 
+def _single_clock(model_name, spec, clock_name, params) -> Model:
+    """One always-enabled clock counting its firings in "n"."""
+    outcome = Enabled(spec)
+    clock = ClockSpec(id=0, enabling=lambda view, now, out=outcome: out, mark=JumpMark({"n": +1}),
+                      reads=frozenset(), name=clock_name)
+    return Model(model_name, (clock,), SystemState({}), params)
+
+
 def build_poisson(rate=1.0) -> Model:
     """Always-enabled exponential clock."""
     rate = _float("rate", rate, positive=True)
-    outcome = Enabled(HazardSpec(Exponential(rate)))
-    clocks = (
-        ClockSpec(
-            id=0,
-            enabling=lambda view, now, out=outcome: out,
-            mark=JumpMark({"n": +1}),
-            reads=frozenset(),
-            name="tick",
-        ),
-    )
-    return Model("poisson", clocks, SystemState({}), {"rate": rate})
+    return _single_clock("poisson", HazardSpec(Exponential(rate)), "tick", {"rate": rate})
 
 
 def build_renewal(interarrival="weibull:2,1") -> Model:
     """Renewal process: the clock re-anchors at each of its own jumps."""
     spec = parse_hazard(interarrival)
-    outcome = Enabled(spec)
-    clocks = (
-        ClockSpec(
-            id=0,
-            enabling=lambda view, now, out=outcome: out,
-            mark=JumpMark({"n": +1}),
-            reads=frozenset(),
-            name="renew",
-        ),
-    )
-    return Model("renewal", clocks, SystemState({}), {"interarrival": unparse_hazard(spec)})
+    return _single_clock("renewal", spec, "renew", {"interarrival": unparse_hazard(spec)})
 
 
 # -- registry -------------------------------------------------------------------

@@ -38,10 +38,8 @@ from scipy.optimize import brentq as _brentq
 
 from .errors import ModelError, Stalled, UnknownClock
 from .hazards import INF, Exponential, HazardSpec, invert_conditional, time_process
+from .hazards import _INVERT_MAXITER, _INVERT_RTOL
 from .structs import PrefixSumTree, PutativeQueue
-
-_BISECT_RTOL = 1e-12
-_BISECT_MAXITER = 200
 
 
 class SamplerEvent(NamedTuple):
@@ -361,7 +359,7 @@ class DirectSampler(_Sampler):
         lo = s_prev
         f_lo = -budget
         f_hi = g_hi - budget
-        for _ in range(_BISECT_MAXITER):
+        for _ in range(_INVERT_MAXITER):
             if f_hi < INF:
                 break
             mid = 0.5 * (lo + hi)
@@ -372,7 +370,7 @@ class DirectSampler(_Sampler):
             else:
                 lo = mid
                 f_lo = f_mid
-        if hi - lo <= _BISECT_RTOL * max(abs(hi), 1e-300):
+        if hi - lo <= _INVERT_RTOL * max(abs(hi), 1e-300):
             return hi
         if f_lo >= 0.0:
             return lo
@@ -384,7 +382,7 @@ class DirectSampler(_Sampler):
                 return f_hi
             return g(varying, bases, crate, s_prev, t) - budget
 
-        return float(_brentq(f, lo, hi, xtol=1e-15, rtol=_BISECT_RTOL, maxiter=_BISECT_MAXITER))
+        return float(_brentq(f, lo, hi, xtol=1e-15, rtol=_INVERT_RTOL, maxiter=_INVERT_MAXITER))
 
     def _invert_waiting(self, now, budget):
         """(absolute event time, atom owner cid | None); raises Stalled.

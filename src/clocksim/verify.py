@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy import stats as _stats
 from scipy.special import kolmogorov as _kolmogorov
 
-from .clocks import DISABLED, Enabled, StateView, SystemState, apply_mark
+from .clocks import DISABLED, Enabled, StateView, apply_mark_inplace
 from .errors import (
     DuplicateAtoms,
     ModelError,
@@ -25,6 +25,7 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .hazards import Exponential
+from .kernel import final_state
 
 
 @dataclass(frozen=True)
@@ -35,12 +36,9 @@ class StepFunction:
     values: np.ndarray
     initial: float = 0.0
 
-    def __call__(self, t):
+    def __call__(self, t: float) -> float:
         idx = np.searchsorted(self.times, t, side="right") - 1
-        if np.isscalar(idx) or idx.ndim == 0:
-            return self.initial if idx < 0 else float(self.values[idx])
-        out = np.where(idx < 0, self.initial, self.values[np.clip(idx, 0, None)])
-        return out
+        return self.initial if idx < 0 else float(self.values[idx])
 
     @property
     def final(self):
@@ -182,15 +180,16 @@ def ctmc_oracle(model, horizon, max_states=10_000, tail=1e-9):
                 rate = spec.continuous.rate
                 if rate <= 0.0:
                     continue
-                target = apply_mark(SystemState(dict(counts)), model.by_id[cid].mark)
-                key = _canonical(target.counts)
+                target = dict(counts)
+                apply_mark_inplace(target, model.by_id[cid].mark)
+                key = _canonical(target)
                 ti = index.get(key)
                 if ti is None:
                     ti = len(states)
                     if ti >= max_states:
                         raise StateSpaceTooLarge(f"more than {max_states} reachable states")
                     index[key] = ti
-                    states.append(dict(target.counts))
+                    states.append(target)
                     nxt.append(ti)
                 out.append((ti, rate))
             rows.append((si, out))
@@ -223,8 +222,6 @@ def ctmc_oracle(model, horizon, max_states=10_000, tail=1e-9):
 
 def occupancy_from_trajectories(model, trajectories):
     """Empirical final-state distribution {canonical state: fraction}."""
-    from .kernel import final_state
-
     counts = {}
     for traj in trajectories:
         key = _canonical(final_state(model, traj).counts)
@@ -260,39 +257,6 @@ def ks_two_sample(a, b):
     """Two-sample KS (asymptotic p), for pairwise sampler comparisons."""
     res = _stats.ks_2samp(a, b, method="asymp")
     return float(res.statistic), float(res.pvalue)
-
-
-def _merge_small(observed, expected, floor=5.0):
-    observed = list(observed)
-    expected = list(expected)
-    while len(expected) > 1 and min(expected) < floor:
-        i = int(np.argmin(expected))
-        js = [j for j in range(len(expected)) if j != i]
-        j = min(js, key=lambda j: expected[j])
-        expected[j] += expected[i]
-        observed[j] += observed[i]
-        del expected[i], observed[i]
-    return np.asarray(observed, dtype=float), np.asarray(expected, dtype=float)
-
-
-def chi_square(observed, expected_probs):
-    """Pearson chi-square against given cell probabilities.
-
-    Cells with expected count below 5 are merged (smallest with next
-    smallest) before computing the statistic; df = cells - 1.
-    """
-    observed = np.asarray(observed, dtype=float)
-    probs = np.asarray(expected_probs, dtype=float)
-    if len(observed) != len(probs) or len(observed) < 2:
-        raise ModelError("need matching observed/expected with >= 2 cells")
-    n = observed.sum()
-    expected = n * probs / probs.sum()
-    obs, exp = _merge_small(observed, expected)
-    if len(obs) < 2:
-        raise ModelError("insufficient data: all cells merged")
-    stat = float(((obs - exp) ** 2 / exp).sum())
-    p = float(_stats.chi2.sf(stat, len(obs) - 1))
-    return stat, p
 
 
 def chi_square_homogeneity(counts_a, counts_b):

@@ -4,8 +4,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from clocksim import models
-from clocksim.cli import RunSpec, cli
+from clocksim import models, verify
+from clocksim.cli import RunSpec, _suite_equivalence, cli
 
 
 @pytest.fixture
@@ -313,6 +313,18 @@ def test_summarize_truncated_file_exits_2(runner, tmp_path):
         assert result.exit_code == 2, (bad, result.output)
 
 
+def test_summarize_final_state_bad_initial_state_exits_2(runner, tmp_path):
+    out = tmp_path / "out"
+    runner.invoke(cli, ["run", "--model", "poisson", "--max-events", "3", "--output", str(out)])
+    text = (out / "traj_000000.tsv").read_text()
+    for value in ("5", '{"n": "x"}', '{"n": 1.5}', '{"n": true}', "not json"):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(text.replace("# initial_state: {}", f"# initial_state: {value}"))
+        result = runner.invoke(cli, ["summarize", "--observable", "final-state", str(bad)])
+        assert result.exit_code == 2, (value, result.output)
+        assert "cannot replay" in result.output
+
+
 def test_hierarchical_sampler_spec_accepted(runner, tmp_path):
     out = tmp_path / "out"
     result = runner.invoke(cli, [
@@ -348,3 +360,29 @@ def test_verify_distributions_suite_passes(runner):
     assert result.exit_code == 0, result.output
     assert "PASS" in result.output
     assert "FAIL" not in result.output
+
+
+def test_verify_oracle_suite_passes(runner):
+    result = runner.invoke(cli, ["verify", "oracle"])
+    assert result.exit_code == 0, result.output
+    assert [line.split()[-1] for line in result.output.strip().split("\n")] == ["PASS", "PASS"]
+
+
+def test_sampler_equivalence_compares_independent_samples(monkeypatch):
+    # first-reaction, next-reaction and next-to-fire draw one uniform per enabled
+    # clock in id order, so on one shared stream their first events coincide
+    # and every comparison passes whatever the samplers do
+    compared = []
+    ks_two_sample = verify.ks_two_sample
+
+    def capture(a, b):
+        compared.append((list(a), list(b)))
+        return ks_two_sample(a, b)
+
+    monkeypatch.setattr(verify, "ks_two_sample", capture)
+    rows = _suite_equivalence(n=2000)
+    reference = compared[0][0]
+    assert all(a == reference and b != reference for a, b in compared)
+    assert [label.split()[1].split(":")[0] for label, _, _ in rows] == [
+        "next-reaction", "next-to-fire", "direct", "hierarchical"]
+    assert len(compared) == 4 and all(ok for _, _, ok in rows), rows

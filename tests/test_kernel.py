@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from clocksim import graph, kernel, samplers
-from clocksim.clocks import DISABLED, UNCHANGED, ClockSpec, Enabled, JumpMark, SystemState
+from clocksim.clocks import DISABLED, UNCHANGED, ClockSpec, Enabled, JumpMark, SystemState, apply_mark_inplace
 from clocksim.errors import ConfigError, DuplicateAtoms, ModelError, Stalled
 from clocksim.hazards import Atom, Exponential, HazardSpec
 from clocksim.kernel import (
@@ -21,7 +21,6 @@ from clocksim.kernel import (
     final_state,
     model_hash,
     read_trajectory,
-    replay_states,
     run_ensemble,
     run_trajectory,
     write_trajectory,
@@ -115,11 +114,11 @@ def test_cache_audit_along_trajectory(sampler):
 def test_replay_reproduces_nonnegative_states():
     model = build("birth-death", {"birth": 1.0, "death": 1.0, "x0": 3, "capacity": 30})
     traj = run_trajectory(model, "direct", 77, EventCount(400))
-    seen = 0
-    for _, state in replay_states(model, traj):
-        assert all(v > 0 for v in state.counts.values())
-        seen += 1
-    assert seen == 400
+    counts = dict(model.initial_state.counts)
+    for ev in traj.events:
+        apply_mark_inplace(counts, model.by_id[ev.clock].mark)
+        assert all(v > 0 for v in counts.values())
+    assert len(traj.events) == 400
 
 
 def test_variates_counted():
@@ -141,6 +140,8 @@ def test_serialization_round_trip():
     assert int(tf.header["seed"]) == 31
     assert int(tf.header["events"]) == 50
     assert float(tf.header["final_time"]) == traj.final_time
+    assert tf.initial_state == model.initial_state
+    assert final_state(model, tf) == final_state(model, traj)
 
 
 def test_ensemble_matches_run_trajectory_and_order_invariant():

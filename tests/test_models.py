@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clocksim import graph as depgraph
-from clocksim.clocks import DISABLED, Enabled, StateView, UNCHANGED, evaluate_enabling
+from clocksim.clocks import DISABLED, Enabled, StateView, UNCHANGED, apply_mark_inplace, evaluate_enabling
 from clocksim.errors import ModelError
 from clocksim.hazards import Exponential, HazardSpec, Weibull
 from clocksim.kernel import (
@@ -13,7 +13,6 @@ from clocksim.kernel import (
     StalledOnly,
     final_state,
     model_hash,
-    replay_states,
     run_ensemble,
     run_trajectory,
 )
@@ -203,7 +202,10 @@ def test_rabbits_intermeal_times_are_weibull():
         gaps.append(t - prev)
         prev = t
     # food never ran out, so the clock was never disabled mid-interval
-    assert min(st.counts.get("food", 0) for _, st in replay_states(model, traj)) >= 1
+    counts = dict(model.initial_state.counts)
+    for ev in traj.events:
+        apply_mark_inplace(counts, model.by_id[ev.clock].mark)
+        assert counts.get("food", 0) >= 1
     cdf = lambda t: 1.0 - math.exp(-(t ** 2))
     stat, p = ks_statistic(gaps[:10_000], cdf)
     assert p > 0.01, (stat, p)
@@ -301,10 +303,14 @@ def test_rabbits_scarce_food_equivalence_multi_event():
     n = 1200
     depth = 8
     data = {}
-    for sampler in ("first-reaction", "next-reaction", "next-to-fire", "direct"):
+    # each sampler gets its own stream family, as in acceptance criterion 1.  The
+    # three comparisons share the first-reaction reference, so its noise enters all
+    # three; a reference four times the compared size keeps that share small
+    for seed, sampler in enumerate(("first-reaction", "next-reaction", "next-to-fire", "direct"), start=4096):
         finals = []
         marks = {}
-        for traj in run_ensemble(model, sampler, 4096, n, EventCount(depth)):
+        size = 4 * n if sampler == "first-reaction" else n
+        for traj in run_ensemble(model, sampler, seed, size, EventCount(depth)):
             assert len(traj.events) == depth
             finals.append(traj.events[-1].time)
             for ev in traj.events:
@@ -330,10 +336,11 @@ def test_first_event_equivalence_desk_scale(name, params):
     model = build(name, params)
     n = 1200
     data = {}
-    for sampler in ("first-reaction", "next-reaction", "next-to-fire", "direct"):
+    # each sampler gets its own stream family, as in acceptance criterion 1
+    for seed, sampler in enumerate(("first-reaction", "next-reaction", "next-to-fire", "direct"), start=81):
         times = []
         marks = {}
-        for traj in run_ensemble(model, sampler, 81, n, EventCount(1)):
+        for traj in run_ensemble(model, sampler, seed, n, EventCount(1)):
             if traj.events:
                 times.append(traj.events[0].time)
                 marks[traj.events[0].clock] = marks.get(traj.events[0].clock, 0) + 1

@@ -9,7 +9,7 @@ from clocksim import samplers
 from clocksim.clocks import ClockSpec, Enabled, JumpMark, SystemState
 from clocksim.errors import ModelError, Stalled, UnknownClock
 from clocksim.hazards import Atom, Exponential, HazardSpec, Weibull
-from clocksim.kernel import EventCount, run_trajectory
+from clocksim.kernel import EventCount, run_ensemble, run_trajectory
 from clocksim.models import Model, build, parse_hazard
 from clocksim.samplers import (
     SAMPLER_NAMES,
@@ -21,6 +21,7 @@ from clocksim.samplers import (
     NextToFireSampler,
     make_sampler,
 )
+from clocksim.verify import chi_square_homogeneity, ks_two_sample
 
 from conftest import FakeStream, enable
 
@@ -403,6 +404,48 @@ def test_direct_evaluates_each_consumption_sum_once(monkeypatch):
                      for i in range(10))
         assert events > 100 and sweeps[0] > events
         assert repeats == [], (name, repeats[:5])
+
+
+@pytest.mark.parametrize("name,params,direct_ids,seed", [
+    ("renewal", {"interarrival": "uniform:0.5,2"}, "0", 610),
+    ("renewal", {"interarrival": "uniform:0.5,2@1,0.3"}, "0", 620),
+    ("sir", {"n": 3, "recover": "uniform:0.2,1.5"}, "6-8", 630),
+], ids=["uniform", "uniform-atom", "sir-uniform-recovery"])
+def test_direct_finite_support_matches_first_reaction(name, params, direct_ids, seed):
+    # A uniform hazard's support ends where its cumulative hazard is infinite:
+    # direct brackets the waiting time at that end (or at an atom before it) and
+    # bisects until the upper value is finite.  Each sampler runs on its own
+    # stream family.
+    model = build(name, params)
+    hierarchical = f"hierarchical:direct={direct_ids};next-reaction=rest"
+    samples = {}
+    for i, sampler in enumerate(["first-reaction", "direct", hierarchical]):
+        last_times, marks = [], {}
+        for traj in run_ensemble(model, sampler, seed + i, 2000, EventCount(4)):
+            last_times.append(traj.events[-1].time)
+            for ev in traj.events:
+                marks[ev.clock] = marks.get(ev.clock, 0) + 1
+        samples[sampler] = (last_times, marks)
+    clocks = sorted({c for _, marks in samples.values() for c in marks})
+    ref_times, ref_marks = samples.pop("first-reaction")
+    for sampler, (last_times, marks) in samples.items():
+        _, p_ks = ks_two_sample(ref_times, last_times)
+        assert p_ks > 0.005, (sampler, p_ks)
+        if len(clocks) >= 2:
+            _, p_chi = chi_square_homogeneity([ref_marks.get(c, 0) for c in clocks],
+                                              [marks.get(c, 0) for c in clocks])
+            assert p_chi > 0.005, (sampler, p_chi)
+
+
+@pytest.mark.parametrize("sampler", ["direct", "hierarchical:direct=0;next-reaction=rest"])
+def test_direct_stalls_when_finite_hazard_mass_runs_out(sampler):
+    # Unit hazard on [0, 1), none after: total mass 1, so a trajectory stalls
+    # before its first event with probability exp(-1); the bound is 4.5 sd.
+    model = build("renewal", {"interarrival": "piecewise:0,1|1,0"})
+    n = 2000
+    stalled = sum(not traj.events for traj in run_ensemble(model, sampler, 640, n, EventCount(1)))
+    p = math.exp(-1.0)
+    assert abs(stalled - n * p) <= 4.5 * math.sqrt(n * p * (1.0 - p)), stalled
 
 
 @pytest.mark.parametrize("sampler", [*SAMPLER_NAMES[:-1], "hierarchical:direct=0;next-reaction=rest"])
