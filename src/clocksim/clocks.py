@@ -27,26 +27,40 @@ ClockId = int
 SubstateKey = str
 
 
-@dataclass(frozen=True)
+def _nonzero_integers(what, mapping) -> dict:
+    """`mapping` without its zero entries; ModelError naming the key for a
+    value that is not an integer (floats, strings and bools included; numpy
+    integers pass and become ints).  The keys are kept, not copied, so
+    builders can share one string per substate."""
+    cleaned = {}
+    for key, value in mapping.items():
+        if type(value) is not int:
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ModelError(f"{what} for {key!r} must be an integer, got {value!r}")
+            value = value.__index__()
+        if value:
+            cleaned[key] = value
+    return cleaned
+
+
+@dataclass(frozen=True, slots=True)
 class SystemState:
     """Sparse integer counts over substate keys; zero entries are absent."""
 
     counts: Mapping[SubstateKey, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        cleaned = {k: int(v) for k, v in self.counts.items() if int(v) != 0}
-        object.__setattr__(self, "counts", cleaned)
+        object.__setattr__(self, "counts", _nonzero_integers("count", self.counts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JumpMark:
     """Sparse integer increment applied to the state when a clock fires."""
 
     deltas: Mapping[SubstateKey, int]
 
     def __post_init__(self):
-        cleaned = {k: int(v) for k, v in self.deltas.items() if int(v) != 0}
-        object.__setattr__(self, "deltas", cleaned)
+        object.__setattr__(self, "deltas", _nonzero_integers("jump mark delta", self.deltas))
 
 
 class _Outcome(Enum):
@@ -65,7 +79,7 @@ DISABLED = _Outcome.DISABLED
 UNCHANGED = _Outcome.UNCHANGED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Enabled:
     """The clock can fire with the given hazard, measured from enabling_time.
 

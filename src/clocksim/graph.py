@@ -13,9 +13,10 @@ from .errors import ModelError
 
 
 def build(clocks) -> dict:
-    """Reverse index: substate -> frozenset of the ids of clocks reading it.
+    """Reverse index: substate -> tuple of the ids of clocks reading it, ascending.
 
-    Clock ids must be unique.
+    Clock ids must be unique.  Tuples of ints are smaller than frozensets
+    and, unlike them, are left out of the cyclic collector's lists.
     """
     ids = set()
     readers = {}
@@ -24,8 +25,8 @@ def build(clocks) -> dict:
             raise ModelError(f"duplicate clock id {clock.id}")
         ids.add(clock.id)
         for key in clock.reads:
-            readers.setdefault(key, set()).add(clock.id)
-    return {k: frozenset(v) for k, v in readers.items()}
+            readers.setdefault(key, []).append(clock.id)
+    return {k: tuple(sorted(v)) for k, v in readers.items()}
 
 
 def affected(readers: dict, clock) -> set:
@@ -35,9 +36,8 @@ def affected(readers: dict, clock) -> set:
     including the fired clock itself.
     """
     out = {clock.id}
-    empty = frozenset()
     for key in clock.mark.deltas:
-        out |= readers.get(key, empty)
+        out.update(readers.get(key, ()))
     return out
 
 

@@ -13,6 +13,12 @@ ModelError, and each builder checks every argument once: integers must be
 integral (``3``, ``3.0`` and ``"3"`` pass, ``3.7`` does not) and numbers
 finite.  The normalised values go into ``Model.params``.
 
+The builders with one clock per site or pair (ring, SIR, rabbits) make each
+substate key string once and share it across reads, marks and the initial
+state, and bind one rule function per build to a clock's keys with
+``functools.partial``: a clock then holds one collector-tracked callable
+rather than a function plus a defaults tuple.
+
 Hazard families (``hazards.FAMILIES``) are nameable as strings:
 ``family:p1,p2`` with the family's fields in declaration order and optional
 atoms appended as ``@offset,mass;offset,mass`` -- e.g. ``weibull:2,1``,
@@ -40,9 +46,9 @@ from .hazards import FAMILIES, Atom, Exponential, HazardSpec, Weibull
 class Model:
     """Immutable clocks over an initial state.
 
-    `graph` (substate -> frozenset of reader ids) and `by_id` are computed
-    once per instance and freed with it; ``dataclasses.replace`` returns a
-    new instance with fresh tables.
+    `graph` (substate -> ascending tuple of reader ids) and `by_id` are
+    computed once per instance and freed with it; ``dataclasses.replace``
+    returns a new instance with fresh tables.
     """
 
     name: str
@@ -147,47 +153,46 @@ def build_sir(n, infect="exponential:1", recover="exponential:1", initial_infect
     recover_spec = parse_hazard(recover)
     infect_on = Enabled(infect_spec)
     recover_on = Enabled(recover_spec)
+    inf = [f"I_{i}" for i in range(n)]
+    sus = [f"S_{i}" for i in range(n)]
+
+    def infect_rule(ii, sj, view, now):
+        if view.count(ii) == 1 and view.count(sj) == 1:
+            return infect_on
+        return DISABLED
+
+    def recover_rule(ii, view, now):
+        return recover_on if view.count(ii) == 1 else DISABLED
+
     clocks = []
     cid = 0
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            ii, sj = f"I_{i}", f"S_{j}"
-
-            def rule(view, now, ii=ii, sj=sj, out=infect_on):
-                if view.count(ii) == 1 and view.count(sj) == 1:
-                    return out
-                return DISABLED
-
             clocks.append(
                 ClockSpec(
                     id=cid,
-                    enabling=rule,
-                    mark=JumpMark({sj: -1, f"I_{j}": +1}),
-                    reads=frozenset({ii, sj}),
+                    enabling=functools.partial(infect_rule, inf[i], sus[j]),
+                    mark=JumpMark({sus[j]: -1, inf[j]: +1}),
+                    reads=frozenset({inf[i], sus[j]}),
                     name=f"infect_{i}_{j}",
                 )
             )
             cid += 1
     for i in range(n):
-        ii = f"I_{i}"
-
-        def rule(view, now, ii=ii, out=recover_on):
-            return out if view.count(ii) == 1 else DISABLED
-
         clocks.append(
             ClockSpec(
                 id=cid,
-                enabling=rule,
-                mark=JumpMark({ii: -1, f"R_{i}": +1}),
-                reads=frozenset({ii}),
+                enabling=functools.partial(recover_rule, inf[i]),
+                mark=JumpMark({inf[i]: -1, f"R_{i}": +1}),
+                reads=frozenset({inf[i]}),
                 name=f"recover_{i}",
             )
         )
         cid += 1
-    initial = {f"I_{i}": 1 for i in range(initial_infected)}
-    initial.update({f"S_{i}": 1 for i in range(initial_infected, n)})
+    initial = dict.fromkeys(inf[:initial_infected], 1)
+    initial.update(dict.fromkeys(sus[initial_infected:], 1))
     params = {
         "n": n,
         "initial_infected": initial_infected,
@@ -232,30 +237,32 @@ def build_rabbits(m, food_rate, portions=(1,), shape=2.0, initial_food=0) -> Mod
             name="food",
         )
     ]
+
+    def eat_rule(dk, meal_keys, view, now):
+        if view.count("food") < dk:
+            return DISABLED
+        last_t = 0.0
+        last_size = 1
+        for k2, key in enumerate(meal_keys):
+            if view.count(key) > 0:
+                t2 = view.changed_at(key)
+                if t2 >= last_t:
+                    last_t = t2
+                    last_size = portions[k2]
+        return Enabled(weibull(last_size), enabling_time=last_t)
+
     cid = 1
     for r in range(m):
+        # one reads set per rabbit, shared by its eating clocks
         meal_keys = tuple(f"meal_{r}_{k}" for k in range(len(portions)))
+        reads = frozenset({"food", *meal_keys})
         for k, dk in enumerate(portions):
-
-            def rule(view, now, dk=dk, meal_keys=meal_keys, portions=portions, weibull=weibull):
-                if view.count("food") < dk:
-                    return DISABLED
-                last_t = 0.0
-                last_size = 1
-                for k2, key in enumerate(meal_keys):
-                    if view.count(key) > 0:
-                        t2 = view.changed_at(key)
-                        if t2 >= last_t:
-                            last_t = t2
-                            last_size = portions[k2]
-                return Enabled(weibull(last_size), enabling_time=last_t)
-
             clocks.append(
                 ClockSpec(
                     id=cid,
-                    enabling=rule,
+                    enabling=functools.partial(eat_rule, dk, meal_keys),
                     mark=JumpMark({"food": -dk, meal_keys[k]: +1}),
-                    reads=frozenset({"food", *meal_keys}),
+                    reads=reads,
                     name=f"eat_{r}_{k}",
                 )
             )
@@ -346,24 +353,23 @@ def build_ring(m, rate=1.0, tokens=1) -> Model:
     # one outcome per count reached, made on first use: a site holds at
     # most the m * tokens tokens in the ring
     hop_on = functools.cache(lambda c: Enabled(HazardSpec(Exponential(rate * c))))
-    clocks = []
-    for i in range(m):
-        xi = f"x_{i}"
 
-        def rule(view, now, xi=xi, out=hop_on):
-            c = view.count(xi)
-            return out(c) if c >= 1 else DISABLED
+    def hop_rule(xi, view, now):
+        c = view.count(xi)
+        return hop_on(c) if c >= 1 else DISABLED
 
-        clocks.append(
-            ClockSpec(
-                id=i,
-                enabling=rule,
-                mark=JumpMark({xi: -1, f"x_{(i + 1) % m}": +1}),
-                reads=frozenset({xi}),
-                name=f"hop_{i}",
-            )
+    sites = [f"x_{i}" for i in range(m)]
+    clocks = [
+        ClockSpec(
+            id=i,
+            enabling=functools.partial(hop_rule, sites[i]),
+            mark=JumpMark({sites[i]: -1, sites[(i + 1) % m]: +1}),
+            reads=frozenset({sites[i]}),
+            name=f"hop_{i}",
         )
-    initial = {f"x_{i}": tokens for i in range(m)}
+        for i in range(m)
+    ]
+    initial = dict.fromkeys(sites, tokens)
     params = {"m": m, "rate": rate, "tokens": tokens}
     return Model("ring", tuple(clocks), SystemState(initial), params)
 

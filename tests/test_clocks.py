@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,19 @@ def test_zero_entries_removed_on_construction():
     assert SystemState({"a": 0, "b": 2}).counts == {"b": 2}
     assert JumpMark({"a": 0, "b": -1}).deltas == {"b": -1}
     assert JumpMark({"a": 1}).deltas == {"a": 1}
+
+
+@pytest.mark.parametrize("value", [0.5, 1.7, 2.0, "3", True, False, None])
+@pytest.mark.parametrize("make", [JumpMark, SystemState], ids=["JumpMark", "SystemState"])
+def test_non_integer_counts_rejected_naming_the_key(make, value):
+    with pytest.raises(ModelError, match="'x'"):
+        make({"a": 1, "x": value})
+
+
+def test_numpy_integer_counts_become_ints():
+    for make, attr in ((JumpMark, "deltas"), (SystemState, "counts")):
+        out = getattr(make({"a": np.int64(-2), "b": np.int32(0)}), attr)
+        assert out == {"a": -2} and type(out["a"]) is int
 
 
 _keys = ("a", "b", "c")

@@ -22,7 +22,7 @@ def test_sir_edges_match_hand_enumeration():
     assert clocks["recover_0"].reads == frozenset({"I_0"})
     assert clocks["recover_0"].mark.deltas.keys() == {"I_0", "R_0"}
     # reverse edges: readers of I_1 are infect_1_0 and recover_1
-    assert readers["I_1"] == frozenset({names["infect_1_0"], names["recover_1"]})
+    assert readers["I_1"] == (names["infect_1_0"], names["recover_1"])
     # infection 0->1 touches S_1 (read by nobody else) and I_1
     assert depgraph.affected(readers, clocks["infect_0_1"]) == {
         names["infect_0_1"], names["infect_1_0"], names["recover_1"],
@@ -41,7 +41,7 @@ def _clock(cid, reads, writes_delta, rate=1.0):
 def test_self_exciting_clock():
     clock = _clock(0, {"x"}, {"x": +1})
     readers = depgraph.build([clock])
-    assert readers["x"] == frozenset({0})
+    assert readers["x"] == (0,)
     assert depgraph.affected(readers, clock) == {0}
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -254,6 +255,42 @@ def test_ring_conserves_tokens():
     traj = run_trajectory(model, "direct", 5, EventCount(300))
     state = final_state(model, traj).counts
     assert sum(state.values()) == 12
+
+
+def _tracked_objects_after_build(build_model):
+    gc.collect()
+    before = len(gc.get_objects())
+    model = build_model()
+    model.graph, model.by_id
+    gc.collect()
+    return model, len(gc.get_objects()) - before
+
+
+def test_built_ring_footprint_per_clock():
+    # the difference between two sizes leaves out what a build makes once
+    small, small_count = _tracked_objects_after_build(lambda: build_ring(1024))
+    large, large_count = _tracked_objects_after_build(lambda: build_ring(2048))
+    assert (large_count - small_count) / 1024 <= 4
+    for readers in large.graph.values():
+        assert type(readers) is tuple and list(readers) == sorted(readers)
+
+
+def test_ring_clocks_share_key_strings():
+    model = build_ring(8)
+    initial = {k: k for k in model.initial_state.counts}
+    for clock in model.clocks:
+        (key,) = clock.reads
+        previous_writes = {k: k for k in model.clocks[clock.id - 1].mark.deltas}
+        assert key is initial[key] and key is previous_writes[key]
+
+
+def test_sir_clocks_share_key_strings():
+    model = build_sir(5, initial_infected=2)
+    keys = [*model.initial_state.counts]
+    for clock in model.clocks:
+        keys.extend(clock.reads)
+        keys.extend(clock.mark.deltas)
+    assert len({id(k) for k in keys}) == len(set(keys))
 
 
 @pytest.mark.parametrize("name,params", ALL_BUILTINS, ids=[m[0] for m in ALL_BUILTINS])
