@@ -16,6 +16,8 @@ total; then no spec is built per event.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping
@@ -134,6 +136,25 @@ class ClockSpec:
         object.__setattr__(self, "reads", frozenset(self.reads))
 
 
+@contextmanager
+def _collector_paused():
+    """Pause Python's cyclic collector while building long-lived tables.
+
+    A model build and an engine init allocate many containers that live as
+    long as the model or trajectory and form no reference cycles, so the
+    collector passes their allocation count would start find no garbage.
+    The previous `gc.isenabled()` is put back on every exit, exceptions
+    included; a collector the caller switched off stays off.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def apply_mark_inplace(counts: dict, mark: JumpMark) -> None:
     """Componentwise sum into `counts`; zero results removed; negative results rejected."""
     for key, delta in mark.deltas.items():
@@ -146,6 +167,14 @@ def apply_mark_inplace(counts: dict, mark: JumpMark) -> None:
             counts[key] = new
 
 
+# The last Enabled that evaluate_enabling resolved from an enabling_time of
+# None.  Consecutive resolutions with the same spec object and enabling time
+# share it, so a bulk enable (engine init, one SIR infection) makes one
+# outcome, not one per clock.  One immutable entry: bounded, safe to read
+# from any thread, and it holds a spec, never a clock.
+_last_resolved = None
+
+
 def evaluate_enabling(clock: ClockSpec, view: StateView, now: float, previously) -> object:
     """Resolve the clock's enabling against its previous outcome.
 
@@ -153,7 +182,8 @@ def evaluate_enabling(clock: ClockSpec, view: StateView, now: float, previously)
     when the functional form and enabling time are identical to `previously`.
     `previously` is DISABLED for a clock never queried (or just fired, whose
     draw was consumed: re-enabling is regenerative).  Raises ModelError if
-    the rule itself returns UNCHANGED.
+    the rule itself returns UNCHANGED.  Consecutive resolutions of one spec
+    object at one enabling time return one shared Enabled.
     """
     raw = clock.enabling(view, now)
     if raw is UNCHANGED:
@@ -173,4 +203,11 @@ def evaluate_enabling(clock: ClockSpec, view: StateView, now: float, previously)
     ):
         return UNCHANGED
     # an outcome with a concrete enabling time is already resolved: no copy
-    return raw if raw.enabling_time is not None else Enabled(raw.spec, te)
+    if raw.enabling_time is not None:
+        return raw
+    global _last_resolved
+    last = _last_resolved
+    # the same equality that makes an outcome UNCHANGED above
+    if last is None or last.spec is not raw.spec or last.enabling_time != te:
+        last = _last_resolved = Enabled(raw.spec, te)
+    return last

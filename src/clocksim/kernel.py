@@ -24,6 +24,7 @@ from .clocks import (
     UNCHANGED,
     StateView,
     SystemState,
+    _collector_paused,
     apply_mark_inplace,
     evaluate_enabling,
 )
@@ -134,13 +135,18 @@ class EndTime:
             raise ModelError(f"end time must be finite and >= 0, got {self.t}")
 
 
+def _positive_integer(what, value):
+    """ModelError unless `value` is an integer > 0; bools are rejected."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value <= 0:
+        raise ModelError(f"{what} must be an integer > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EventCount:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not hasattr(self.n, "__index__") or self.n <= 0:
-            raise ModelError(f"event count must be an integer > 0, got {self.n!r}")
+        _positive_integer("event count", self.n)
 
 
 @dataclass(frozen=True)
@@ -150,22 +156,31 @@ class StalledOnly:
 
 class Engine:
     """Mutable per-trajectory state: counts, hazard cache, sampler, and the table
-    of enabled clocks' future atom times, where a shared time raises DuplicateAtoms."""
+    of enabled clocks' future atom times, where a shared time raises DuplicateAtoms.
+
+    Construction runs with Python's cyclic collector paused: the first touch
+    of `model.graph` and `model.by_id`, the hazard cache, every enabling
+    rule's first evaluation and the sampler's initial `absorb` make tables
+    that live as long as the model or the engine and hold no cycles, so a
+    collector pass over them finds nothing.  The caller's collector setting
+    is restored afterwards, also when a rule or the sampler raises.
+    """
 
     def __init__(self, model, sampler, stream):
-        self.model = model
-        self._readers, self._by_id = model.graph, model.by_id
-        self.sampler = sampler
-        self.stream = stream
-        self.now = 0.0
-        self._counts = dict(model.initial_state.counts)
-        self._changed = {}
-        self._view = StateView(self._counts, self._changed)
-        self._cache = dict.fromkeys(self._by_id, DISABLED)
-        self._atoms = {}
-        delta = EnablingDelta()
-        self._resolve(sorted(self._by_id), 0.0, delta)
-        sampler.absorb(delta, 0.0, stream)
+        with _collector_paused():
+            self.model = model
+            self._readers, self._by_id = model.graph, model.by_id
+            self.sampler = sampler
+            self.stream = stream
+            self.now = 0.0
+            self._counts = dict(model.initial_state.counts)
+            self._changed = {}
+            self._view = StateView(self._counts, self._changed)
+            self._cache = dict.fromkeys(self._by_id, DISABLED)
+            self._atoms = {}
+            delta = EnablingDelta()
+            self._resolve(sorted(self._by_id), 0.0, delta)
+            sampler.absorb(delta, 0.0, stream)
 
     def state(self) -> SystemState:
         return SystemState(dict(self._counts))
@@ -252,6 +267,9 @@ def run_trajectory(model, sampler, seed, stop, stream_index=0) -> Trajectory:
     `sampler` is a name for :func:`clocksim.samplers.make_sampler` or an
     already-built sampler instance (exclusively owned by this call).
     """
+    if not isinstance(stop, (EndTime, EventCount, StalledOnly)):
+        # anything else would run until the model stalls, which some never do
+        raise ModelError(f"stop must be an EndTime, EventCount or StalledOnly, got {stop!r}")
     sampler_obj = make_sampler(sampler) if isinstance(sampler, str) else sampler
     sampler_name = sampler if isinstance(sampler, str) else getattr(sampler_obj, "name", "custom")
     stream = CountingStream(derived_generator(seed, stream_index))
@@ -287,8 +305,7 @@ def run_trajectory(model, sampler, seed, stop, stream_index=0) -> Trajectory:
 
 def run_ensemble(model, sampler, base_seed, count, stop) -> list:
     """Independent trajectories; trajectory i uses stream (base_seed, i)."""
-    if count < 1:
-        raise ModelError(f"count must be >= 1, got {count}")
+    _positive_integer("count", count)
     return [run_trajectory(model, sampler, base_seed, stop, stream_index=i) for i in range(count)]
 
 

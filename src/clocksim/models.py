@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Mapping
 
 from . import graph as depgraph
-from .clocks import DISABLED, ClockSpec, Enabled, JumpMark, SystemState
+from .clocks import DISABLED, ClockSpec, Enabled, JumpMark, SystemState, _collector_paused
 from .errors import ModelError
 from .hazards import FAMILIES, Atom, Exponential, HazardSpec, Weibull
 
@@ -417,6 +417,13 @@ def build(name, params=None) -> Model:
 
     params binds to the builder's signature; an unknown, missing or
     malformed parameter raises ModelError naming the model.
+
+    The builder runs with Python's cyclic collector paused: a model's
+    clocks, marks and keys live as long as the model and hold no cycles,
+    so the collector passes their allocation count would start find no
+    garbage.  Enabling rules are not called here; `Engine` evaluates them
+    first, inside its own pause.  The caller's collector setting is
+    restored afterwards, also when the builder raises.
     """
     if name not in MODEL_BUILDERS:
         raise ModelError(f"unknown model {name!r}; valid: {', '.join(sorted(MODEL_BUILDERS))}")
@@ -427,7 +434,8 @@ def build(name, params=None) -> Model:
         valid = ", ".join(signature.parameters) or "none"
         raise ModelError(f"model {name!r}: {exc}; parameters: {valid}") from None
     try:
-        # every builder parameter is positional-or-keyword
-        return MODEL_BUILDERS[name](**bound.arguments)
+        with _collector_paused():
+            # every builder parameter is positional-or-keyword
+            return MODEL_BUILDERS[name](**bound.arguments)
     except ModelError as exc:
         raise ModelError(f"model {name!r}: {exc}") from exc

@@ -111,13 +111,13 @@ class FirstReactionSampler(_Sampler):
     name = "first-reaction"
 
     def __init__(self):
-        self._enabled = {}
+        self._enabled = {}  # cid -> the delta's (cid, spec, te) entry
 
     def next_event(self, now, stream):
         best_t = INF
         best_cid = -1
         for cid in sorted(self._enabled):
-            spec, te = self._enabled[cid]
+            _, spec, te = self._enabled[cid]
             t = _conditional_draw(spec, te, now, math.log1p(-stream.uniform()))
             if t < best_t:
                 best_t = t
@@ -132,10 +132,10 @@ class FirstReactionSampler(_Sampler):
             del enabled[delta.fired]
         for cid in delta.newly_disabled:
             del enabled[cid]
-        for cid, spec, te in delta.modified:
-            enabled[cid] = (spec, te)
-        for cid, spec, te in delta.newly_enabled:
-            enabled[cid] = (spec, te)
+        for entry in delta.modified:
+            enabled[entry[0]] = entry
+        for entry in delta.newly_enabled:
+            enabled[entry[0]] = entry
 
 
 class _LedgerEntry:
@@ -257,7 +257,7 @@ class DirectSampler(_Sampler):
     name = "direct"
 
     def __init__(self):
-        self._enabled = {}
+        self._enabled = {}         # cid -> the delta's (cid, spec, te) entry
         self._tree = PrefixSumTree()
         self._slot = {}
         self._owner = {}
@@ -277,14 +277,15 @@ class DirectSampler(_Sampler):
             total = 0.0
             for other in self._enabled:
                 if other not in self._varying:
-                    cont = self._enabled[other][0].continuous
+                    cont = self._enabled[other][1].continuous
                     if cont is not None:
                         total += cont.rate
             self._crate = total
             self._crate_ops = 0
 
-    def _add(self, cid, spec, te, now):
-        self._enabled[cid] = (spec, te)
+    def _add(self, entry, now):
+        cid, spec, te = entry
+        self._enabled[cid] = entry
         # no free slot means slots 0..len-1 are all occupied
         slot = self._free.pop() if self._free else len(self._owner)
         self._slot[cid] = slot
@@ -301,7 +302,7 @@ class DirectSampler(_Sampler):
             self._atoms[cid] = [(te + a.offset, a.mass, cid) for a in spec.atoms]
 
     def _remove(self, cid):
-        spec = self._enabled.pop(cid)[0]
+        spec = self._enabled.pop(cid)[1]
         slot = self._slot.pop(cid)
         del self._owner[slot]
         self._tree.set(slot, 0.0)
@@ -317,11 +318,11 @@ class DirectSampler(_Sampler):
             self._remove(delta.fired)
         for cid in delta.newly_disabled:
             self._remove(cid)
-        for cid, spec, te in delta.modified:
-            self._remove(cid)
-            self._add(cid, spec, te, now)
-        for cid, spec, te in delta.newly_enabled:
-            self._add(cid, spec, te, now)
+        for entry in delta.modified:
+            self._remove(entry[0])
+            self._add(entry, now)
+        for entry in delta.newly_enabled:
+            self._add(entry, now)
 
     # -- waiting-time inversion ------------------------------------------
 
@@ -331,14 +332,14 @@ class DirectSampler(_Sampler):
     @staticmethod
     def _bases(varying, s_prev):
         """Each varying clock's cumulative hazard at s_prev, in `varying` order."""
-        return [spec.cumulative_hazard(s_prev - te if s_prev > te else 0.0) for spec, te in varying]
+        return [spec.cumulative_hazard(s_prev - te if s_prev > te else 0.0) for _, spec, te in varying]
 
     @staticmethod
     def _g(varying, bases, crate, s_prev, t):
         """Total continuous consumption over (s_prev, t]."""
         g = crate * (t - s_prev)
         i = 0
-        for spec, te in varying:
+        for _, spec, te in varying:
             c = spec.cumulative_hazard(t - te if t > te else 0.0)
             if c == INF:
                 return INF
@@ -416,7 +417,7 @@ class DirectSampler(_Sampler):
             return s_prev + budget / crate, None
         bases = self._bases(varying, s_prev)
         asym = INF
-        for spec, te in varying:
+        for _, spec, te in varying:
             end = spec.support_end()
             if end < INF and s_prev < te + end < asym:
                 asym = te + end
@@ -425,7 +426,7 @@ class DirectSampler(_Sampler):
             return self._crossing(varying, bases, crate, s_prev, asym, g_asym, budget), None
         if crate <= 0.0:
             limit = 0.0
-            for (spec, _), base in zip(varying, bases):
+            for (_, spec, _), base in zip(varying, bases):
                 top = spec.cumulative_limit()
                 if top == INF:
                     limit = INF
@@ -457,7 +458,7 @@ class DirectSampler(_Sampler):
             enabled, slot, tree = self._enabled, self._slot, self._tree
             surest = None  # smallest id whose hazard is infinite at t: it fires with certainty
             for cid in self._varying:
-                spec, te = enabled[cid]
+                _, spec, te = enabled[cid]
                 h = spec.continuous_hazard(t - te if t > te else 0.0)
                 if h == INF:
                     if surest is None or cid < surest:
@@ -475,7 +476,7 @@ class DirectSampler(_Sampler):
         # smallest-id clock with positive hazard just before t.
         t_left = math.nextafter(t, now)
         for cid in sorted(self._enabled):
-            spec, te = self._enabled[cid]
+            _, spec, te = self._enabled[cid]
             if spec.continuous_hazard(max(t_left - te, 0.0)) > 0.0:
                 return SamplerEvent(cid, t)
         raise Stalled("no hazard at sampled time")

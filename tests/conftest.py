@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -23,6 +24,15 @@ def enable(sampler, enabled, now, stream):
     kernel does: one delta listing every clock in newly_enabled, ascending id."""
     entries = [(cid, spec, te) for cid, (spec, te) in sorted(enabled.items())]
     sampler.absorb(EnablingDelta(newly_enabled=entries), now, stream)
+
+
+def tracked_objects_after_build(build):
+    """(build(), the number of collector-tracked objects it leaves alive)."""
+    gc.collect()
+    before = len(gc.get_objects())
+    built = build()
+    gc.collect()
+    return built, len(gc.get_objects()) - before
 
 
 def survival_quadrature(spec, t):

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import io
 import math
@@ -27,6 +28,7 @@ from clocksim.kernel import (
 )
 from clocksim.models import Model, build, build_atomic_showcase, build_poisson, build_sir
 from clocksim.samplers import make_sampler
+from conftest import tracked_objects_after_build
 
 SAMPLERS = ["first-reaction", "next-reaction", "next-to-fire", "direct"]
 
@@ -174,6 +176,12 @@ def test_stop_validation():
         EndTime(math.inf)
 
 
+def test_unknown_stop_is_rejected():
+    # sir n=2 stalls, so a stop taken for StalledOnly still returns
+    with pytest.raises(ModelError, match="EndTime, EventCount or StalledOnly"):
+        run_trajectory(build_sir(2), "direct", 0, 5)
+
+
 @pytest.mark.parametrize("make, error", [
     (lambda: derived_generator(-1, 0), ConfigError),
     (lambda: derived_generator(2**64, 0), ConfigError),
@@ -183,8 +191,11 @@ def test_stop_validation():
     (lambda: derived_generator(np.int64(5), np.uint64(0)), None),
     (lambda: EventCount(2.5), ModelError),
     (lambda: EventCount(True), ModelError),
+    (lambda: run_ensemble(build_sir(2), "direct", 0, True, StalledOnly()), ModelError),
+    (lambda: run_ensemble(build_sir(2), "direct", 0, 2.5, StalledOnly()), ModelError),
+    (lambda: run_ensemble(build_sir(2), "direct", 0, "3", StalledOnly()), ModelError),
 ], ids=["seed-negative", "seed-2**64", "index-negative", "seed-bool", "seed-float", "numpy-ints",
-        "events-float", "events-bool"])
+        "events-float", "events-bool", "ensemble-bool", "ensemble-float", "ensemble-string"])
 def test_seed_index_and_event_count_are_checked_not_wrapped(make, error):
     # seeds and stream indices are integers in [0, 2**64); integer-like numpy
     # scalars name the same stream as the equal int
@@ -344,11 +355,86 @@ def test_deltas_ascend_and_list_the_fired_clock_only_when_it_re_enables(name, sa
         assert (fired in enabled) == re_enabled
 
 
-def test_rule_returning_unchanged_is_rejected():
+def _unchanged_model():
     clock = ClockSpec(id=0, enabling=lambda view, now: UNCHANGED, mark=JumpMark({"n": 1}), reads=frozenset())
-    model = Model("unchanged", (clock,), SystemState({}))
+    return Model("unchanged", (clock,), SystemState({}))
+
+
+def test_rule_returning_unchanged_is_rejected():
     with pytest.raises(ModelError, match="UNCHANGED"):
-        Engine(model, make_sampler("next-reaction"), CountingStream(derived_generator(1, 0)))
+        Engine(_unchanged_model(), make_sampler("next-reaction"), CountingStream(derived_generator(1, 0)))
+
+
+@contextlib.contextmanager
+def _collector_passes():
+    """The generations of the collector passes that start inside the block,
+    which starts from an empty young generation."""
+    gc.collect()
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        yield passes
+    finally:
+        gc.callbacks.remove(count)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_build_and_engine_init_pause_the_collector(enabled):
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        with _collector_passes() as passes:
+            model = build("ring", {"m": 4096})
+        assert len(passes) <= 1 and gc.isenabled() is enabled
+        with _collector_passes() as passes:
+            Engine(model, make_sampler("next-reaction"), CountingStream(derived_generator(1, 0)))
+        assert len(passes) <= 1 and gc.isenabled() is enabled
+        with pytest.raises(ModelError):
+            build("ring", {"m": 1})
+        assert gc.isenabled() is enabled
+        with pytest.raises(ModelError, match="UNCHANGED"):
+            Engine(_unchanged_model(), make_sampler("next-reaction"), CountingStream(derived_generator(1, 0)))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_engine_init_footprint_per_enabled_clock(sampler):
+    def tracked_by_engine(m):
+        model = build("ring", {"m": m})
+        model.graph, model.by_id
+        stream = CountingStream(derived_generator(1, 0))
+        engine, count = tracked_objects_after_build(lambda: Engine(model, make_sampler(sampler), stream))
+        assert len(engine.sampler._enabled) == m
+        return count
+
+    # the difference between two sizes leaves out what an engine makes once;
+    # the outcome memo in evaluate_enabling may free a few objects left by
+    # an earlier model in either run, hence < 1.5 rather than <= 1
+    assert (tracked_by_engine(2048) - tracked_by_engine(1024)) / 1024 < 1.5
+
+
+def test_clocks_enabled_together_share_one_outcome():
+    model = build_sir(6, recover="exponential:0.01", infect="exponential:10")
+    engine = Engine(model, make_sampler("next-reaction"), CountingStream(derived_generator(2, 0)))
+    initial = [engine._cache[c.id] for c in model.clocks if c.name.startswith("infect_0_")]
+    assert len(initial) == 5 and all(out is initial[0] for out in initial)
+    fired, t = engine.step()
+    name = model.by_id[fired].name
+    assert name.startswith("infect_0_")
+    infected = name.split("_")[2]
+    enabled = [
+        engine._cache[c.id] for c in model.clocks
+        if c.name.startswith(f"infect_{infected}_") and engine._cache[c.id] is not DISABLED
+    ]
+    assert len(enabled) == 4 and enabled[0].enabling_time == t
+    assert all(out is enabled[0] for out in enabled)
 
 
 # The benchmark's per-layer metrics wrap these names where the program looks

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import math
 
 import numpy as np
@@ -27,6 +26,7 @@ from clocksim.models import (
     unparse_hazard,
 )
 from clocksim.verify import ks_statistic
+from conftest import tracked_objects_after_build
 
 ALL_BUILTINS = [
     ("sir", {"n": 3, "initial_infected": 1, "recover": "weibull:2,1"}),
@@ -257,19 +257,16 @@ def test_ring_conserves_tokens():
     assert sum(state.values()) == 12
 
 
-def _tracked_objects_after_build(build_model):
-    gc.collect()
-    before = len(gc.get_objects())
-    model = build_model()
+def _ring_with_tables(m):
+    model = build_ring(m)
     model.graph, model.by_id
-    gc.collect()
-    return model, len(gc.get_objects()) - before
+    return model
 
 
 def test_built_ring_footprint_per_clock():
     # the difference between two sizes leaves out what a build makes once
-    small, small_count = _tracked_objects_after_build(lambda: build_ring(1024))
-    large, large_count = _tracked_objects_after_build(lambda: build_ring(2048))
+    small, small_count = tracked_objects_after_build(lambda: _ring_with_tables(1024))
+    large, large_count = tracked_objects_after_build(lambda: _ring_with_tables(2048))
     assert (large_count - small_count) / 1024 <= 4
     for readers in large.graph.values():
         assert type(readers) is tuple and list(readers) == sorted(readers)
