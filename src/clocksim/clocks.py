@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Callable, Mapping
 
 from .errors import ModelError, NegativeSubstate
-from .hazards import HazardSpec
+from .hazards import INF, HazardSpec
 
 ClockId = int
 SubstateKey = str
@@ -194,8 +194,9 @@ def evaluate_enabling(clock: ClockSpec, view: StateView, now: float, previously)
     te = raw.enabling_time
     if te is None:
         te = previously.enabling_time if was_enabled else now
-    if te > now:
-        raise ModelError(f"clock {clock.id}: enabling time {te} is in the future (now={now})")
+    if not -INF < te <= now:
+        # NaN and -inf fail too: every sampler needs a finite anchor
+        raise ModelError(f"clock {clock.id}: enabling time {te} is not finite, or is in the future (now={now})")
     if (
         was_enabled
         and previously.enabling_time == te

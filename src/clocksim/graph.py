@@ -39,12 +39,3 @@ def affected(readers: dict, clock) -> set:
     for key in clock.mark.deltas:
         out.update(readers.get(key, ()))
     return out
-
-
-def export_edges(clocks) -> str:
-    """Debug dump: one `clock-id TAB substate TAB read|write` line per edge."""
-    lines = []
-    for clock in sorted(clocks, key=lambda c: c.id):
-        lines.extend(f"{clock.id}\t{key}\tread" for key in sorted(clock.reads))
-        lines.extend(f"{clock.id}\t{key}\twrite" for key in sorted(clock.mark.deltas))
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -252,6 +252,8 @@ class PiecewiseConstant:
             raise ValueError("breakpoints and rates must have equal nonzero length")
         if bp[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
+        if not all(math.isfinite(b) for b in bp):
+            raise ValueError("breakpoints must be finite")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if any(r < 0.0 or not math.isfinite(r) for r in rs):

@@ -182,9 +182,6 @@ class Engine:
             self._resolve(sorted(self._by_id), 0.0, delta)
             sampler.absorb(delta, 0.0, stream)
 
-    def state(self) -> SystemState:
-        return SystemState(dict(self._counts))
-
     def _drop_atoms(self, cid, prev):
         """Remove the atom table entries `cid` holds under its cached outcome `prev`."""
         if prev is not DISABLED:
@@ -384,6 +381,9 @@ def read_trajectory(fh, path="") -> TrajectoryFile:
         if len(parts) != 3:
             raise ModelError(f"malformed event line: {line!r}")
         events.append(EventRecord(seq=int(parts[0]), time=float(parts[1]), clock=int(parts[2])))
+    times = [ev.time for ev in events]
+    if not all(0.0 <= t < INF for t in times) or any(b <= a for a, b in zip(times, times[1:])):
+        raise ModelError("event times must be finite, >= 0 and strictly increasing")
     if "events" in header:
         # a truncated or spliced file: the header's count or the seq column disagrees
         if header["events"] != str(len(events)):

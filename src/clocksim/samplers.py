@@ -115,14 +115,14 @@ class FirstReactionSampler(_Sampler):
 
     def next_event(self, now, stream):
         best_t = INF
-        best_cid = -1
+        best_cid = None
         for cid in sorted(self._enabled):
             _, spec, te = self._enabled[cid]
             t = _conditional_draw(spec, te, now, math.log1p(-stream.uniform()))
             if t < best_t:
                 best_t = t
                 best_cid = cid
-        if best_cid < 0 or best_t == INF:
+        if best_t == INF:
             raise Stalled("all putative times are infinite")
         return SamplerEvent(best_cid, best_t)
 
@@ -170,16 +170,14 @@ class NextReactionSampler(_QueueSampler):
     spec changes (consumption accrues under the old spec, then the remaining
     budget is re-inverted under the new one).  Only the jumping clock's draw
     is removed and resampled.  `_entries` keeps the budgets of queued
-    clocks and the frozen budgets of disabled ones.  Set record_audit=True
-    to log (cid, consumed, budget, at_atom) at every jump.
+    clocks and the frozen budgets of disabled ones.
     """
 
     name = "next-reaction"
 
-    def __init__(self, record_audit=False):
+    def __init__(self):
         super().__init__()
         self._entries = {}
-        self.audit_log = [] if record_audit else None
 
     @staticmethod
     def _reinvert(e, now):
@@ -197,11 +195,7 @@ class NextReactionSampler(_QueueSampler):
         entries, queue = self._entries, self._queue
         fired = delta.fired
         if fired is not None:
-            e = entries.pop(fired)
-            if self.audit_log is not None:
-                self._accrue(e, now)
-                at_atom = any(e.te + a.offset == now for a in e.spec.atoms)
-                self.audit_log.append((fired, e.consumed, -e.drawn, at_atom))
+            del entries[fired]
             queue.delete(fired)
         for cid in delta.newly_disabled:
             self._accrue(entries[cid], now)

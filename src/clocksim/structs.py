@@ -7,15 +7,15 @@ order is deterministic.  It is a binary heap of (time, cid) tuples on
 only outside the queue) is the source of truth, and a heap entry is live
 only while its time equals that dict's entry.  `delete` drops the dict
 entry, `update` pushes a new entry, and `peek`/`pop` discard stale tops.
-Whenever the heap holds more than 2*len(queue) + 16 entries it is rebuilt
+Whenever the heap holds more than 2*len(times) + 16 entries it is rebuilt
 from the dict, so after every operation stale entries number at most
-len(queue) + 16.
+len(times) + 16.
 
 PrefixSumTree: Fenwick tree over finite nonnegative float weights with point
 update, total, and find-by-prefix (smallest index whose inclusive prefix
 sum strictly exceeds the target -- zero-weight slots are never returned).
 Updates are deltas, so float error can drift; the tree is rebuilt from the
-exact leaf array every `rebuild_every` updates to bound it.
+exact leaf array every 4096 updates to bound it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ BACKEND = "python"
 
 __all__ = ["PrefixSumTree", "PutativeQueue", "BACKEND"]
 
+_TREE_START = 16        # leaves allocated up front; the tree doubles as ids grow
+_REBUILD_EVERY = 4096   # point updates between rebuilds from the exact leaves
+
 
 class PutativeQueue:
     """Indexed min-priority queue over clock putative times."""
@@ -36,12 +39,6 @@ class PutativeQueue:
     def __init__(self):
         self._heap = []
         self.times = {}
-
-    def __len__(self):
-        return len(self.times)
-
-    def __contains__(self, cid):
-        return cid in self.times
 
     def _compact(self):
         heap = self._heap
@@ -92,14 +89,10 @@ class PutativeQueue:
 class PrefixSumTree:
     """Fenwick tree over clock hazard weights with find-by-prefix."""
 
-    def __init__(self, capacity=16, rebuild_every=4096):
-        n = 1
-        while n < max(capacity, 1):
-            n *= 2
-        self._n = n
-        self._leaves = [0.0] * n
-        self._tree = [0.0] * (n + 1)
-        self._rebuild_every = rebuild_every
+    def __init__(self):
+        self._n = _TREE_START
+        self._leaves = [0.0] * _TREE_START
+        self._tree = [0.0] * (_TREE_START + 1)
         self._ops = 0
 
     def _grow(self, needed):
@@ -142,7 +135,7 @@ class PrefixSumTree:
             tree[j] += delta
             j += j & -j
         self._ops += 1
-        if self._ops >= self._rebuild_every:
+        if self._ops >= _REBUILD_EVERY:
             self.rebuild()
 
     def prefix(self, index):

@@ -4,7 +4,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from clocksim.samplers import EnablingDelta
+from clocksim.samplers import EnablingDelta, NextReactionSampler
 
 
 class FakeStream:
@@ -17,6 +17,27 @@ class FakeStream:
     def uniform(self):
         self.count += 1
         return self.values.pop(0)
+
+
+class AuditedNextReaction(NextReactionSampler):
+    """Next-reaction that logs (cid, consumed, budget, at_atom) at every jump.
+
+    The fired clock's ledger entry accrues its consumption up to the jump
+    time before the base sampler drops it; budget is the drawn -log survival.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.audit_log = []
+
+    def _apply(self, delta, now, stream):
+        fired = delta.fired
+        if fired is not None:
+            e = self._entries[fired]
+            self._accrue(e, now)
+            at_atom = any(e.te + a.offset == now for a in e.spec.atoms)
+            self.audit_log.append((fired, e.consumed, -e.drawn, at_atom))
+        super()._apply(delta, now, stream)
 
 
 def enable(sampler, enabled, now, stream):

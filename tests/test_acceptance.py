@@ -43,6 +43,8 @@ from clocksim.verify import (
     total_variation,
 )
 
+from conftest import AuditedNextReaction
+
 LN2 = math.log(2.0)
 
 
@@ -206,7 +208,7 @@ def test_criterion_5_next_reaction_budget_conservation():
     started = time.perf_counter()
     # birth-death modifies the death rate at every jump while x > 0
     model = build("birth-death", {"birth": 1.0, "death": 1.0, "x0": 1, "capacity": 1000})
-    sampler = NextReactionSampler(record_audit=True)
+    sampler = AuditedNextReaction()
     run_trajectory(model, sampler, 31337, EventCount(10_000))
     records = sampler.audit_log
     assert len(records) == 10_000
@@ -223,7 +225,7 @@ def test_criterion_5_next_reaction_budget_conservation():
     showcase = build("atomic-showcase", {})
     atom_hits = 0
     for i in range(2000):
-        s = NextReactionSampler(record_audit=True)
+        s = AuditedNextReaction()
         traj = run_trajectory(showcase, s, 515, StalledOnly(), stream_index=i)
         for cid, consumed, budget, at_atom in s.audit_log:
             if cid == 1:
@@ -258,7 +260,7 @@ def test_criterion_6_data_structure_oracles():
     tree_checks = 0
     for _ in range(1000):
         n = int(rng.integers(1, 50))
-        tree = PrefixSumTree(capacity=n)
+        tree = PrefixSumTree()
         leaves = [0.0] * n
         for _ in range(int(rng.integers(1, 40))):
             i = int(rng.integers(0, n))

@@ -126,6 +126,16 @@ def test_unknown_model_and_bad_param_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("interarrival", ["piecewise:0,nan|1,2", "piecewise:0,inf|1,2"])
+def test_non_finite_piecewise_breakpoint_exits_2(runner, tmp_path, interarrival):
+    result = runner.invoke(cli, [
+        "run", "--model", "renewal", "--param", f"interarrival={interarrival}",
+        "--max-events", "3", "--output", str(tmp_path / "x"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "breakpoints must be finite" in result.output
+
+
 def test_unknown_param_exits_2(runner, tmp_path):
     result = runner.invoke(cli, [
         "run", "--model", "sir", "--param", "n=3", "--param", "initial_infectd=2",
@@ -311,6 +321,21 @@ def test_summarize_truncated_file_exits_2(runner, tmp_path):
     for bad in (truncated, spliced):
         result = runner.invoke(cli, ["summarize", "--observable", "event-count", str(bad)])
         assert result.exit_code == 2, (bad, result.output)
+
+
+@pytest.mark.parametrize("times", [
+    ("1.0", "0.5", "nan"), ("1.0", "1.0", "2.0"), ("-1.0", "1.0", "2.0"), ("1.0", "2.0", "inf"),
+], ids=["backwards-then-nan", "repeated", "negative", "infinite"])
+def test_summarize_bad_event_times_exits_2(runner, tmp_path, times):
+    out = tmp_path / "out"
+    runner.invoke(cli, ["run", "--model", "poisson", "--max-events", "3", "--output", str(out)])
+    lines = (out / "traj_000000.tsv").read_text().splitlines(keepends=True)
+    header = [line for line in lines if line.startswith("#")]
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("".join(header) + "".join(f"{i}\t{t}\t0\n" for i, t in enumerate(times)))
+    result = runner.invoke(cli, ["summarize", "--observable", "interarrival", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert "event times must be finite, >= 0 and strictly increasing" in result.output
 
 
 def test_summarize_final_state_bad_initial_state_exits_2(runner, tmp_path):

@@ -74,13 +74,6 @@ def test_duplicate_ids_rejected():
         depgraph.build([a, b])
 
 
-def test_export_edges_format():
-    a = _clock(1, {"x", "y"}, {"x": -1})
-    text = depgraph.export_edges([a])
-    lines = text.strip().split("\n")
-    assert lines == ["1\tx\tread", "1\ty\tread", "1\tx\twrite"]
-
-
 def test_soundness_unaffected_clocks_unchanged_under_fuzz():
     """Clocks outside affected(fired) must see an unchanged enabling after
     the fired clock's mark is applied, for random states."""

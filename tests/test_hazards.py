@@ -265,6 +265,9 @@ def test_validation_errors():
         UniformInterval(2.0, 1.0)
     with pytest.raises(ValueError):
         PiecewiseConstant((1.0, 2.0), (1.0, 1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            PiecewiseConstant((0.0, bad), (1.0, 2.0))
     with pytest.raises(ValueError):
         invert_conditional(HazardSpec(Exponential(1.0)), 0.0, 0.5)
     with pytest.raises(ValueError):

@@ -92,7 +92,7 @@ def test_sir_infection_step_enables_recoveries():
     fired, t = engine.step()
     clock = model.by_id[fired]
     if clock.name.startswith("infect"):
-        assert engine.state().counts == {"I_0": 1, "I_1": 1}
+        assert engine._counts == {"I_0": 1, "I_1": 1}
         # recovery of individual 1 now enabled, anchored at the infection time
         names = {c.name: c.id for c in model.clocks}
         cached = engine._cache[names["recover_1"]]
@@ -247,6 +247,32 @@ def test_fired_clock_anchored_in_the_future_is_rejected():
     engine = Engine(model, make_sampler("next-reaction"), CountingStream(derived_generator(1, 0)))
     with pytest.raises(ModelError, match="in the future"):
         engine.step()
+
+
+FIVE_SAMPLERS = [*SAMPLERS, "hierarchical:first-reaction=rest"]
+
+
+def _one_clock_model(cid, enabling_time=None):
+    spec = HazardSpec(Exponential(1.0))
+    clock = ClockSpec(id=cid, enabling=lambda view, now: Enabled(spec, enabling_time),
+                      mark=JumpMark({"n": 1}), reads=frozenset())
+    return Model("one-clock", (clock,), SystemState({}))
+
+
+@pytest.mark.parametrize("sampler", FIVE_SAMPLERS)
+def test_negative_clock_id_fires_like_any_other(sampler):
+    # a clock id is any integer; none of them means "no clock"
+    events = run_trajectory(_one_clock_model(-1), sampler, 1, EventCount(3)).events
+    same = run_trajectory(_one_clock_model(0), sampler, 1, EventCount(3)).events
+    assert [ev.clock for ev in events] == [-1, -1, -1]
+    assert [ev.time for ev in events] == [ev.time for ev in same]
+
+
+@pytest.mark.parametrize("te", [math.nan, -math.inf])
+@pytest.mark.parametrize("sampler", FIVE_SAMPLERS)
+def test_non_finite_enabling_time_is_rejected(sampler, te):
+    with pytest.raises(ModelError, match=f"clock 0: enabling time {te} is not finite"):
+        run_trajectory(_one_clock_model(0, te), sampler, 1, EventCount(3))
 
 
 def _atoms_at(*offsets, mass=0.5):

@@ -6,24 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import clocksim.structs as structs
-
-
-# One parameter: test ids carry the backend name that `structs.BACKEND` reports.
-@pytest.fixture(params=[structs], ids=[structs.BACKEND])
-def backend(request):
-    return request.param
+from clocksim.structs import PrefixSumTree, PutativeQueue
 
 
 # -- putative queue ----------------------------------------------------------
 
-def test_queue_basic(backend):
-    q = backend.PutativeQueue()
+def test_queue_basic():
+    q = PutativeQueue()
     q.insert(3, 2.0)
     q.insert(1, 5.0)
     q.insert(2, 1.0)
-    assert len(q) == 3
-    assert 2 in q and 7 not in q
+    assert q.times == {3: 2.0, 1: 5.0, 2: 1.0}
     assert q.peek() == (2, 1.0)
     assert q.pop() == (2, 1.0)
     assert q.pop() == (3, 2.0)
@@ -33,15 +26,15 @@ def test_queue_basic(backend):
         q.pop()
 
 
-def test_queue_tie_breaks_toward_smaller_id(backend):
-    q = backend.PutativeQueue()
+def test_queue_tie_breaks_toward_smaller_id():
+    q = PutativeQueue()
     for cid in (5, 1, 3):
         q.insert(cid, 7.0)
     assert [q.pop()[0] for _ in range(3)] == [1, 3, 5]
 
 
-def test_queue_update_and_delete(backend):
-    q = backend.PutativeQueue()
+def test_queue_update_and_delete():
+    q = PutativeQueue()
     for cid in range(6):
         q.insert(cid, 10.0 + cid)
     q.update(5, 0.5)           # decrease
@@ -54,17 +47,17 @@ def test_queue_update_and_delete(backend):
     assert order == [(5, 0.5), (1, 11.0), (4, 14.0), (0, 99.0), (3, math.inf)]
 
 
-def test_queue_duplicate_insert_rejected(backend):
-    q = backend.PutativeQueue()
+def test_queue_duplicate_insert_rejected():
+    q = PutativeQueue()
     q.insert(1, 1.0)
     with pytest.raises(KeyError):
         q.insert(1, 2.0)
 
 
-def test_queue_random_workloads_match_sort(backend):
+def test_queue_random_workloads_match_sort():
     rng = np.random.default_rng(7)
     for _ in range(300):
-        q = backend.PutativeQueue()
+        q = PutativeQueue()
         live = {}
         next_id = 0
         for _ in range(rng.integers(5, 60)):
@@ -83,7 +76,7 @@ def test_queue_random_workloads_match_sort(backend):
                 cid = int(rng.choice(list(live)))
                 q.delete(cid)
                 del live[cid]
-        assert len(q) == len(live) and all(cid in q for cid in live)
+        assert q.times == live
         got = [q.pop() for _ in range(len(live))]
         assert got == sorted(live.items(), key=lambda kv: (kv[1], kv[0]))
 
@@ -100,7 +93,7 @@ def test_queue_random_workloads_match_sort(backend):
 )
 @settings(max_examples=150, deadline=None)
 def test_queue_model_property(ops):
-    q = structs.PutativeQueue()
+    q = PutativeQueue()
     model = {}
     for op, cid, t in ops:
         if op == "insert" and cid not in model:
@@ -117,14 +110,14 @@ def test_queue_model_property(ops):
             want = min(model.items(), key=lambda kv: (kv[1], kv[0]))
             assert got == (want[0], want[1])
             del model[got[0]]
-    assert len(q) == len(model) and all(cid in q for cid in model)
+    assert q.times == model
 
 
 def test_queue_churn_keeps_heap_bounded():
     """Many updates and deletes over a few clocks: stale heap entries stay
     bounded by the live count and the pop order still matches the sort."""
     rng = np.random.default_rng(5)
-    q = structs.PutativeQueue()
+    q = PutativeQueue()
     live = {}
     for k in range(5_000):
         cid = int(rng.integers(0, 4))
@@ -141,11 +134,11 @@ def test_queue_churn_keeps_heap_bounded():
         if k % 7 == 0 and live:
             want = min(live.items(), key=lambda kv: (kv[1], kv[0]))
             assert q.peek() == want
-        assert len(q._heap) <= 2 * len(q) + 17
+        assert len(q._heap) <= 2 * len(q.times) + 17
     got = []
-    while len(q):
+    while q.times:
         got.append(q.pop())
-        assert len(q._heap) <= 2 * len(q) + 17
+        assert len(q._heap) <= 2 * len(q.times) + 17
     assert got == sorted(live.items(), key=lambda kv: (kv[1], kv[0]))
 
 
@@ -161,8 +154,8 @@ def _scan_find(leaves, x):
     return -1
 
 
-def test_tree_basic(backend):
-    t = backend.PrefixSumTree(capacity=4)
+def test_tree_basic():
+    t = PrefixSumTree()
     t.set(0, 1.0)
     t.set(2, 2.0)
     assert t.prefix(0) == 1.0
@@ -174,15 +167,15 @@ def test_tree_basic(backend):
     assert t.find(3.0) == -1
 
 
-def test_tree_grows(backend):
-    t = backend.PrefixSumTree(capacity=2)
+def test_tree_grows():
+    t = PrefixSumTree()
     t.set(37, 4.0)
     assert t.total() == pytest.approx(4.0)
     assert t.find(3.9) == 37
 
 
-def test_tree_rejects_negative(backend):
-    t = backend.PrefixSumTree()
+def test_tree_rejects_negative():
+    t = PrefixSumTree()
     t.set(1, 2.0)
     for bad in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
@@ -191,14 +184,14 @@ def test_tree_rejects_negative(backend):
     assert t.total() == 2.0 and t.find(1.0) == 1
 
 
-def test_tree_rejects_negative_index(backend):
+def test_tree_rejects_negative_index():
     def hung(signum, frame):
         raise TimeoutError("negative index did not raise")
 
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(5)
     try:
-        t = backend.PrefixSumTree(capacity=4)
+        t = PrefixSumTree()
         with pytest.raises(IndexError):
             t.set(-1, 1.0)
         assert t.total() == 0.0
@@ -207,11 +200,11 @@ def test_tree_rejects_negative_index(backend):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_tree_random_matches_scan(backend):
+def test_tree_random_matches_scan():
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = int(rng.integers(1, 65))
-        t = backend.PrefixSumTree(capacity=n)
+        t = PrefixSumTree()
         leaves = [0.0] * n
         for _ in range(int(rng.integers(1, 120))):
             i = int(rng.integers(0, n))
@@ -225,8 +218,8 @@ def test_tree_random_matches_scan(backend):
             assert t.find(x) == _scan_find(leaves, x)
 
 
-def test_tree_total_drift_bounded_with_rebuilds(backend):
-    t = backend.PrefixSumTree(capacity=64, rebuild_every=1024)
+def test_tree_total_drift_bounded_with_rebuilds():
+    t = PrefixSumTree()
     rng = np.random.default_rng(3)
     leaves = [0.0] * 64
     for k in range(50_000):
