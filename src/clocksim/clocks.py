@@ -29,17 +29,19 @@ ClockId = int
 SubstateKey = str
 
 
-def _nonzero_integers(what, mapping) -> dict:
+def _nonzero_integers(what, mapping, nonnegative=False) -> dict:
     """`mapping` without its zero entries; ModelError naming the key for a
     value that is not an integer (floats, strings and bools included; numpy
-    integers pass and become ints).  The keys are kept, not copied, so
-    builders can share one string per substate."""
+    integers pass and become ints), or is negative when `nonnegative`.  The
+    keys are kept, not copied, so builders can share one string per substate."""
     cleaned = {}
     for key, value in mapping.items():
         if type(value) is not int:
             if isinstance(value, bool) or not hasattr(value, "__index__"):
                 raise ModelError(f"{what} for {key!r} must be an integer, got {value!r}")
             value = value.__index__()
+        if value < 0 and nonnegative:
+            raise ModelError(f"{what} for {key!r} must be >= 0, got {value}")
         if value:
             cleaned[key] = value
     return cleaned
@@ -47,12 +49,12 @@ def _nonzero_integers(what, mapping) -> dict:
 
 @dataclass(frozen=True, slots=True)
 class SystemState:
-    """Sparse integer counts over substate keys; zero entries are absent."""
+    """Sparse non-negative integer counts over substate keys; zero entries are absent."""
 
     counts: Mapping[SubstateKey, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", _nonzero_integers("count", self.counts))
+        object.__setattr__(self, "counts", _nonzero_integers("count", self.counts, nonnegative=True))
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,7 +123,8 @@ class ClockSpec:
     """One clock process: enabling rule, jump mark, and declared reads.
 
     The enabling callable returns DISABLED or an Enabled; it must depend
-    only on substates in `reads` and be deterministic given (view, time).
+    only on substates in `reads` (a collection of keys; a bare string is
+    rejected) and be deterministic given (view, time).
     It should return outcomes built once, or taken from a table bounded by
     the state, rather than build a HazardSpec per call.
     """
@@ -133,6 +136,8 @@ class ClockSpec:
     name: str = ""
 
     def __post_init__(self):
+        if isinstance(self.reads, str):
+            raise ModelError(f"clock {self.id}: reads must be a collection of substate keys, got {self.reads!r}")
         object.__setattr__(self, "reads", frozenset(self.reads))
 
 

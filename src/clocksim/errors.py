@@ -35,7 +35,7 @@ class Stalled(ClocksimError):
 
 
 class UnknownClock(ClocksimError):
-    """An enabling delta referenced a clock the sampler does not hold."""
+    """An enabling delta, or a sampler's proposal, named a clock that is not enabled there."""
 
     def __init__(self, clock):
         super().__init__(clock)

@@ -9,21 +9,15 @@ substate to readers answers that set in O(edges touched).
 
 from __future__ import annotations
 
-from .errors import ModelError
-
 
 def build(clocks) -> dict:
     """Reverse index: substate -> tuple of the ids of clocks reading it, ascending.
 
-    Clock ids must be unique.  Tuples of ints are smaller than frozensets
-    and, unlike them, are left out of the cyclic collector's lists.
+    Tuples of ints are smaller than frozensets and, unlike them, are left
+    out of the cyclic collector's lists.
     """
-    ids = set()
     readers = {}
     for clock in clocks:
-        if clock.id in ids:
-            raise ModelError(f"duplicate clock id {clock.id}")
-        ids.add(clock.id)
         for key in clock.reads:
             readers.setdefault(key, []).append(clock.id)
     return {k: tuple(sorted(v)) for k, v in readers.items()}

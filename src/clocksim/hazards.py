@@ -27,6 +27,7 @@ after every finite time.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from scipy import special as _special
@@ -74,9 +75,6 @@ class Exponential:
         if x <= 0.0:
             return 0.0
         return x / self.rate
-
-    def cumulative_limit(self):
-        return INF if self.rate > 0.0 else 0.0
 
     def support_end(self):
         return INF
@@ -127,9 +125,6 @@ class Weibull:
             return self.scale * x ** (1.0 / self.shape)
         except OverflowError:
             return INF
-
-    def cumulative_limit(self):
-        return INF
 
     def support_end(self):
         return INF
@@ -184,9 +179,6 @@ class Gamma:
             return 0.0
         return _invert_monotone(self.cumulative, self.hazard, x, self.shape / self.rate)
 
-    def cumulative_limit(self):
-        return INF
-
     def support_end(self):
         return INF
 
@@ -226,9 +218,6 @@ class UniformInterval:
         # the hazard begins
         return self.b - (self.b - self.a) * math.exp(-max(x, 0.0))
 
-    def cumulative_limit(self):
-        return INF
-
     def support_end(self):
         return self.b
 
@@ -266,17 +255,12 @@ class PiecewiseConstant:
     def hazard(self, d):
         if d < 0.0:
             return 0.0
-        i = len(self.breakpoints) - 1
-        while i > 0 and d < self.breakpoints[i]:
-            i -= 1
-        return self.rates[i]
+        return self.rates[bisect_right(self.breakpoints, d) - 1]
 
     def cumulative(self, d):
         if d <= 0.0:
             return 0.0
-        i = len(self.breakpoints) - 1
-        while i > 0 and d < self.breakpoints[i]:
-            i -= 1
+        i = bisect_right(self.breakpoints, d) - 1
         return self._cum[i] + self.rates[i] * (d - self.breakpoints[i])
 
     def inverse_cumulative(self, x):
@@ -293,11 +277,6 @@ class PiecewiseConstant:
                     return bp[i]
                 return bp[i] + (x - start) / rs[i]
         return INF
-
-    def cumulative_limit(self):
-        if self.rates[-1] > 0.0:
-            return INF
-        return self._cum[-1]
 
     def support_end(self):
         return INF
@@ -392,10 +371,6 @@ class HazardSpec:
     def continuous_hazard(self, d):
         """Continuous hazard rate at duration d since enabling."""
         return 0.0 if self.continuous is None else self.continuous.hazard(d)
-
-    def cumulative_limit(self):
-        """Total integrable continuous hazard over [0, inf)."""
-        return 0.0 if self.continuous is None else self.continuous.cumulative_limit()
 
     def support_end(self):
         """Duration at which the continuous survival hits zero (inf if never)."""

@@ -28,7 +28,7 @@ from .clocks import (
     apply_mark_inplace,
     evaluate_enabling,
 )
-from .errors import ConfigError, DuplicateAtoms, ModelError, Stalled
+from .errors import ConfigError, DuplicateAtoms, ModelError, Stalled, UnknownClock
 from .hazards import INF
 from .samplers import EnablingDelta, make_sampler
 
@@ -168,7 +168,6 @@ class Engine:
 
     def __init__(self, model, sampler, stream):
         with _collector_paused():
-            self.model = model
             self._readers, self._by_id = model.graph, model.by_id
             self.sampler = sampler
             self.stream = stream
@@ -183,12 +182,11 @@ class Engine:
             sampler.absorb(delta, 0.0, stream)
 
     def _drop_atoms(self, cid, prev):
-        """Remove the atom table entries `cid` holds under its cached outcome `prev`."""
-        if prev is not DISABLED:
-            for a in prev.spec.atoms:
-                at = prev.enabling_time + a.offset
-                if self._atoms.get(at) == cid:
-                    del self._atoms[at]
+        """Remove the atom table entries `cid` holds under its cached Enabled `prev`."""
+        for a in prev.spec.atoms:
+            at = prev.enabling_time + a.offset
+            if self._atoms.get(at) == cid:
+                del self._atoms[at]
 
     def _resolve(self, cids, t, delta):
         """Re-evaluate `cids` (ascending) at time t against the cache; record changes in delta."""
@@ -222,9 +220,10 @@ class Engine:
     def step(self, limit=None):
         """Fire the next event; returns (clock, time), or None if censored.
 
-        Raises Stalled when no clock can ever fire.  The hazard cache is
-        inconsistent only inside this call (the invariant-breaking update
-        between applying the mark and absorbing the delta).
+        Raises Stalled when no clock can ever fire, and UnknownClock before
+        any state changes for a proposed clock that is not enabled.  The
+        hazard cache is inconsistent only inside this call (the invariant-
+        breaking update between applying the mark and absorbing the delta).
         """
         ev = self.sampler.next_event(self.now, self.stream)
         t = ev.time
@@ -236,12 +235,15 @@ class Engine:
             # strictly increasing stopping times; ties are fp artifacts
             t = math.nextafter(self.now, INF)
         fired = ev.clock
+        prev = self._cache.get(fired, DISABLED)
+        if prev is DISABLED:
+            raise UnknownClock(fired)
         clock = self._by_id[fired]
         apply_mark_inplace(self._counts, clock.mark)
         for key in clock.mark.deltas:
             self._changed[key] = t
         # the jump consumed the fired clock's draw: re-enabling is regenerative
-        self._drop_atoms(fired, self._cache[fired])
+        self._drop_atoms(fired, prev)
         self._cache[fired] = DISABLED
         delta = EnablingDelta(fired=fired)
         self._resolve(sorted(depgraph.affected(self._readers, clock)), t, delta)
@@ -274,21 +276,17 @@ def run_trajectory(model, sampler, seed, stop, stream_index=0) -> Trajectory:
     limit = stop.t if isinstance(stop, EndTime) else None
     max_events = stop.n if isinstance(stop, EventCount) else None
     events = []
-    final_time = engine.now
-    while True:
-        if max_events is not None and len(events) >= max_events:
-            final_time = engine.now
-            break
+    while max_events is None or len(events) < max_events:
         try:
             res = engine.step(limit)
         except Stalled:
-            final_time = limit if limit is not None else engine.now
             break
         if res is None:
-            final_time = limit
             break
         fired, t = res
         events.append(EventRecord(seq=len(events), time=t, clock=fired))
+    # a run under an end time ends there, stalled or censored
+    final_time = limit if limit is not None else engine.now
     return Trajectory(
         initial_state=model.initial_state,
         events=tuple(events),
@@ -358,10 +356,7 @@ class TrajectoryFile:
     @property
     def initial_state(self) -> SystemState:
         """The header's initial state (empty when the header has none)."""
-        counts = dict(json.loads(self.header.get("initial_state", "{}")))
-        if not all(type(v) is int for v in counts.values()):
-            raise ModelError(f"initial_state counts must be integers: {counts}")
-        return SystemState(counts)
+        return SystemState(dict(json.loads(self.header.get("initial_state", "{}"))))
 
 
 def read_trajectory(fh, path="") -> TrajectoryFile:
@@ -384,6 +379,9 @@ def read_trajectory(fh, path="") -> TrajectoryFile:
     times = [ev.time for ev in events]
     if not all(0.0 <= t < INF for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         raise ModelError("event times must be finite, >= 0 and strictly increasing")
+    # a run ends at or after its last event, so a replay to final_time passes every event
+    if "final_time" in header and not max(times, default=0.0) <= float(header["final_time"]) < INF:
+        raise ModelError(f"final_time {header['final_time']} is not finite or lies before the last event")
     if "events" in header:
         # a truncated or spliced file: the header's count or the seq column disagrees
         if header["events"] != str(len(events)):

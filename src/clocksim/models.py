@@ -46,9 +46,9 @@ from .hazards import FAMILIES, Atom, Exponential, HazardSpec, Weibull
 class Model:
     """Immutable clocks over an initial state.
 
-    `graph` (substate -> ascending tuple of reader ids) and `by_id` are
-    computed once per instance and freed with it; ``dataclasses.replace``
-    returns a new instance with fresh tables.
+    `graph` (substate -> ascending tuple of reader ids) and `by_id` (the one
+    check that ids are unique) are computed once per instance and freed with
+    it; ``dataclasses.replace`` returns a new instance with fresh tables.
     """
 
     name: str
@@ -62,7 +62,12 @@ class Model:
 
     @cached_property
     def by_id(self) -> dict:
-        return {c.id: c for c in self.clocks}
+        by_id = {}
+        for c in self.clocks:
+            if c.id in by_id:
+                raise ModelError(f"duplicate clock id {c.id}")
+            by_id[c.id] = c
+        return by_id
 
 
 # -- hazard spec strings --------------------------------------------------

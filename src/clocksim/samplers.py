@@ -320,9 +320,6 @@ class DirectSampler(_Sampler):
 
     # -- waiting-time inversion ------------------------------------------
 
-    def _varying_items(self):
-        return [self._enabled[cid] for cid in self._varying]
-
     @staticmethod
     def _bases(varying, s_prev):
         """Each varying clock's cumulative hazard at s_prev, in `varying` order."""
@@ -382,10 +379,11 @@ class DirectSampler(_Sampler):
     def _invert_waiting(self, now, budget):
         """(absolute event time, atom owner cid | None); raises Stalled.
 
-        The time is INF when the budget outlasts the float range.
+        The time is INF when no finite time consumes the budget (the hazard
+        mass runs out, or the crossing lies past the float range).
         """
         upcoming = sorted(entry for entries in self._atoms.values() for entry in entries if entry[0] > now)
-        varying = self._varying_items()
+        varying = [self._enabled[cid] for cid in self._varying]
         crate = self._crate if varying else self._tree.total()
         s_prev = now
         for at_time, mass, at_cid in upcoming:
@@ -418,16 +416,6 @@ class DirectSampler(_Sampler):
         if asym < INF:
             g_asym = self._g(varying, bases, crate, s_prev, asym)
             return self._crossing(varying, bases, crate, s_prev, asym, g_asym, budget), None
-        if crate <= 0.0:
-            limit = 0.0
-            for (_, spec, _), base in zip(varying, bases):
-                top = spec.cumulative_limit()
-                if top == INF:
-                    limit = INF
-                    break
-                limit += top - base
-            if limit < budget:
-                raise Stalled("remaining hazard mass is insufficient")
         # double the bracket until it holds the budget; past the float range, propose INF
         hi = s_prev + max(1.0, abs(s_prev) * 1e-6)
         g_hi = self._g(varying, bases, crate, s_prev, hi)
@@ -447,7 +435,7 @@ class DirectSampler(_Sampler):
         if atom_cid is not None:
             return SamplerEvent(atom_cid, t)
         if t == INF:
-            raise Stalled("waiting time beyond the float range")
+            raise Stalled("no finite waiting time")
         if self._varying:
             enabled, slot, tree = self._enabled, self._slot, self._tree
             surest = None  # smallest id whose hazard is infinite at t: it fires with certainty
@@ -482,11 +470,12 @@ class HierarchicalSampler:
     parts: list of (base sampler, clock-id set or None); the sets must be
     disjoint, and at most one None entry catches every clock not named
     elsewhere.  Children keep their own contracts for retained vs
-    re-proposed draws.  A child provides `next_event(now, stream)`,
-    `_enabled` (its enabled ids) and `_apply(delta, now, stream)`, which
-    applies a part without checking it.  Every touched child's part is
-    checked against that child's `_enabled` before any child applies its
-    part, so a rejected delta changes nothing and each part is checked once.
+    re-proposed draws.  A child provides `next_event(now, stream)` (raising
+    Stalled rather than proposing INF), `_enabled` (its enabled ids) and
+    `_apply(delta, now, stream)`, which applies a part without checking it.
+    Every touched child's part is checked against that child's `_enabled`
+    before any child applies its part, so a rejected delta changes nothing
+    and each part is checked once.
     """
 
     name = "hierarchical"
@@ -521,7 +510,7 @@ class HierarchicalSampler:
                 continue
             if best is None or (ev.time, ev.clock) < (best.time, best.clock):
                 best = ev
-        if best is None or best.time == INF:
+        if best is None:
             raise Stalled("all children stalled")
         return best
 

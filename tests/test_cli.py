@@ -342,7 +342,7 @@ def test_summarize_final_state_bad_initial_state_exits_2(runner, tmp_path):
     out = tmp_path / "out"
     runner.invoke(cli, ["run", "--model", "poisson", "--max-events", "3", "--output", str(out)])
     text = (out / "traj_000000.tsv").read_text()
-    for value in ("5", '{"n": "x"}', '{"n": 1.5}', '{"n": true}', "not json"):
+    for value in ("5", '{"n": "x"}', '{"n": 1.5}', '{"n": true}', '{"n": -1}', "not json"):
         bad = tmp_path / "bad.tsv"
         bad.write_text(text.replace("# initial_state: {}", f"# initial_state: {value}"))
         result = runner.invoke(cli, ["summarize", "--observable", "final-state", str(bad)])

@@ -52,10 +52,29 @@ def test_non_integer_counts_rejected_naming_the_key(make, value):
         make({"a": 1, "x": value})
 
 
+def test_negative_counts_rejected_naming_the_key():
+    # a state starts at or above zero; a mark keeps its negative deltas
+    with pytest.raises(ModelError, match="count for 'x' must be >= 0, got -2"):
+        SystemState({"a": 1, "x": -2})
+    with pytest.raises(ModelError, match="'x'"):
+        SystemState({"x": np.int64(-1)})
+    assert JumpMark({"x": -2}).deltas == {"x": -2}
+
+
+def test_bare_string_reads_rejected_naming_the_clock():
+    # "x_0" would otherwise read the keys "x", "_" and "0", and the
+    # dependency graph would never re-evaluate the clock after x_0 changes
+    with pytest.raises(ModelError, match="clock 3: reads must be a collection"):
+        ClockSpec(id=3, enabling=lambda v, now: DISABLED, mark=JumpMark({}), reads="x_0")
+    clock = ClockSpec(id=3, enabling=lambda v, now: DISABLED, mark=JumpMark({}), reads=("x_0",))
+    assert clock.reads == frozenset({"x_0"})
+
+
 def test_numpy_integer_counts_become_ints():
-    for make, attr in ((JumpMark, "deltas"), (SystemState, "counts")):
-        out = getattr(make({"a": np.int64(-2), "b": np.int32(0)}), attr)
-        assert out == {"a": -2} and type(out["a"]) is int
+    # a mark's delta may be negative, a state's count may not
+    for make, attr, value in ((JumpMark, "deltas", -2), (SystemState, "counts", 2)):
+        out = getattr(make({"a": np.int64(value), "b": np.int32(0)}), attr)
+        assert out == {"a": value} and type(out["a"]) is int
 
 
 _keys = ("a", "b", "c")

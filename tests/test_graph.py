@@ -3,7 +3,6 @@ import pytest
 
 from clocksim import graph as depgraph
 from clocksim.clocks import DISABLED, ClockSpec, Enabled, JumpMark, StateView, evaluate_enabling
-from clocksim.errors import ModelError
 from clocksim.hazards import Exponential, HazardSpec
 from clocksim.models import build_sir
 
@@ -65,13 +64,6 @@ def test_affected_always_contains_fired_and_is_bounded():
         aff = depgraph.affected(readers, c)
         assert c.id in aff
         assert len(aff) <= len(model.clocks)
-
-
-def test_duplicate_ids_rejected():
-    a = _clock(0, {"x"}, {"x": +1})
-    b = _clock(0, {"y"}, {"y": +1})
-    with pytest.raises(ModelError):
-        depgraph.build([a, b])
 
 
 def test_soundness_unaffected_clocks_unchanged_under_fuzz():

@@ -10,7 +10,7 @@ import pytest
 
 from clocksim import graph, kernel, samplers
 from clocksim.clocks import DISABLED, UNCHANGED, ClockSpec, Enabled, JumpMark, SystemState, apply_mark_inplace
-from clocksim.errors import ConfigError, DuplicateAtoms, ModelError, Stalled
+from clocksim.errors import ConfigError, DuplicateAtoms, ModelError, Stalled, UnknownClock
 from clocksim.hazards import Atom, Exponential, HazardSpec
 from clocksim.kernel import (
     CountingStream,
@@ -146,6 +146,20 @@ def test_serialization_round_trip():
     assert final_state(model, tf) == final_state(model, traj)
 
 
+@pytest.mark.parametrize("final_time", ["0.5", "1.5", "inf", "nan", "-1"])
+def test_final_time_before_the_last_event_or_not_finite_is_rejected(final_time):
+    # a replay runs a file to its final_time, so it must be finite and reach the last event
+    def text(value):
+        return f"# final_time: {value}\n# events: 2\n0\t1.0\t0\n1\t2.0\t0\n"
+
+    with pytest.raises(ModelError, match=f"final_time {final_time} is not finite or lies before the last event"):
+        read_trajectory(io.StringIO(text(final_time)))
+    for ok in ("2", "2.5"):
+        assert read_trajectory(io.StringIO(text(ok))).header["final_time"] == ok
+    with pytest.raises(ValueError):
+        read_trajectory(io.StringIO(text("soon")))
+
+
 def test_ensemble_matches_run_trajectory_and_order_invariant():
     model = build_poisson(2.0)
     ensemble = run_ensemble(model, "direct", 55, 4, EventCount(20))
@@ -247,6 +261,50 @@ def test_fired_clock_anchored_in_the_future_is_rejected():
     engine = Engine(model, make_sampler("next-reaction"), CountingStream(derived_generator(1, 0)))
     with pytest.raises(ModelError, match="in the future"):
         engine.step()
+
+
+class _ProposesOnly:
+    """A custom sampler that proposes `clock` at time 0.5 and checks no delta."""
+
+    name = "proposes-only"
+
+    def __init__(self, clock):
+        self.clock = clock
+
+    def absorb(self, delta, now, stream):
+        pass
+
+    def next_event(self, now, stream):
+        return samplers.SamplerEvent(self.clock, 0.5)
+
+
+class _NextReactionProposing(samplers.NextReactionSampler):
+    """next-reaction with a forged proposal of `clock`; its absorb checks every delta."""
+
+    def __init__(self, clock):
+        super().__init__()
+        self.clock = clock
+
+    def next_event(self, now, stream):
+        return samplers.SamplerEvent(self.clock, 0.5)
+
+
+@pytest.mark.parametrize("make, clock", [
+    (_ProposesOnly, 1), (_ProposesOnly, 7), (_NextReactionProposing, 1), (_NextReactionProposing, 7),
+], ids=["unchecked-disabled", "unchecked-outside-model", "checked-disabled", "checked-outside-model"])
+def test_proposal_of_a_clock_not_enabled_changes_nothing(make, clock):
+    # clock 0 is always enabled; clock 1 waits for k >= 5; there is no clock 7
+    spec = HazardSpec(Exponential(1.0))
+    model = Model("k", (
+        ClockSpec(id=0, enabling=lambda view, now: Enabled(spec), mark=JumpMark({"k": 1}), reads=frozenset()),
+        ClockSpec(id=1, enabling=lambda view, now: Enabled(spec) if view.count("k") >= 5 else DISABLED,
+                  mark=JumpMark({"k": 1}), reads=frozenset({"k"})),
+    ), SystemState({}))
+    engine = Engine(model, make(clock), CountingStream(derived_generator(1, 0)))
+    with pytest.raises(UnknownClock, match=f"clock {clock} "):
+        engine.step()
+    assert engine._counts == {} and engine._changed == {} and engine.now == 0.0
+    assert engine.cache_consistent()
 
 
 FIVE_SAMPLERS = [*SAMPLERS, "hierarchical:first-reaction=rest"]

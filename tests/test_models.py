@@ -5,18 +5,31 @@ import numpy as np
 import pytest
 
 from clocksim import graph as depgraph
-from clocksim.clocks import DISABLED, Enabled, StateView, UNCHANGED, apply_mark_inplace, evaluate_enabling
+from clocksim.clocks import (
+    DISABLED,
+    UNCHANGED,
+    ClockSpec,
+    Enabled,
+    JumpMark,
+    StateView,
+    SystemState,
+    apply_mark_inplace,
+    evaluate_enabling,
+)
 from clocksim.errors import ModelError
 from clocksim.hazards import Exponential, HazardSpec, Weibull
 from clocksim.kernel import (
     EventCount,
+    EventRecord,
     StalledOnly,
+    TrajectoryFile,
     final_state,
     model_hash,
     run_ensemble,
     run_trajectory,
 )
 from clocksim.models import (
+    Model,
     build,
     build_atomic_showcase,
     build_rabbits,
@@ -25,7 +38,7 @@ from clocksim.models import (
     parse_hazard,
     unparse_hazard,
 )
-from clocksim.verify import ks_statistic
+from clocksim.verify import ctmc_oracle, ks_statistic
 from conftest import tracked_objects_after_build
 
 ALL_BUILTINS = [
@@ -104,6 +117,25 @@ def test_model_tables_computed_once_per_instance():
     assert model.by_id[4] is model.clocks[4]
     copy = dataclasses.replace(model)
     assert copy.graph is not model.graph and copy.graph == model.graph
+
+
+def test_duplicate_ids_rejected():
+    # every reader of the clocks by id goes through by_id: a replay must not
+    # silently take the last of two clocks with one id
+    spec = HazardSpec(Exponential(1.0))
+    clocks = tuple(
+        ClockSpec(id=0, enabling=lambda view, now: Enabled(spec), mark=JumpMark({key: 1}), reads=frozenset())
+        for key in ("x", "y")
+    )
+    model = Model("twins", clocks, SystemState({}))
+    with pytest.raises(ModelError, match="duplicate clock id 0"):
+        model.by_id
+    with pytest.raises(ModelError, match="duplicate clock id 0"):
+        final_state(model, TrajectoryFile(header={}, events=(EventRecord(0, 1.0, 0),)))
+    with pytest.raises(ModelError, match="duplicate clock id 0"):
+        run_trajectory(model, "next-reaction", 1, EventCount(1))
+    with pytest.raises(ModelError, match="duplicate clock id 0"):
+        ctmc_oracle(model, 1.0)
 
 
 # Distinct HazardSpec objects a built-in model's rules may return: the

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import math
 import pickle
 
@@ -9,7 +11,7 @@ from clocksim import samplers
 from clocksim.clocks import ClockSpec, Enabled, JumpMark, SystemState
 from clocksim.errors import ModelError, Stalled, UnknownClock
 from clocksim.hazards import Atom, Exponential, HazardSpec, Weibull
-from clocksim.kernel import EventCount, run_ensemble, run_trajectory
+from clocksim.kernel import EventCount, StalledOnly, run_ensemble, run_trajectory, write_trajectory
 from clocksim.models import Model, build, parse_hazard
 from clocksim.samplers import (
     SAMPLER_NAMES,
@@ -444,6 +446,30 @@ def test_direct_stalls_when_finite_hazard_mass_runs_out(sampler):
     stalled = sum(not traj.events for traj in run_ensemble(model, sampler, 640, n, EventCount(1)))
     p = math.exp(-1.0)
     assert abs(stalled - n * p) <= 4.5 * math.sqrt(n * p * (1.0 - p)), stalled
+
+
+# sha256 of the files of streams 0-19 (seed 640), written one after another
+STALL_PATH_DIGESTS = {
+    "direct": "ff24c5e4359db84f5e4d090470f3a5ccb45f8e1bc5475a38fc1f5ee85db1b5eb",
+    "hierarchical:direct=0;next-reaction=rest": "8e48ca24752bb87bf085dd5d0a1296c15bd24f18f75738b55c53bb02d05933f0",
+}
+
+
+@pytest.mark.parametrize("sampler", list(STALL_PATH_DIGESTS))
+def test_stall_after_the_hazard_mass_runs_out_is_pinned(sampler):
+    # Every run ends when the unit of hazard mass runs out before the drawn
+    # budget: the bracket doubling reaches INF and direct stalls after its
+    # two variates, so a run with k events consumes 2 * (k + 1).
+    model = build("renewal", {"interarrival": "piecewise:0,1|1,0"})
+    buf = io.StringIO()
+    before_first = 0
+    for i in range(20):
+        traj = run_trajectory(model, sampler, 640, StalledOnly(), stream_index=i)
+        assert traj.variates_consumed == 2 * (len(traj.events) + 1)
+        before_first += not traj.events
+        write_trajectory(buf, traj, model)
+    assert before_first == 6
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == STALL_PATH_DIGESTS[sampler]
 
 
 @pytest.mark.parametrize("sampler", [*SAMPLER_NAMES[:-1], "hierarchical:direct=0;next-reaction=rest"])
