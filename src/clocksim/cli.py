@@ -24,7 +24,7 @@ import click
 import numpy as np
 import yaml
 
-from . import hazards, kernel, models, verify
+from . import hazards, kernel, models
 from .errors import ClocksimError, ConfigError
 from .samplers import SAMPLER_NAMES, make_sampler
 
@@ -311,6 +311,8 @@ def _first_events(model, sampler_name, n, seed):
 
 
 def _suite_equivalence(n=20_000):
+    from . import verify  # scipy's statistics load only for the suites that use them
+
     model = models.build("sir", {"n": 3, "initial_infected": 1})
     # each sampler gets its own stream family: on a shared one, samplers that draw
     # one variate per enabled clock in id order give identical first events
@@ -331,6 +333,8 @@ def _suite_equivalence(n=20_000):
 
 
 def _suite_oracle():
+    from . import verify
+
     rows = []
     model = models.build("atomic-showcase", {})
     n = 4000

@@ -161,10 +161,23 @@ def _collector_paused():
 
 
 def apply_mark_inplace(counts: dict, mark: JumpMark) -> None:
-    """Componentwise sum into `counts`; zero results removed; negative results rejected."""
-    for key, delta in mark.deltas.items():
+    """Componentwise sum into `counts`; zero results removed; negative results rejected.
+
+    A rejected mark leaves `counts` as it was: the keys already written are
+    undone before NegativeSubstate is raised.
+    """
+    deltas = mark.deltas
+    for key, delta in deltas.items():
         new = counts.get(key, 0) + delta
         if new < 0:
+            for done, back in deltas.items():
+                if done == key:
+                    break
+                old = counts.get(done, 0) - back
+                if old == 0:
+                    counts.pop(done, None)
+                else:
+                    counts[done] = old
             raise NegativeSubstate(key, new)
         if new == 0:
             counts.pop(key, None)

@@ -19,6 +19,12 @@ next-reaction, next-to-fire) are built from ``invert_conditional`` and
 log-survival ln(1 - u); the direct sampler inverts the summed cumulative
 hazards of all enabled clocks itself.
 
+A spec whose continuous part is :class:`Exponential` and that has no atoms
+takes an exponential path in ``invert_conditional`` and ``time_process``:
+the general path's own arithmetic, inline, with the rate read once at
+construction, so its results are the same to the bit.  scipy is imported
+only by the first :class:`Gamma` evaluation.
+
 Log-survivals are plain non-positive floats (-inf means survival exhausted);
 putative times use ``math.inf`` as the distinguished "never" value, ordered
 after every finite time.
@@ -30,9 +36,17 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from scipy import special as _special
-
 INF = math.inf
+
+# scipy.special, imported by the first Gamma evaluation: no other family needs scipy
+_special = None
+
+
+def _load_special():
+    global _special
+    from scipy import special as _special
+
+    return _special
 
 # Relative time tolerance and iteration cap for numerical hazard inversion.
 _INVERT_RTOL = 1e-12
@@ -154,22 +168,23 @@ class Gamma:
             if self.shape == 1.0:
                 return self.rate
             return INF
+        special = _special or _load_special()
         x = self.rate * d
-        sf = float(_special.gammaincc(self.shape, x))
+        sf = float(special.gammaincc(self.shape, x))
         if sf <= 0.0:
             return INF
         logpdf = (
             self.shape * math.log(self.rate)
             + (self.shape - 1.0) * math.log(d)
             - x
-            - _special.gammaln(self.shape)
+            - special.gammaln(self.shape)
         )
         return math.exp(logpdf) / sf
 
     def cumulative(self, d):
         if d <= 0.0:
             return 0.0
-        sf = _special.gammaincc(self.shape, self.rate * d)
+        sf = (_special or _load_special()).gammaincc(self.shape, self.rate * d)
         if sf <= 0.0:
             return INF
         return -math.log(sf)
@@ -354,6 +369,9 @@ class HazardSpec:
             raise ValueError("atom offsets must be strictly increasing")
         if any(a.mass == 1.0 for a in self.atoms[:-1]):
             raise ValueError("an atom of mass 1 must be the last atom")
+        # the rate of a plain exponential clock, else None: the exponential path's key
+        plain = type(self.continuous) is Exponential and not self.atoms
+        object.__setattr__(self, "_exp_rate", self.continuous.rate if plain else None)
 
     # -- continuous part helpers (zero hazard when continuous is None) --
 
@@ -397,6 +415,10 @@ def time_process(spec: HazardSpec, t1: float, t2: float) -> float:
     """
     if not 0.0 <= t1 <= t2:
         raise ValueError(f"need 0 <= t1 <= t2, got ({t1}, {t2})")
+    rate = spec._exp_rate
+    if rate is not None:
+        h2 = rate * t2
+        return INF if h2 == INF else h2 - rate * t1
     h2 = spec._cum(t2)
     if h2 == INF:
         return INF
@@ -424,6 +446,15 @@ def invert_conditional(spec: HazardSpec, shift: float, required_log_survival: fl
     if required_log_survival > 0.0:
         raise ValueError("required log-survival must be <= 0")
     need = -required_log_survival
+    rate = spec._exp_rate
+    if rate is not None:
+        base = rate * shift
+        if base == INF:
+            return shift
+        if rate == 0.0:
+            return INF
+        x = base + need
+        return max(0.0 if x <= 0.0 else x / rate, shift)
     base = spec._cum(shift)
     if base == INF:
         return shift

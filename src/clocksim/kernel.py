@@ -82,6 +82,19 @@ def stream_key(name, value):
     return key
 
 
+class _ZeroSeed(np.random.bit_generator.ISeedSequence):
+    """Zero seed words, for a bit generator whose state `derived_generator` sets at once.
+
+    PCG64(0) would run a SeedSequence whose output is thrown away.
+    """
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_ZERO_SEED = _ZeroSeed()
+
+
 def derived_generator(seed, index):
     """The uniform stream for trajectory `index` under base `seed`.
 
@@ -96,7 +109,7 @@ def derived_generator(seed, index):
     s1 = _mix64(s0 ^ index)
     i0 = _mix64(seed + 0x452821E638D01377 + index * 0x9E3779B97F4A7C15)
     i1 = _mix64(i0 + 1)
-    bg = np.random.PCG64(0)
+    bg = np.random.PCG64(_ZERO_SEED)
     bg.state = {
         "bit_generator": "PCG64",
         "state": {"state": (s0 << 64) | s1, "inc": ((i0 << 64) | i1) | 1},

@@ -34,12 +34,83 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from scipy.optimize import brentq as _brentq
-
 from .errors import ModelError, Stalled, UnknownClock
 from .hazards import INF, Exponential, HazardSpec, invert_conditional, time_process
 from .hazards import _INVERT_MAXITER, _INVERT_RTOL
 from .structs import PrefixSumTree, PutativeQueue
+
+
+def _div(x, y):
+    """x / y as C computes it: a zero divisor gives an infinity or NaN, not ZeroDivisionError."""
+    if y:
+        return x / y
+    if x != x or x == 0.0:
+        return math.nan
+    return math.copysign(INF, x) * math.copysign(1.0, y)
+
+
+def _brentq(f, xa, xb, xtol, rtol, maxiter):
+    """Root of f in [xa, xb] by Brent's method, as scipy.optimize.brentq finds it.
+
+    A transcription of scipy's brentq.c (BSD-3-Clause, by Charles Harris):
+    the same steps and the same floating-point operations in the same
+    order, so the same root to the bit, and the same errors (ValueError for
+    a NaN value or a bracket without a sign change, RuntimeError after
+    `maxiter` steps).  Importing scipy.optimize would cost a direct run
+    half a second and about 60 MB.
+    """
+
+    def value(x):
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            limit = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < limit:
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur!r}")
 
 
 class SamplerEvent(NamedTuple):
@@ -374,7 +445,7 @@ class DirectSampler(_Sampler):
                 return f_hi
             return g(varying, bases, crate, s_prev, t) - budget
 
-        return float(_brentq(f, lo, hi, xtol=1e-15, rtol=_INVERT_RTOL, maxiter=_INVERT_MAXITER))
+        return float(_brentq(f, lo, hi, 1e-15, _INVERT_RTOL, _INVERT_MAXITER))
 
     def _invert_waiting(self, now, budget):
         """(absolute event time, atom owner cid | None); raises Stalled.

@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import clocksim
 from clocksim import models, verify
 from clocksim.cli import RunSpec, _suite_equivalence, cli
 
@@ -411,3 +414,40 @@ def test_sampler_equivalence_compares_independent_samples(monkeypatch):
     assert [label.split()[1].split(":")[0] for label, _, _ in rows] == [
         "next-reaction", "next-to-fire", "direct", "hierarchical"]
     assert len(compared) == 4 and all(ok for _, _, ok in rows), rows
+
+
+# `clocksim run` in a fresh interpreter, then the scipy modules it imported
+_RUN_THEN_LIST_SCIPY = """
+import sys
+from clocksim.cli import cli
+cli.main(sys.argv[1:], standalone_mode=False)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def _scipy_modules_after_run(tmp_path, *args):
+    src = os.path.dirname(os.path.dirname(clocksim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_THEN_LIST_SCIPY, "run", *args, "--max-events", "10",
+         "--output", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert os.listdir(tmp_path / "out")
+    return done.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("args", [
+    ("--model", "ring", "--param", "m=8", "--sampler", "next-reaction"),
+    ("--model", "ring", "--param", "m=8", "--sampler", "direct"),
+    # direct's root finder on time-varying hazards
+    ("--model", "sir", "--param", "n=3", "--param", "recover=weibull:2,1", "--sampler", "direct"),
+], ids=["ring-next-reaction", "ring-direct", "sir-weibull-direct"])
+def test_run_without_gamma_clocks_never_imports_scipy(tmp_path, args):
+    assert _scipy_modules_after_run(tmp_path, *args) == "[]"
+
+
+def test_run_on_gamma_clocks_imports_scipy_special_on_use(tmp_path):
+    loaded = _scipy_modules_after_run(tmp_path, "--model", "sir", "--param", "n=3",
+                                      "--param", "recover=gamma:2,1", "--sampler", "direct")
+    assert "'scipy.special'" in loaded

@@ -37,6 +37,11 @@ def test_apply_mark_examples():
     assert apply_mark({"S": 1}, JumpMark({"S": -1})) == {}
     with pytest.raises(NegativeSubstate):
         apply_mark({}, JumpMark({"S": -1}))
+    # a rejected mark changes nothing: "c" reached zero and "b" appeared before "a" went negative
+    counts = {"a": 1, "c": 1}
+    with pytest.raises(NegativeSubstate):
+        apply_mark_inplace(counts, JumpMark({"c": -1, "b": 1, "a": -2, "d": 1}))
+    assert counts == {"a": 1, "c": 1}
 
 
 def test_zero_entries_removed_on_construction():

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +193,57 @@ def test_additivity_property_exponential_with_atom(rate, a, delta1, delta2):
     whole = time_process(spec, a, c)
     parts = time_process(spec, a, b) + time_process(spec, b, c)
     assert whole == pytest.approx(parts, rel=1e-10, abs=1e-10)
+
+
+# -- the exponential path -----------------------------------------------------
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _check_exponential_path(rate, shift, dt, log_survival):
+    """The exponential path equals the family-method general path bit for bit."""
+    c = Exponential(rate)
+    spec = HazardSpec(c)
+    need = -log_survival
+    base = c.cumulative(shift)
+    expect = shift if base == INF else max(c.inverse_cumulative(base + need), shift)
+    assert _bits(invert_conditional(spec, shift, log_survival)) == _bits(expect)
+    t2 = shift + dt
+    h2 = c.cumulative(t2)
+    expect = INF if h2 == INF else h2 - c.cumulative(shift)
+    assert _bits(time_process(spec, shift, t2)) == _bits(expect)
+
+
+CORNER_RATES = [0.0, 5e-324, 1e300]
+CORNER_SHIFTS = [0.0, 1e10]  # 1e300 * 1e10 overflows to inf
+CORNER_LOG_SURVIVALS = [0.0, -0.0, -1.0]
+
+
+@pytest.mark.parametrize("rate", CORNER_RATES)
+@pytest.mark.parametrize("shift", CORNER_SHIFTS)
+@pytest.mark.parametrize("log_survival", CORNER_LOG_SURVIVALS)
+def test_exponential_path_corners_match_the_general_path(rate, shift, log_survival):
+    for dt in (0.0, 1.0, 1e10):
+        _check_exponential_path(rate, shift, dt, log_survival)
+
+
+@given(
+    rate=st.sampled_from(CORNER_RATES) | st.floats(0.0, 1e300),
+    shift=st.sampled_from(CORNER_SHIFTS) | st.floats(0.0, 1e12),
+    dt=st.floats(0.0, 1e12),
+    log_survival=st.sampled_from(CORNER_LOG_SURVIVALS) | st.floats(max_value=0.0, allow_nan=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_exponential_path_matches_the_general_path(rate, shift, dt, log_survival):
+    _check_exponential_path(rate, shift, dt, log_survival)
+
+
+def test_only_plain_exponential_specs_take_the_exponential_path():
+    assert HazardSpec(Exponential(2.0))._exp_rate == 2.0
+    assert HazardSpec(Exponential(2.0), (Atom(1.0, 0.5),))._exp_rate is None
+    assert HazardSpec(Weibull(1.0, 0.5))._exp_rate is None
+    assert HazardSpec()._exp_rate is None
 
 
 def test_gamma_inversion_against_closed_form():

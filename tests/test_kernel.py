@@ -10,7 +10,7 @@ import pytest
 
 from clocksim import graph, kernel, samplers
 from clocksim.clocks import DISABLED, UNCHANGED, ClockSpec, Enabled, JumpMark, SystemState, apply_mark_inplace
-from clocksim.errors import ConfigError, DuplicateAtoms, ModelError, Stalled, UnknownClock
+from clocksim.errors import ConfigError, DuplicateAtoms, ModelError, NegativeSubstate, Stalled, UnknownClock
 from clocksim.hazards import Atom, Exponential, HazardSpec
 from clocksim.kernel import (
     CountingStream,
@@ -229,6 +229,24 @@ def test_counting_stream_matches_scalar_draws():
         assert stream.count == n
 
 
+@pytest.mark.parametrize("seed, index", [(0, 0), (1, 7), (2**64 - 1, 2**64 - 1)])
+def test_stream_matches_a_pcg64_seeded_then_given_the_derived_state(seed, index):
+    # the derivation spelled out once more, over a bit generator seeded the usual way
+    s0 = kernel._mix64(seed ^ 0x243F6A8885A308D3)
+    s1 = kernel._mix64(s0 ^ index)
+    i0 = kernel._mix64(seed + 0x452821E638D01377 + index * 0x9E3779B97F4A7C15)
+    ref = np.random.PCG64(0)
+    ref.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": (s0 << 64) | s1, "inc": ((i0 << 64) | kernel._mix64(i0 + 1)) | 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    gen = derived_generator(seed, index)
+    assert gen.bit_generator.state == ref.state
+    assert gen.random(1000).tolist() == np.random.Generator(ref).random(1000).tolist()
+
+
 def test_model_tables_are_freed_with_the_model():
     model = build_sir(4, recover="weibull:2,1")
     run_trajectory(model, "next-reaction", 3, StalledOnly())
@@ -305,6 +323,35 @@ def test_proposal_of_a_clock_not_enabled_changes_nothing(make, clock):
         engine.step()
     assert engine._counts == {} and engine._changed == {} and engine.now == 0.0
     assert engine.cache_consistent()
+
+
+def test_rejected_mark_changes_nothing():
+    # the mark's first key is written before its second goes negative
+    spec = HazardSpec(Exponential(1.0))
+    clock = ClockSpec(id=0, enabling=lambda view, now: Enabled(spec), mark=JumpMark({"b": 1, "a": -2}),
+                      reads=frozenset())
+    model = Model("overdraw", (clock,), SystemState({"a": 1}))
+    engine = Engine(model, make_sampler("next-reaction"), CountingStream(derived_generator(1, 0)))
+    with pytest.raises(NegativeSubstate, match="'a'"):
+        engine.step()
+    assert engine._counts == {"a": 1} and engine._changed == {} and engine.now == 0.0
+    assert engine.cache_consistent()
+
+
+@pytest.mark.parametrize("model", [build("ring", {"m": 64}), build_sir(6)], ids=["ring-64", "sir-6"])
+def test_first_reaction_draws_one_variate_per_enabled_clock(model):
+    stream = CountingStream(derived_generator(4, 0))
+    engine = Engine(model, make_sampler("first-reaction"), stream)
+    for _ in range(30):
+        enabled = sum(out is not DISABLED for out in engine._cache.values())
+        before = stream.count
+        try:
+            engine.sampler.next_event(engine.now, stream)
+        except Stalled:
+            assert enabled == 0
+            break
+        assert stream.count - before == enabled
+        engine.step()
 
 
 FIVE_SAMPLERS = [*SAMPLERS, "hierarchical:first-reaction=rest"]

@@ -2,8 +2,11 @@ import hashlib
 import io
 import math
 import pickle
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -374,6 +377,61 @@ def test_direct_race_with_infinite_starting_hazard(sampler, hazard):
         for i in range(n)
     )
     assert abs(wins - n / 2) <= 100, wins
+
+
+def _root_or_error(solve, f, lo, hi, maxiter):
+    """The root's bits, or the name of the error raised."""
+    try:
+        return struct.pack("<d", solve(f, lo, hi, maxiter))
+    except (ValueError, RuntimeError) as err:
+        return type(err).__name__
+
+
+def _ours(f, lo, hi, maxiter):
+    return samplers._brentq(f, lo, hi, 1e-15, 1e-12, maxiter)
+
+
+def _scipy(f, lo, hi, maxiter):
+    return brentq(f, lo, hi, xtol=1e-15, rtol=1e-12, maxiter=maxiter)
+
+
+def _weibull_consumption(terms, crate, budget):
+    def f(t):
+        g = crate * t
+        for te, shape, scale in terms:
+            if t > te:
+                try:
+                    g += ((t - te) / scale) ** shape
+                except OverflowError:
+                    return math.inf
+        return g - budget
+    return f
+
+
+@given(
+    terms=st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(0.01, 5.0), st.sampled_from([1e-3, 1.0, 2.5, 1e300])),
+                   min_size=1, max_size=3),
+    crate=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 4.0),
+    budget=st.floats(1e-6, 50.0),
+    hi=st.sampled_from([0.5, 4.0, 1e3, 1e60]),
+    maxiter=st.sampled_from([3, 200]),
+)
+@settings(max_examples=400, deadline=None)
+def test_direct_root_finder_is_scipy_brentq_to_the_bit(terms, crate, budget, hi, maxiter):
+    # the same root, the same error (no sign change, too few steps) on
+    # consumption sums like the ones direct solves, flat stretches included
+    f = _weibull_consumption(terms, crate, budget)
+    assert _root_or_error(_ours, f, 0.0, hi, maxiter) == _root_or_error(_scipy, f, 0.0, hi, maxiter)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda t: -1.0 if t < 0.3 else 1.0, 0.0, 1.0),  # a jump: interpolation divides by zero
+    (lambda t: math.inf if t > 3.0 else t - 1.5, 0.0, 10.0),
+    (lambda t: math.tanh(t - 2.0) * 1e-300, 0.0, 10.0),
+    (lambda t: math.nan if t > 0.5 else -1.0, 0.0, 1.0),
+])
+def test_direct_root_finder_matches_scipy_on_degenerate_functions(f, lo, hi):
+    assert _root_or_error(_ours, f, lo, hi, 200) == _root_or_error(_scipy, f, lo, hi, 200)
 
 
 def test_direct_evaluates_each_consumption_sum_once(monkeypatch):
