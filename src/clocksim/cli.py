@@ -181,10 +181,10 @@ def cmd_run(config, param, **flags):
     except OSError as exc:
         raise click.UsageError(f"cannot create output directory {spec.output!r}: {exc.strerror}")
     try:
-        if spec.workers == 1:
+        k = min(spec.workers, spec.trajectories)
+        if k == 1:
             results = _run_trajectories(built, spec, range(spec.trajectories))
         else:
-            k = min(spec.workers, spec.trajectories)
             ctx = multiprocessing.get_context("fork")
             with concurrent.futures.ProcessPoolExecutor(k, mp_context=ctx) as pool:
                 futures = [pool.submit(_run_strided, spec, w, k) for w in range(k)]
@@ -269,19 +269,16 @@ def _suite_distributions():
         "piecewise:0,1,2|0.5,0,2",
         "none@1,0.25;2,0.5",
     ]
+    ts = [float(t) for t in np.linspace(0.01, 4.0, 101)]
     rows = []
     for text in matrix:
         spec = models.parse_hazard(text)
-        ts = np.linspace(0.01, 4.0, 101)
-        worst = 0.0
+        worst = worst_rt = 0.0
         for t in ts:
-            s = hazards.survival(spec, float(t))
-            via_tp = math.exp(-hazards.time_process(spec, 0.0, float(t)))
+            s = hazards.survival(spec, t)
+            via_tp = math.exp(-hazards.time_process(spec, 0.0, t))
             if s > 1e-300:
                 worst = max(worst, abs(s - via_tp) / s)
-        worst_rt = 0.0
-        for t in ts:
-            s = hazards.survival(spec, float(t))
             if s <= 1e-12 or s >= 1.0:
                 continue
             t_back = hazards.invert_conditional(spec, 0.0, math.log(s))

@@ -35,14 +35,19 @@ class Stalled(ClocksimError):
 
 
 class UnknownClock(ClocksimError):
-    """An enabling delta, or a sampler's proposal, named a clock that is not enabled there."""
+    """An enabling delta, or a sampler's proposal, named a clock at odds with the enabled set.
+
+    The delta listed the clock twice, newly enabled it while it was already
+    enabled, or fired, disabled or modified it while it was not; or the
+    sampler proposed a clock that the engine has disabled.
+    """
 
     def __init__(self, clock):
         super().__init__(clock)
         self.clock = clock
 
     def __str__(self):
-        return f"clock {self.clock} not held by sampler"
+        return f"clock {self.clock} does not match the enabled set"
 
 
 class DuplicateAtoms(ClocksimError):

@@ -280,18 +280,13 @@ class PiecewiseConstant:
 
     def inverse_cumulative(self, x):
         x = max(x, 0.0)
-        bp, rs, cum = self.breakpoints, self.rates, self._cum
-        for i in range(len(bp)):
-            if rs[i] <= 0.0:
-                continue
-            end = cum[i + 1] if i + 1 < len(bp) else INF
-            if x < end or (i + 1 == len(bp)):
-                start = cum[i]
-                if x < start:
-                    # crossed in an earlier zero-rate plateau tie: resume here
-                    return bp[i]
-                return bp[i] + (x - start) / rs[i]
-        return INF
+        # the last of equal _cum values: a target on a zero-rate plateau's
+        # level resumes where the hazard does
+        i = bisect_right(self._cum, x) - 1
+        rate = self.rates[i]
+        if rate <= 0.0:
+            return INF
+        return self.breakpoints[i] + (x - self._cum[i]) / rate
 
     def support_end(self):
         return INF
@@ -319,30 +314,32 @@ def _invert_monotone(cumulative, hazard, x, scale_guess):
     """
     lo = 0.0
     hi = max(scale_guess, 1e-300)
+    f_hi = cumulative(hi) - x  # kept beside hi: no point is evaluated twice
     it = 0
-    while cumulative(hi) < x:
+    while f_hi < 0.0:
         lo = hi
         hi *= 2.0
         it += 1
         if it > 1100 or hi == INF:
             return INF
+        f_hi = cumulative(hi) - x
     for _ in range(_INVERT_MAXITER):
         if hi - lo <= _INVERT_RTOL * max(hi, 1e-300):
             break
         mid = 0.5 * (lo + hi)
         f = cumulative(mid) - x
         if f >= 0.0:
-            hi = mid
+            hi, f_hi = mid, f
         else:
             lo = mid
         # Newton step from the current upper end, kept inside the bracket.
         h = hazard(hi)
         if h > 0.0 and math.isfinite(h):
-            step = (cumulative(hi) - x) / h
-            cand = hi - step
+            cand = hi - f_hi / h
             if lo < cand < hi:
-                if cumulative(cand) - x >= 0.0:
-                    hi = cand
+                f = cumulative(cand) - x
+                if f >= 0.0:
+                    hi, f_hi = cand, f
                 else:
                     lo = cand
     return hi

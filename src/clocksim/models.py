@@ -105,9 +105,7 @@ def unparse_hazard(spec: HazardSpec) -> str:
     if cont is None:
         body = "none"
     else:
-        family = next((name for name, cls in FAMILIES.items() if isinstance(cont, cls)), None)
-        if family is None:
-            raise ModelError(f"cannot name family {cont!r}")
+        family = next(name for name, cls in FAMILIES.items() if isinstance(cont, cls))
         values = [getattr(cont, f.name) for f in fields(cont)]
         groups = values if isinstance(values[0], tuple) else [values]
         body = f"{family}:" + "|".join(",".join(repr(v) for v in g) for g in groups)

@@ -21,7 +21,8 @@ delta included, so runs are reproducible:
   next-to-fire    absorb: one variate per modified clock then per newly
                   enabled clock, each ascending id.  next_event: none.
   direct          next_event: exactly two variates (waiting time, then the
-                  clock draw; the second is consumed even on an atom hit).
+                  clock draw; the second is consumed even on an atom hit),
+                  or none when no clock is enabled: it raises Stalled first.
   hierarchical    children queried in construction order; each child keeps
                   its own discipline (losing first-reaction/direct children
                   re-propose next step and draw again).
@@ -416,7 +417,8 @@ class DirectSampler(_Sampler):
         survival asymptote), then Brent's method to relative 1e-12 in time.
         Brent opens by evaluating both bracket ends; those values are known
         (at s_prev nothing is consumed, so f is -budget there), so every
-        consumption sum is evaluated at most once per time point.
+        consumption sum is evaluated at most once per time point; a zero
+        budget returns lo at Brent's own f(lo) == 0 test.
         """
         g = self._g
         lo = s_prev
@@ -435,8 +437,6 @@ class DirectSampler(_Sampler):
                 f_lo = f_mid
         if hi - lo <= _INVERT_RTOL * max(abs(hi), 1e-300):
             return hi
-        if f_lo >= 0.0:
-            return lo
 
         def f(t):
             if t == lo:

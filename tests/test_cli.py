@@ -91,6 +91,23 @@ def test_run_builds_the_model_once(runner, tmp_path, monkeypatch):
     assert calls == ["sir"]
 
 
+def test_one_trajectory_runs_in_process_whatever_the_workers(runner, tmp_path, monkeypatch):
+    def run(workers):
+        out = tmp_path / f"w{workers}"
+        result = runner.invoke(cli, [
+            "run", "--model", "sir", "--param", "n=4", "--sampler", "direct", "--seed", "5",
+            "--max-events", "10", "--trajectories", "1", "--workers", str(workers), "--output", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        return _read_traj_files(out)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was forked for one trajectory")
+
+    monkeypatch.setattr(clocksim.cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert run(4) == run(1)
+
+
 def test_unknown_sampler_exits_2_with_valid_names(runner, tmp_path):
     result = runner.invoke(cli, [
         "run", "--model", "poisson", "--sampler", "bogus", "--t-end", "1",

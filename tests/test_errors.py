@@ -25,4 +25,4 @@ def test_error_survives_pickle(cls):
 
 def test_error_messages():
     assert str(errors.NegativeSubstate("S_1", -1)) == "substate 'S_1' would become -1"
-    assert str(errors.UnknownClock(3)) == "clock 3 not held by sampler"
+    assert str(errors.UnknownClock(3)) == "clock 3 does not match the enabled set"

@@ -265,6 +265,60 @@ def test_flat_segment_inversion_returns_resuming_edge():
     assert invert_conditional(spec, 0.0, -1.001) == pytest.approx(2.0005, rel=1e-12)
 
 
+def _scan_inverse(pc, x):
+    """PiecewiseConstant.inverse_cumulative as a linear scan over the pieces: the reference."""
+    x = max(x, 0.0)
+    bp, rs, cum = pc.breakpoints, pc.rates, pc._cum
+    for i in range(len(bp)):
+        if rs[i] <= 0.0:
+            continue
+        end = cum[i + 1] if i + 1 < len(bp) else INF
+        if x < end or (i + 1 == len(bp)):
+            start = cum[i]
+            if x < start:
+                return bp[i]
+            return bp[i] + (x - start) / rs[i]
+    return INF
+
+
+_RATES = st.sampled_from([0.0, 5e-324, 1e-320, 1.0]) | st.floats(0.0, 1e300)
+
+
+@given(
+    gaps=st.lists(st.floats(1e-300, 1e6), min_size=0, max_size=5),
+    rates=st.lists(_RATES, min_size=6, max_size=6),
+    extra=st.floats(allow_nan=True, allow_infinity=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_piecewise_inverse_matches_a_scan_over_the_pieces(gaps, rates, extra):
+    bp = [0.0]
+    for gap in gaps:
+        if bp[-1] + gap > bp[-1]:
+            bp.append(bp[-1] + gap)
+    pc = PiecewiseConstant(tuple(bp), tuple(rates[: len(bp)]))
+    targets = [math.nan, -1.0, -0.0, 0.0, INF, extra]
+    for c in pc._cum:
+        targets += [c, math.nextafter(c, INF)]
+    for x in targets:
+        assert _bits(pc.inverse_cumulative(x)) == _bits(_scan_inverse(pc, x)), x
+
+
+@pytest.mark.parametrize("shape, rate, x", [(2.0, 3.0, 1.0), (0.5, 1.0, 0.01), (0.3, 0.1, 8.0), (30.0, 50.0, 3.0)])
+def test_gamma_inversion_evaluates_cumulative_once_per_point(shape, rate, x, monkeypatch):
+    fam = Gamma(shape, rate)
+    expect = fam.inverse_cumulative(x)
+    points = []
+    real = Gamma.cumulative
+
+    def recording(self, d):
+        points.append(d)
+        return real(self, d)
+
+    monkeypatch.setattr(Gamma, "cumulative", recording)
+    assert _bits(fam.inverse_cumulative(x)) == _bits(expect)
+    assert points and len(points) == len(set(points))
+
+
 def test_mass_one_atom_is_certain():
     spec = HazardSpec(Exponential(0.1), (Atom(2.0, 1.0),))
     assert survival(spec, 2.0) == 0.0

@@ -79,9 +79,13 @@ def test_pure_birth_counts_and_strictly_increasing_times():
 
 
 def test_no_enabled_clocks_stalls_immediately():
+    # no sampler draws a variate for an empty enabled set: the `# variates:`
+    # header of a stalled file depends on it
     model = build_sir(3, initial_infected=0)
-    traj = run_trajectory(model, "direct", 9, StalledOnly())
-    assert traj.events == ()
+    for sampler in ALL_SAMPLERS:
+        traj = run_trajectory(model, sampler, 9, StalledOnly())
+        assert traj.events == (), sampler
+        assert traj.variates_consumed == 0, sampler
 
 
 def test_sir_infection_step_enables_recoveries():
