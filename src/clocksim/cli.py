@@ -11,10 +11,8 @@ before producing any event under an event-count stop.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
-import multiprocessing
 import os
 import time
 import typing
@@ -185,6 +183,10 @@ def cmd_run(config, param, **flags):
         if k == 1:
             results = _run_trajectories(built, spec, range(spec.trajectories))
         else:
+            # only a forked run pays for the pool's imports
+            import concurrent.futures
+            import multiprocessing
+
             ctx = multiprocessing.get_context("fork")
             with concurrent.futures.ProcessPoolExecutor(k, mp_context=ctx) as pool:
                 futures = [pool.submit(_run_strided, spec, w, k) for w in range(k)]

@@ -136,9 +136,11 @@ class ClockSpec:
     name: str = ""
 
     def __post_init__(self):
-        if isinstance(self.reads, str):
-            raise ModelError(f"clock {self.id}: reads must be a collection of substate keys, got {self.reads!r}")
-        object.__setattr__(self, "reads", frozenset(self.reads))
+        reads = self.reads
+        if type(reads) is not frozenset:
+            if isinstance(reads, str):
+                raise ModelError(f"clock {self.id}: reads must be a collection of substate keys, got {reads!r}")
+            object.__setattr__(self, "reads", frozenset(reads))
 
 
 @contextmanager

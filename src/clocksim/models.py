@@ -15,9 +15,10 @@ finite.  The normalised values go into ``Model.params``.
 
 The builders with one clock per site or pair (ring, SIR, rabbits) make each
 substate key string once and share it across reads, marks and the initial
-state, and bind one rule function per build to a clock's keys with
-``functools.partial``: a clock then holds one collector-tracked callable
-rather than a function plus a defaults tuple.
+state, and bind one rule function per build to a clock's keys as a method,
+``types.MethodType(rule, keys)``: a bound method holds the rule and its keys
+in one object, where ``functools.partial`` also allocates an argument tuple
+and a keywords dict.  A rule that needs several keys takes them as one tuple.
 
 Hazard families (``hazards.FAMILIES``) are nameable as strings:
 ``family:p1,p2`` with the family's fields in declaration order and optional
@@ -32,6 +33,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import types
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping
@@ -159,7 +161,8 @@ def build_sir(n, infect="exponential:1", recover="exponential:1", initial_infect
     inf = [f"I_{i}" for i in range(n)]
     sus = [f"S_{i}" for i in range(n)]
 
-    def infect_rule(ii, sj, view, now):
+    def infect_rule(keys, view, now):
+        ii, sj = keys
         if view.count(ii) == 1 and view.count(sj) == 1:
             return infect_on
         return DISABLED
@@ -176,7 +179,7 @@ def build_sir(n, infect="exponential:1", recover="exponential:1", initial_infect
             clocks.append(
                 ClockSpec(
                     id=cid,
-                    enabling=functools.partial(infect_rule, inf[i], sus[j]),
+                    enabling=types.MethodType(infect_rule, (inf[i], sus[j])),
                     mark=JumpMark({sus[j]: -1, inf[j]: +1}),
                     reads=frozenset({inf[i], sus[j]}),
                     name=f"infect_{i}_{j}",
@@ -187,7 +190,7 @@ def build_sir(n, infect="exponential:1", recover="exponential:1", initial_infect
         clocks.append(
             ClockSpec(
                 id=cid,
-                enabling=functools.partial(recover_rule, inf[i]),
+                enabling=types.MethodType(recover_rule, inf[i]),
                 mark=JumpMark({inf[i]: -1, f"R_{i}": +1}),
                 reads=frozenset({inf[i]}),
                 name=f"recover_{i}",
@@ -241,7 +244,8 @@ def build_rabbits(m, food_rate, portions=(1,), shape=2.0, initial_food=0) -> Mod
         )
     ]
 
-    def eat_rule(dk, meal_keys, view, now):
+    def eat_rule(keys, view, now):
+        dk, meal_keys = keys
         if view.count("food") < dk:
             return DISABLED
         last_t = 0.0
@@ -263,7 +267,7 @@ def build_rabbits(m, food_rate, portions=(1,), shape=2.0, initial_food=0) -> Mod
             clocks.append(
                 ClockSpec(
                     id=cid,
-                    enabling=functools.partial(eat_rule, dk, meal_keys),
+                    enabling=types.MethodType(eat_rule, (dk, meal_keys)),
                     mark=JumpMark({"food": -dk, meal_keys[k]: +1}),
                     reads=reads,
                     name=f"eat_{r}_{k}",
@@ -365,7 +369,7 @@ def build_ring(m, rate=1.0, tokens=1) -> Model:
     clocks = [
         ClockSpec(
             id=i,
-            enabling=functools.partial(hop_rule, sites[i]),
+            enabling=types.MethodType(hop_rule, sites[i]),
             mark=JumpMark({sites[i]: -1, sites[(i + 1) % m]: +1}),
             reads=frozenset({sites[i]}),
             name=f"hop_{i}",

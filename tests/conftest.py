@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import pytest
 from scipy.integrate import quad
@@ -54,6 +55,19 @@ def tracked_objects_after_build(build):
     built = build()
     gc.collect()
     return built, len(gc.get_objects()) - before
+
+
+def traced_bytes_after_build(build):
+    """(build(), the bytes tracemalloc sees it leave allocated)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        gc.collect()
+        return built, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def survival_quadrature(spec, t):

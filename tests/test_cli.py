@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -104,7 +105,7 @@ def test_one_trajectory_runs_in_process_whatever_the_workers(runner, tmp_path, m
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was forked for one trajectory")
 
-    monkeypatch.setattr(clocksim.cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert run(4) == run(1)
 
 
@@ -442,16 +443,19 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
-def _scipy_modules_after_run(tmp_path, *args):
+def _fresh_python(code, *args):
+    """The last line `code` prints in a fresh interpreter importing this clocksim."""
     src = os.path.dirname(os.path.dirname(clocksim.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", _RUN_THEN_LIST_SCIPY, "run", *args, "--max-events", "10",
-         "--output", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert os.listdir(tmp_path / "out")
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
     return done.stdout.strip().splitlines()[-1]
+
+
+def _scipy_modules_after_run(tmp_path, *args):
+    loaded = _fresh_python(_RUN_THEN_LIST_SCIPY, "run", *args, "--max-events", "10",
+                           "--output", str(tmp_path / "out"))
+    assert os.listdir(tmp_path / "out")
+    return loaded
 
 
 @pytest.mark.parametrize("args", [
@@ -468,3 +472,11 @@ def test_run_on_gamma_clocks_imports_scipy_special_on_use(tmp_path):
     loaded = _scipy_modules_after_run(tmp_path, "--model", "sir", "--param", "n=3",
                                       "--param", "recover=gamma:2,1", "--sampler", "direct")
     assert "'scipy.special'" in loaded
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only `clocksim run` with more than one worker forks a pool
+    loaded = _fresh_python(
+        "import sys, clocksim.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    assert loaded == "[]"

@@ -73,6 +73,11 @@ def test_bare_string_reads_rejected_naming_the_clock():
         ClockSpec(id=3, enabling=lambda v, now: DISABLED, mark=JumpMark({}), reads="x_0")
     clock = ClockSpec(id=3, enabling=lambda v, now: DISABLED, mark=JumpMark({}), reads=("x_0",))
     assert clock.reads == frozenset({"x_0"})
+    # a frozenset is kept as given; a subclass becomes a plain frozenset
+    reads = frozenset({"x_0"})
+    assert ClockSpec(id=3, enabling=clock.enabling, mark=clock.mark, reads=reads).reads is reads
+    sub = type("Reads", (frozenset,), {})({"x_0"})
+    assert type(ClockSpec(id=3, enabling=clock.enabling, mark=clock.mark, reads=sub).reads) is frozenset
 
 
 def test_numpy_integer_counts_become_ints():

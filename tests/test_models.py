@@ -39,7 +39,7 @@ from clocksim.models import (
     unparse_hazard,
 )
 from clocksim.verify import ctmc_oracle, ks_statistic
-from conftest import tracked_objects_after_build
+from conftest import traced_bytes_after_build, tracked_objects_after_build
 
 ALL_BUILTINS = [
     ("sir", {"n": 3, "initial_infected": 1, "recover": "weibull:2,1"}),
@@ -289,19 +289,32 @@ def test_ring_conserves_tokens():
     assert sum(state.values()) == 12
 
 
-def _ring_with_tables(m):
-    model = build_ring(m)
+def _with_tables(builder, size):
+    model = builder(size)
     model.graph, model.by_id
     return model
 
 
 def test_built_ring_footprint_per_clock():
     # the difference between two sizes leaves out what a build makes once
-    small, small_count = tracked_objects_after_build(lambda: _ring_with_tables(1024))
-    large, large_count = tracked_objects_after_build(lambda: _ring_with_tables(2048))
+    small, small_count = tracked_objects_after_build(lambda: _with_tables(build_ring, 1024))
+    large, large_count = tracked_objects_after_build(lambda: _with_tables(build_ring, 2048))
     assert (large_count - small_count) / 1024 <= 4
     for readers in large.graph.values():
         assert type(readers) is tuple and list(readers) == sorted(readers)
+
+
+@pytest.mark.parametrize("builder,small,large,bound", [
+    (build_ring, 1024, 2048, 950),
+    (build_sir, 20, 28, 880),
+], ids=["ring", "sir"])
+def test_built_model_bytes_per_clock(builder, small, large, bound):
+    # the difference between two sizes leaves out what a build makes once;
+    # a clock's rule is one 64-byte bound method
+    small_model, small_bytes = traced_bytes_after_build(lambda: _with_tables(builder, small))
+    large_model, large_bytes = traced_bytes_after_build(lambda: _with_tables(builder, large))
+    per_clock = (large_bytes - small_bytes) / (len(large_model.clocks) - len(small_model.clocks))
+    assert per_clock <= bound
 
 
 def test_ring_clocks_share_key_strings():
