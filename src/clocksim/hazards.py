@@ -16,14 +16,18 @@ so that S(t2) = S(t1) * exp(-time_process(t1, t2)) identically.  The
 per-clock samplers in :mod:`clocksim.samplers` (first-reaction,
 next-reaction, next-to-fire) are built from ``invert_conditional`` and
 ``time_process``, a fresh uniform variate u entering as the required
-log-survival ln(1 - u); the direct sampler inverts the summed cumulative
-hazards of all enabled clocks itself.
+log-survival ln(1 - u): a clock enabled at te draws, inline in the
+sampler's loop, the absolute time
+``te + invert_conditional(spec, max(now - te, 0), log1p(-u))``.  The direct
+sampler inverts the summed cumulative hazards of all enabled clocks itself.
 
 A spec whose continuous part is :class:`Exponential` and that has no atoms
 takes an exponential path in ``invert_conditional`` and ``time_process``:
 the general path's own arithmetic, inline, with the rate read once at
-construction, so its results are the same to the bit.  scipy is imported
-only by the first :class:`Gamma` evaluation.
+construction, so its results are the same to the bit.  Its final
+``max(t, shift)`` is a comparison that keeps t on a tie, as ``max`` does,
+so a signed zero comes out as the general path's.  scipy is imported only
+by the first :class:`Gamma` evaluation.
 
 Log-survivals are plain non-positive floats (-inf means survival exhausted);
 putative times use ``math.inf`` as the distinguished "never" value, ordered
@@ -451,7 +455,8 @@ def invert_conditional(spec: HazardSpec, shift: float, required_log_survival: fl
         if rate == 0.0:
             return INF
         x = base + need
-        return max(0.0 if x <= 0.0 else x / rate, shift)
+        t = 0.0 if x <= 0.0 else x / rate
+        return shift if shift > t else t
     base = spec._cum(shift)
     if base == INF:
         return shift

@@ -27,6 +27,17 @@ delta included, so runs are reproducible:
                   its own discipline (losing first-reaction/direct children
                   re-propose next step and draw again).
 
+The per-clock samplers (first-reaction, next-to-fire, and next-reaction on
+re-inversion) compute each putative time inline, with no helper frame, as
+
+    te + invert_conditional(spec, max(now - te, 0), log1p(-u))
+
+with next-reaction passing minus its remaining budget for log1p(-u).  The
+clamps to 0 are comparisons (`0.0 if x < 0.0 else x`), which keep -0.0 and
+NaN exactly as `max(x, 0.0)` does.  `stream.uniform` and
+`invert_conditional` are looked up once per call, not bound at import, so a
+wrapper installed on either name still sees every draw.
+
 Ties between equal finite putative times break toward the smallest clock id.
 """
 
@@ -36,7 +47,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ModelError, Stalled, UnknownClock
-from .hazards import INF, Exponential, HazardSpec, invert_conditional, time_process
+from .hazards import INF, Exponential, invert_conditional, time_process
 from .hazards import _INVERT_MAXITER, _INVERT_RTOL
 from .structs import PrefixSumTree, PutativeQueue
 
@@ -161,14 +172,6 @@ def _check_delta(delta, enabled):
         freed[cid] = False
 
 
-def _conditional_draw(spec: HazardSpec, te: float, now: float, log_survival: float) -> float:
-    """Absolute putative time whose survival, conditional on survival to now, is exp(log_survival)."""
-    shift = now - te
-    if shift < 0.0:
-        shift = 0.0
-    return te + invert_conditional(spec, shift, log_survival)
-
-
 class _Sampler:
     """Base sampler: `absorb` checks a delta against the ids in `_enabled`, then `_apply`s it."""
 
@@ -186,11 +189,18 @@ class FirstReactionSampler(_Sampler):
         self._enabled = {}  # cid -> the delta's (cid, spec, te) entry
 
     def next_event(self, now, stream):
+        enabled = self._enabled
+        uniform = stream.uniform
+        invert = invert_conditional
+        log1p = math.log1p
         best_t = INF
         best_cid = None
-        for cid in sorted(self._enabled):
-            _, spec, te = self._enabled[cid]
-            t = _conditional_draw(spec, te, now, math.log1p(-stream.uniform()))
+        for cid in sorted(enabled):
+            _, spec, te = enabled[cid]
+            shift = now - te
+            if shift < 0.0:
+                shift = 0.0
+            t = te + invert(spec, shift, log1p(-uniform()))
             if t < best_t:
                 best_t = t
                 best_cid = cid
@@ -258,10 +268,17 @@ class NextReactionSampler(_QueueSampler):
         if remaining < 0.0:
             remaining = 0.0
         e.seg_start = now
-        return _conditional_draw(e.spec, e.te, now, -remaining)
+        te = e.te
+        shift = now - te
+        if shift < 0.0:
+            shift = 0.0
+        return te + invert_conditional(e.spec, shift, -remaining)
 
     def _accrue(self, e, now):
-        e.consumed += time_process(e.spec, max(e.seg_start - e.te, 0.0), max(now - e.te, 0.0))
+        te = e.te
+        start = e.seg_start - te
+        end = now - te
+        e.consumed += time_process(e.spec, 0.0 if start < 0.0 else start, 0.0 if end < 0.0 else end)
 
     def _apply(self, delta, now, stream):
         entries, queue = self._entries, self._queue
@@ -300,10 +317,19 @@ class NextToFireSampler(_QueueSampler):
             queue.delete(delta.fired)
         for cid in delta.newly_disabled:
             queue.delete(cid)
+        uniform = stream.uniform
+        invert = invert_conditional
+        log1p = math.log1p
         for cid, spec, te in delta.modified:
-            queue.update(cid, _conditional_draw(spec, te, now, math.log1p(-stream.uniform())))
+            shift = now - te
+            if shift < 0.0:
+                shift = 0.0
+            queue.update(cid, te + invert(spec, shift, log1p(-uniform())))
         for cid, spec, te in delta.newly_enabled:
-            queue.insert(cid, _conditional_draw(spec, te, now, math.log1p(-stream.uniform())))
+            shift = now - te
+            if shift < 0.0:
+                shift = 0.0
+            queue.insert(cid, te + invert(spec, shift, log1p(-uniform())))
 
 
 class DirectSampler(_Sampler):

@@ -15,7 +15,10 @@ PrefixSumTree: Fenwick tree over finite nonnegative float weights with point
 update, total, and find-by-prefix (smallest index whose inclusive prefix
 sum strictly exceeds the target -- zero-weight slots are never returned).
 Updates are deltas, so float error can drift; the tree is rebuilt from the
-exact leaf array every 4096 updates to bound it.
+exact leaf array every 4096 updates to bound it.  The internal nodes of a
+tree whose leaves are all 0 may still hold that drift, so the tree counts
+its positive leaves: with none, `total()` is exactly 0.0, and `find`
+returns -1 wherever its descent ends on a leaf that is not > 0.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ class PrefixSumTree:
         self._leaves = [0.0] * _TREE_START
         self._tree = [0.0] * (_TREE_START + 1)
         self._ops = 0
+        self._positive = 0  # leaves > 0
 
     def _grow(self, needed):
         n = self._n
@@ -124,9 +128,15 @@ class PrefixSumTree:
             raise IndexError(index)
         if index >= self._n:
             self._grow(index + 1)
-        delta = value - self._leaves[index]
+        old = self._leaves[index]
+        delta = value - old
         if delta == 0.0:
             return
+        # weights are >= 0, so a changed leaf crosses zero or stays positive
+        if old == 0.0:
+            self._positive += 1
+        elif value == 0.0:
+            self._positive -= 1
         self._leaves[index] = value
         j = index + 1
         tree = self._tree
@@ -149,10 +159,12 @@ class PrefixSumTree:
         return s
 
     def total(self):
+        if not self._positive:
+            return 0.0
         return self.prefix(self._n - 1)
 
     def find(self, x):
-        """Smallest index with inclusive prefix sum > x; -1 if x >= total."""
+        """Smallest index with inclusive prefix sum > x; -1 if x >= total or that leaf is not > 0."""
         pos = 0
         bit = self._n
         rem = x
@@ -164,6 +176,6 @@ class PrefixSumTree:
                 pos = nxt
                 rem -= tree[nxt]
             bit >>= 1
-        if pos >= n:
+        if pos >= n or not self._leaves[pos] > 0.0:
             return -1
         return pos

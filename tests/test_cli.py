@@ -109,6 +109,20 @@ def test_one_trajectory_runs_in_process_whatever_the_workers(runner, tmp_path, m
     assert run(4) == run(1)
 
 
+def test_direct_runs_sir_past_its_last_continuous_hazard(runner, tmp_path):
+    # Recoveries are atoms only, so once no infection clock is enabled the
+    # hazard tree's leaves are all 0; the rounding residue of the cleared
+    # leaves is no rate, and no slot is found in it.
+    out = tmp_path / "out"
+    result = runner.invoke(cli, [
+        "run", "--model", "sir", "--param", "n=5", "--param", "recover=none@1,0.5",
+        "--param", "infect=weibull:2,1", "--sampler", "direct", "--trajectories", "300",
+        "--output", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    assert len(_read_traj_files(out)) == 300
+
+
 def test_unknown_sampler_exits_2_with_valid_names(runner, tmp_path):
     result = runner.invoke(cli, [
         "run", "--model", "poisson", "--sampler", "bogus", "--t-end", "1",

@@ -239,6 +239,25 @@ def test_exponential_path_matches_the_general_path(rate, shift, dt, log_survival
     _check_exponential_path(rate, shift, dt, log_survival)
 
 
+# Ties between the drawn duration and the shift, where the path must keep
+# the general path's choice between two equal values: an exact tie, a need
+# absorbed by rounding into a large shift, and a signed-zero shift.
+EXPONENTIAL_TIES = [
+    (1.0, 1.0, 0.0),
+    (1.0, 1.0, -0.0),
+    (1.0, 1e17, -1.0),
+    (1.0, -0.0, 0.0),
+    (1.0, -0.0, -0.0),
+    (2.0, 0.5, -0.0),
+]
+
+
+@pytest.mark.parametrize("rate, shift, log_survival", EXPONENTIAL_TIES)
+def test_exponential_path_ties_match_the_general_path(rate, shift, log_survival):
+    for dt in (0.0, 1.0, 1e10):
+        _check_exponential_path(rate, shift, dt, log_survival)
+
+
 def test_only_plain_exponential_specs_take_the_exponential_path():
     assert HazardSpec(Exponential(2.0))._exp_rate == 2.0
     assert HazardSpec(Exponential(2.0), (Atom(1.0, 0.5),))._exp_rate is None

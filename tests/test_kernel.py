@@ -604,3 +604,35 @@ def test_benchmark_wrapped_names_stay_on_the_call_path(monkeypatch, sampler):
         monkeypatch.setattr(owner, attr, counting)
     run_trajectory(build("ring", {"m": 16, "tokens": 2}), sampler, 5, EventCount(50))
     assert [attr for attr in sorted(USED_ON_RING[sampler]) if not calls[attr]] == []
+
+
+@pytest.mark.parametrize("name, params", [
+    ("sir", {"n": 8, "recover": "weibull:2,1@1.5,0.5"}),
+    ("rabbits", {"m": 4, "food_rate": 2.0, "portions": "1;2"}),
+    ("atomic-showcase", {}),
+])
+def test_first_reaction_draws_once_per_enabled_clock(monkeypatch, name, params):
+    # The samplers docstring's contract, seen through the wrapped names:
+    # each event calls `uniform` and `invert_conditional` once per enabled
+    # clock, whatever the spec: Weibull with atoms (SIR), Weibull anchored
+    # at a past meal (rabbits), atoms only (atomic-showcase).
+    calls = {"uniform": 0, "invert_conditional": 0}
+    for owner, attr in ((kernel.CountingStream, "uniform"), (samplers, "invert_conditional")):
+        def counting(*args, _attr=attr, _fn=getattr(owner, attr), **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counting)
+    sampler = make_sampler("first-reaction")
+    engine = Engine(build(name, params), sampler, CountingStream(derived_generator(3, 0)))
+    events = 0
+    while events < 60:
+        enabled = len(sampler._enabled)
+        before = dict(calls)
+        try:
+            engine.step()
+        except Stalled:
+            break
+        finally:
+            assert calls == {k: v + enabled for k, v in before.items()}
+        events += 1
+    assert events

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from clocksim import samplers
-from clocksim.clocks import ClockSpec, Enabled, JumpMark, SystemState
+from clocksim.clocks import DISABLED, ClockSpec, Enabled, JumpMark, SystemState
 from clocksim.errors import ModelError, Stalled, UnknownClock
 from clocksim.hazards import Atom, Exponential, HazardSpec, Weibull
 from clocksim.kernel import EventCount, StalledOnly, run_ensemble, run_trajectory, write_trajectory
@@ -511,6 +511,40 @@ STALL_PATH_DIGESTS = {
     "direct": "ff24c5e4359db84f5e4d090470f3a5ccb45f8e1bc5475a38fc1f5ee85db1b5eb",
     "hierarchical:direct=0;next-reaction=rest": "8e48ca24752bb87bf085dd5d0a1296c15bd24f18f75738b55c53bb02d05933f0",
 }
+
+
+def _race_then_atom():
+    """A (rate 0.1) and B (rate 0.2) race, either disarms both, then C gets one atom of mass 1/2."""
+    race = [Enabled(HazardSpec(Exponential(r))) for r in (0.1, 0.2)]
+    atom = Enabled(parse_hazard("none@1,0.5"))
+    clocks = (
+        *(ClockSpec(id=i, enabling=lambda view, now, out=out: out if view.count("armed") else DISABLED,
+                    mark=JumpMark({"armed": -1, "done": 1}), reads=frozenset({"armed"}), name=name)
+          for i, (name, out) in enumerate(zip("AB", race))),
+        ClockSpec(id=2, enabling=lambda view, now: atom if view.count("done") else DISABLED,
+                  mark=JumpMark({"done": -1}), reads=frozenset({"done"}), name="C"),
+    )
+    return Model("race-then-atom", clocks, SystemState({"armed": 1}), {})
+
+
+def test_direct_stalls_where_only_zero_hazard_clocks_remain():
+    # After the race only C is enabled and its hazard is 0 off its atom:
+    # the run ends with C firing at te + 1 or with a stall.  Direct's second
+    # variate goes unused on C's draw, so both samplers decide C on the
+    # third uniform of the stream, and their splits agree exactly.
+    model = _race_then_atom()
+    splits = {}
+    for sampler in ("first-reaction", "direct"):
+        outcomes = []
+        for i in range(2000):
+            events = run_trajectory(model, sampler, 9, StalledOnly(), stream_index=i).events
+            assert len(events) in (1, 2) and events[0].clock in (0, 1)
+            if len(events) == 2:
+                assert events[1].clock == 2 and events[1].time == events[0].time + 1.0
+            outcomes.append(len(events) == 2)
+        splits[sampler] = outcomes
+    assert splits["direct"] == splits["first-reaction"]
+    assert 900 < sum(splits["direct"]) < 1100
 
 
 @pytest.mark.parametrize("sampler", list(STALL_PATH_DIGESTS))

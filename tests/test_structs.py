@@ -230,3 +230,30 @@ def test_tree_total_drift_bounded_with_rebuilds():
         if k % 5_000 == 0:
             assert t.total() == pytest.approx(math.fsum(leaves), rel=1e-12)
     assert t.total() == pytest.approx(math.fsum(leaves), rel=1e-12)
+
+
+# Weights span twelve orders of magnitude.  Wider ranges let a delta update
+# absorb a small weight into a large one, so a node can read 0.0 over a
+# positive leaf: that is the delta tree's drift, not its zero handling.
+_WEIGHTS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0]) | st.floats(1e-6, 1e6)
+
+
+@given(
+    ops=st.lists(st.tuples(st.integers(0, 40), _WEIGHTS), max_size=80),
+    clear_all=st.booleans(),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+)
+@settings(max_examples=300, deadline=None)
+def test_tree_finds_no_zero_leaf_and_an_empty_tree_totals_zero(ops, clear_all, fractions):
+    # Cleared leaves leave rounding residue in the internal nodes: set 0.1
+    # and 0.2, clear both, and the nodes hold 2.8e-17.
+    t = PrefixSumTree()
+    leaves = {}
+    for i, v in ops + [(i, 0.0) for i, _ in ops] * clear_all:
+        t.set(i, v)
+        leaves[i] = v
+    total = t.total()
+    assert (total == 0.0) == all(v == 0.0 for v in leaves.values())
+    for x in (0.0, *(f * total for f in fractions)):
+        slot = t.find(x)
+        assert slot == -1 or leaves.get(slot, 0.0) > 0.0, (x, slot)
