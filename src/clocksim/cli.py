@@ -6,7 +6,8 @@ through the environment with the prefix CLOCKSIM_RUN_, per click's
 auto-envvar rules.  Values from every source are checked on one path, against
 types read from `RunSpec`'s annotations.  Exit codes: 0 success,
 1 verification failure, 2 configuration/usage error, 3 a trajectory stalled
-before producing any event under an event-count stop.
+before producing any event under an event-count stop, 4 internal error (any
+other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import time
+import traceback
 import typing
 from dataclasses import asdict, dataclass, field
 
@@ -23,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import hazards, kernel, models
-from .errors import ClocksimError, ConfigError
+from .errors import ClocksimError, ConfigError, ModelError
 from .samplers import SAMPLER_NAMES, make_sampler
 
 
@@ -150,7 +152,21 @@ def _run_strided(spec: RunSpec, first: int, stride: int):
     return _run_trajectories(model, spec, range(first, spec.trajectories, stride))
 
 
-@click.group()
+class _Group(click.Group):
+    """The `clocksim` group: an exception other than click's own or a broken pipe is an internal error, exit 4."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort, BrokenPipeError):
+            raise  # click turns these into their own exit codes
+        except Exception:
+            traceback.print_exc()
+            # SystemExit, not ctx.exit: under standalone_mode=False ctx.exit's code is only returned
+            raise SystemExit(4) from None
+
+
+@click.group(cls=_Group)
 def cli():
     """Exact simulation of competing clock processes."""
 
@@ -241,13 +257,18 @@ def cmd_summarize(files, observable):
         return
     # final-state: pooled histogram over replayed final states
     hist = {}
-    built = {}  # (model, params) header -> Model
+    built = {}  # (model, params) header -> (Model, its model_hash)
     for tf in parsed:
         try:
             header = (tf.header["model"], tf.header.get("params", "{}"))
             if header not in built:
-                built[header] = models.build(header[0], json.loads(header[1]))
-            counts = kernel.final_state(built[header], tf).counts
+                model = models.build(header[0], json.loads(header[1]))
+                built[header] = model, kernel.model_hash(model)
+            model, digest = built[header]
+            written = tf.header.get("model_hash", "(none)")
+            if written != digest:
+                raise ModelError(f"model_hash {written} is not the rebuilt model's {digest}")
+            counts = kernel.final_state(model, tf).counts
         except (ClocksimError, KeyError, TypeError, ValueError) as exc:
             raise click.UsageError(f"{tf.path}: cannot replay ({exc})")
         key = json.dumps(counts, sort_keys=True)

@@ -18,8 +18,10 @@ next-reaction, next-to-fire) are built from ``invert_conditional`` and
 ``time_process``, a fresh uniform variate u entering as the required
 log-survival ln(1 - u): a clock enabled at te draws, inline in the
 sampler's loop, the absolute time
-``te + invert_conditional(spec, max(now - te, 0), log1p(-u))``.  The direct
-sampler inverts the summed cumulative hazards of all enabled clocks itself.
+``te + invert_conditional(spec, now - te, log1p(-u))``.  The shift needs no
+clamp: the kernel and the samplers both reject an anchor outside
+-inf < te <= now.  The direct sampler inverts the summed cumulative hazards
+of all enabled clocks itself.
 
 A spec whose continuous part is :class:`Exponential` and that has no atoms
 takes an exponential path in ``invert_conditional`` and ``time_process``:
@@ -442,7 +444,7 @@ def invert_conditional(spec: HazardSpec, shift: float, required_log_survival: fl
     remaining hazard mass never reaches the requirement.  Zero-hazard
     plateaus at an exact-tie target resolve to where the hazard resumes.
     """
-    if shift < 0.0:
+    if not shift >= 0.0:  # NaN fails too
         raise ValueError("shift must be >= 0")
     if required_log_survival > 0.0:
         raise ValueError("required log-survival must be <= 0")

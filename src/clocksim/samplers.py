@@ -27,15 +27,14 @@ delta included, so runs are reproducible:
                   its own discipline (losing first-reaction/direct children
                   re-propose next step and draw again).
 
-The per-clock samplers (first-reaction, next-to-fire, and next-reaction on
-re-inversion) compute each putative time inline, with no helper frame, as
+Anchors satisfy -inf < te <= now and now never decreases, so every elapsed
+duration x - te (x >= now) is >= 0 unclamped.  The per-clock samplers
+(first-reaction, next-to-fire, next-reaction on re-inversion) draw inline as
 
-    te + invert_conditional(spec, max(now - te, 0), log1p(-u))
+    te + invert_conditional(spec, now - te, log1p(-u))
 
-with next-reaction passing minus its remaining budget for log1p(-u).  The
-clamps to 0 are comparisons (`0.0 if x < 0.0 else x`), which keep -0.0 and
-NaN exactly as `max(x, 0.0)` does.  `stream.uniform` and
-`invert_conditional` are looked up once per call, not bound at import, so a
+with next-reaction passing minus its remaining budget for log1p(-u).
+`stream.uniform` and `invert_conditional` are looked up once per call, so a
 wrapper installed on either name still sees every draw.
 
 Ties between equal finite putative times break toward the smallest clock id.
@@ -149,12 +148,13 @@ class EnablingDelta:
         self.modified = [] if modified is None else modified  # (cid, spec, te)
 
 
-def _check_delta(delta, enabled):
-    """Raise UnknownClock unless `delta` applies to the ids in `enabled`.
+def _check_delta(delta, enabled, now):
+    """Raise unless `delta` applies at `now` to the ids in `enabled`.
 
     Each clock is listed at most once, except that a fired or newly disabled
     clock may also be newly enabled; only enabled clocks fire, are disabled
-    or are modified, and only the others are newly enabled.
+    or are modified, and only the others are newly enabled (UnknownClock).
+    Modified and newly enabled anchors satisfy -inf < te <= now, NaN failing (ModelError).
     """
     fired = delta.fired
     freed = {}  # id listed so far -> whether this delta frees it to be enabled
@@ -162,13 +162,17 @@ def _check_delta(delta, enabled):
         if cid in freed or cid not in enabled:
             raise UnknownClock(cid)
         freed[cid] = True
-    for cid, _, _ in delta.modified:
+    for cid, _, te in delta.modified:
         if cid in freed or cid not in enabled:
             raise UnknownClock(cid)
+        if not -INF < te <= now:
+            raise ModelError(f"clock {cid}: enabling time {te} is not finite, or is in the future (now={now})")
         freed[cid] = False
-    for cid, _, _ in delta.newly_enabled:
+    for cid, _, te in delta.newly_enabled:
         if not freed.get(cid, cid not in enabled):
             raise UnknownClock(cid)
+        if not -INF < te <= now:
+            raise ModelError(f"clock {cid}: enabling time {te} is not finite, or is in the future (now={now})")
         freed[cid] = False
 
 
@@ -176,7 +180,7 @@ class _Sampler:
     """Base sampler: `absorb` checks a delta against the ids in `_enabled`, then `_apply`s it."""
 
     def absorb(self, delta, now, stream):
-        _check_delta(delta, self._enabled)
+        _check_delta(delta, self._enabled, now)
         self._apply(delta, now, stream)
 
 
@@ -197,10 +201,7 @@ class FirstReactionSampler(_Sampler):
         best_cid = None
         for cid in sorted(enabled):
             _, spec, te = enabled[cid]
-            shift = now - te
-            if shift < 0.0:
-                shift = 0.0
-            t = te + invert(spec, shift, log1p(-uniform()))
+            t = te + invert(spec, now - te, log1p(-uniform()))
             if t < best_t:
                 best_t = t
                 best_cid = cid
@@ -269,16 +270,11 @@ class NextReactionSampler(_QueueSampler):
             remaining = 0.0
         e.seg_start = now
         te = e.te
-        shift = now - te
-        if shift < 0.0:
-            shift = 0.0
-        return te + invert_conditional(e.spec, shift, -remaining)
+        return te + invert_conditional(e.spec, now - te, -remaining)
 
     def _accrue(self, e, now):
         te = e.te
-        start = e.seg_start - te
-        end = now - te
-        e.consumed += time_process(e.spec, 0.0 if start < 0.0 else start, 0.0 if end < 0.0 else end)
+        e.consumed += time_process(e.spec, e.seg_start - te, now - te)
 
     def _apply(self, delta, now, stream):
         entries, queue = self._entries, self._queue
@@ -321,15 +317,9 @@ class NextToFireSampler(_QueueSampler):
         invert = invert_conditional
         log1p = math.log1p
         for cid, spec, te in delta.modified:
-            shift = now - te
-            if shift < 0.0:
-                shift = 0.0
-            queue.update(cid, te + invert(spec, shift, log1p(-uniform())))
+            queue.update(cid, te + invert(spec, now - te, log1p(-uniform())))
         for cid, spec, te in delta.newly_enabled:
-            shift = now - te
-            if shift < 0.0:
-                shift = 0.0
-            queue.insert(cid, te + invert(spec, shift, log1p(-uniform())))
+            queue.insert(cid, te + invert(spec, now - te, log1p(-uniform())))
 
 
 class DirectSampler(_Sampler):
@@ -388,7 +378,7 @@ class DirectSampler(_Sampler):
         elif cont is not None:
             self._bump_crate(cont.rate)
         # an infinite start (Weibull or gamma shape < 1) waits for the refresh in next_event
-        h = spec.continuous_hazard(max(now - te, 0.0))
+        h = spec.continuous_hazard(now - te)
         self._tree.set(slot, h if h < INF else 0.0)
         if spec.atoms:
             self._atoms[cid] = [(te + a.offset, a.mass, cid) for a in spec.atoms]
@@ -421,7 +411,7 @@ class DirectSampler(_Sampler):
     @staticmethod
     def _bases(varying, s_prev):
         """Each varying clock's cumulative hazard at s_prev, in `varying` order."""
-        return [spec.cumulative_hazard(s_prev - te if s_prev > te else 0.0) for _, spec, te in varying]
+        return [spec.cumulative_hazard(s_prev - te) for _, spec, te in varying]
 
     @staticmethod
     def _g(varying, bases, crate, s_prev, t):
@@ -429,7 +419,7 @@ class DirectSampler(_Sampler):
         g = crate * (t - s_prev)
         i = 0
         for _, spec, te in varying:
-            c = spec.cumulative_hazard(t - te if t > te else 0.0)
+            c = spec.cumulative_hazard(t - te)
             if c == INF:
                 return INF
             g += c - bases[i]
@@ -538,7 +528,7 @@ class DirectSampler(_Sampler):
             surest = None  # smallest id whose hazard is infinite at t: it fires with certainty
             for cid in self._varying:
                 _, spec, te = enabled[cid]
-                h = spec.continuous_hazard(t - te if t > te else 0.0)
+                h = spec.continuous_hazard(t - te)
                 if h == INF:
                     if surest is None or cid < surest:
                         surest = cid
@@ -556,7 +546,7 @@ class DirectSampler(_Sampler):
         t_left = math.nextafter(t, now)
         for cid in sorted(self._enabled):
             _, spec, te = self._enabled[cid]
-            if spec.continuous_hazard(max(t_left - te, 0.0)) > 0.0:
+            if spec.continuous_hazard(t_left - te) > 0.0:
                 return SamplerEvent(cid, t)
         raise Stalled("no hazard at sampled time")
 
@@ -628,7 +618,7 @@ class HierarchicalSampler:
             if sub.fired is not None or sub.newly_enabled or sub.newly_disabled or sub.modified
         ]
         for child, sub in touched:
-            _check_delta(sub, child._enabled)
+            _check_delta(sub, child._enabled, now)
         for child, sub in touched:
             child._apply(sub, now, stream)
 

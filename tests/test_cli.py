@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 
+import click
 import pytest
 import yaml
 from click.testing import CliRunner
 
 import clocksim
-from clocksim import models, verify
+import clocksim.cli as cli_module
+from clocksim import kernel, models, verify
 from clocksim.cli import RunSpec, _suite_equivalence, cli
 
 
@@ -231,8 +233,10 @@ def test_config_file_with_flag_overrides(runner, tmp_path):
     ({"max_events": None, "t_end": "soon"}, []),
     ({}, ["--seed", "-1"]),
     ({}, ["--seed", str(2**64)]),
+    ({"trajectories": 0}, []),
+    ({"workers": 0}, []),
 ], ids=["params-list", "seed-str", "seed-bool", "trajectories-str", "workers-float",
-        "max_events-float", "t_end-str", "seed-negative", "seed-2**64"])
+        "max_events-float", "t_end-str", "seed-negative", "seed-2**64", "trajectories-0", "workers-0"])
 def test_malformed_config_value_exits_2(runner, tmp_path, fields, flags):
     cfg = tmp_path / "run.yaml"
     doc = {"model": "poisson", "max_events": 3, "output": str(tmp_path / "x")}
@@ -240,6 +244,39 @@ def test_malformed_config_value_exits_2(runner, tmp_path, fields, flags):
     result = runner.invoke(cli, ["run", "--config", str(cfg), *flags])
     assert result.exit_code == 2, result.output
     assert not os.path.exists(tmp_path / "x")
+
+
+@pytest.mark.parametrize("text", ["model: [poisson\n", "- model\n- poisson\n"], ids=["not-yaml", "top-level-list"])
+def test_config_file_that_is_not_a_yaml_mapping_exits_2(runner, tmp_path, text):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text)
+    result = runner.invoke(cli, ["run", "--config", str(cfg), "--output", str(tmp_path / "x")])
+    assert result.exit_code == 2, result.output
+    assert str(cfg) in result.output
+    assert not os.path.exists(tmp_path / "x")
+
+
+def test_internal_error_exits_4_with_its_traceback(runner, tmp_path, monkeypatch):
+    error = KeyError("boom")
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(kernel, "run_trajectory", broken)
+    args = ["run", "--model", "poisson", "--max-events", "3", "--output", str(tmp_path / "x")]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 4, result.output
+    assert "Traceback" in result.stderr and "KeyError: 'boom'" in result.stderr
+    # in process, without click's standalone handling, the code still reaches the caller
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args=args, prog_name="clocksim", standalone_mode=False)
+    assert exc.value.code == 4
+    # click's own exceptions pass through unchanged, and so does a broken pipe, which click ends quietly
+    with pytest.raises(click.UsageError):
+        cli.main(args=[*args, "--sampler", "bogus"], prog_name="clocksim", standalone_mode=False)
+    error = BrokenPipeError()
+    with pytest.raises(BrokenPipeError):
+        cli.main(args=args, prog_name="clocksim", standalone_mode=False)
 
 
 @pytest.mark.parametrize("fields", [
@@ -327,6 +364,27 @@ def test_summarize_final_state_histogram(runner, tmp_path, monkeypatch):
     assert lines[0] == "final_state\tcount"
     total = sum(int(line.rsplit("\t", 1)[1]) for line in lines[1:])
     assert total == 6
+
+
+def test_summarize_final_state_checks_the_model_hash(runner, tmp_path):
+    out = tmp_path / "out"
+    runner.invoke(cli, ["run", "--model", "ring", "--param", "m=4", "--param", "tokens=1", "--seed", "1",
+                        "--max-events", "3", "--output", str(out)])
+    written = out / "traj_000000.tsv"
+    text = written.read_text()
+    result = runner.invoke(cli, ["summarize", "--observable", "final-state", str(written)])
+    assert result.exit_code == 0, result.output
+    # a header edited to another model, or without its hash, is not replayed
+    edited = tmp_path / "edited.tsv"
+    edited.write_text(text.replace('"m": 4', '"m": 5'))
+    unhashed = tmp_path / "unhashed.tsv"
+    unhashed.write_text("".join(line for line in text.splitlines(keepends=True)
+                                if not line.startswith("# model_hash:")))
+    for bad in (edited, unhashed):
+        assert bad.read_text() != text
+        result = runner.invoke(cli, ["summarize", "--observable", "final-state", str(written), str(bad)])
+        assert result.exit_code == 2, (bad, result.output)
+        assert f"{bad}: cannot replay (model_hash " in result.output
 
 
 def test_summarize_no_files_exits_2(runner):
@@ -426,6 +484,30 @@ def test_verify_oracle_suite_passes(runner):
     result = runner.invoke(cli, ["verify", "oracle"])
     assert result.exit_code == 0, result.output
     assert [line.split()[-1] for line in result.output.strip().split("\n")] == ["PASS", "PASS"]
+
+
+def test_verify_runs_suites_in_order_and_exits_1_on_a_failed_check(runner, monkeypatch):
+    ran = []
+
+    def suite(name, ok):
+        def run():
+            ran.append(name)
+            return [(f"{name} check", "stats", ok)]
+        return run
+
+    monkeypatch.setattr(cli_module, "_SUITES", {
+        "first": suite("first", True), "second": suite("second", False), "third": suite("third", True),
+    })
+    result = runner.invoke(cli, ["verify", "all"])
+    assert result.exit_code == 1, result.output
+    assert ran == ["first", "second", "third"]
+    assert [line.split()[0] for line in result.stdout.splitlines()] == ran
+    assert result.stderr == "1 check(s) failed\n"
+    ran.clear()
+    result = runner.invoke(cli, ["verify", "second"])
+    assert (result.exit_code, ran, result.stderr) == (1, ["second"], "1 check(s) failed\n")
+    result = runner.invoke(cli, ["verify", "third"])
+    assert (result.exit_code, ran, result.stderr) == (0, ["second", "third"], "")
 
 
 def test_sampler_equivalence_compares_independent_samples(monkeypatch):

@@ -373,6 +373,14 @@ def test_atoms_before_shift_are_history():
     assert invert_conditional(spec, 1.0, -1.0) == pytest.approx(2.0, rel=1e-12)
 
 
+def test_invert_conditional_rejects_a_negative_or_nan_shift():
+    # the exponential path and the general path
+    for spec in (HazardSpec(Exponential(1.0)), HazardSpec(Weibull(2.0, 1.0))):
+        for shift in (-1.0, -5e-324, math.nan):
+            with pytest.raises(ValueError, match="shift must be >= 0"):
+                invert_conditional(spec, shift, -1.0)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         Atom(1.0, 0.0)

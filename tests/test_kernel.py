@@ -329,6 +329,38 @@ def test_proposal_of_a_clock_not_enabled_changes_nothing(make, clock):
     assert engine.cache_consistent()
 
 
+class _ProposesNever(_ProposesOnly):
+    """A custom sampler that proposes an infinite time instead of raising Stalled."""
+
+    def next_event(self, now, stream):
+        return samplers.SamplerEvent(self.clock, math.inf)
+
+
+def test_infinite_proposal_stalls_and_changes_nothing():
+    spec = HazardSpec(Exponential(1.0))
+    clock = ClockSpec(id=0, enabling=lambda view, now: Enabled(spec), mark=JumpMark({"k": 1}), reads=frozenset())
+    engine = Engine(Model("k", (clock,), SystemState({})), _ProposesNever(0), CountingStream(derived_generator(1, 0)))
+    with pytest.raises(Stalled, match="infinite time"):
+        engine.step()
+    assert engine._counts == {} and engine._changed == {} and engine.now == 0.0
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_undeclared_read_leaves_the_cache_inconsistent(sampler):
+    # clock 0 reads y without declaring it, so clock 1's jump on y does not re-evaluate it
+    never = HazardSpec(Exponential(0.0))
+    model = Model("undeclared", (
+        ClockSpec(id=0, enabling=lambda view, now: Enabled(never) if view.count("y") == 0 else DISABLED,
+                  mark=JumpMark({}), reads=frozenset()),
+        ClockSpec(id=1, enabling=lambda view, now: Enabled(HazardSpec(Exponential(1.0))),
+                  mark=JumpMark({"y": 1}), reads=frozenset()),
+    ), SystemState({}))
+    engine = Engine(model, make_sampler(sampler), CountingStream(derived_generator(1, 0)))
+    assert engine.cache_consistent()
+    assert engine.step()[0] == 1
+    assert not engine.cache_consistent()
+
+
 def test_rejected_mark_changes_nothing():
     # the mark's first key is written before its second goes negative
     spec = HazardSpec(Exponential(1.0))

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from clocksim import samplers
 from clocksim.clocks import DISABLED, ClockSpec, Enabled, JumpMark, SystemState
 from clocksim.errors import ModelError, Stalled, UnknownClock
-from clocksim.hazards import Atom, Exponential, HazardSpec, Weibull
+from clocksim.hazards import INF, Atom, Exponential, HazardSpec, Weibull
 from clocksim.kernel import EventCount, StalledOnly, run_ensemble, run_trajectory, write_trajectory
 from clocksim.models import Model, build, parse_hazard
 from clocksim.samplers import (
@@ -170,6 +170,33 @@ def test_malformed_delta_raises_unknown_clock(make):
         # rejected before any state changed
         assert pickle.dumps(s) == before
         assert stream.count == 0
+
+
+@pytest.mark.parametrize("te", [1.5, math.nextafter(1.0, INF), math.nan, -INF], ids=["future", "next-ulp", "nan", "-inf"])
+@pytest.mark.parametrize("make", [
+    FirstReactionSampler, NextReactionSampler, NextToFireSampler, DirectSampler,
+    pytest.param(lambda: make_sampler("hierarchical:next-to-fire=0;direct=rest"), id="hierarchical"),
+])
+def test_anchor_after_now_or_not_finite_raises_model_error(make, te):
+    rejected = [
+        EnablingDelta(newly_enabled=[(1, EXP1, te)]),
+        EnablingDelta(modified=[(0, EXP1, te)]),
+        # a valid entry first (under hierarchical, another child's part): it must not apply either
+        EnablingDelta(modified=[(0, EXP2, 0.5)], newly_enabled=[(1, EXP1, te)]),
+        EnablingDelta(newly_disabled=[0], newly_enabled=[(0, EXP2, te)]),
+    ]
+    for delta in rejected:
+        s = make()
+        enable(s, {0: (EXP1, 0.0)}, 0.0, FakeStream([0.5]))
+        before = pickle.dumps(s)
+        stream = FakeStream([0.5, 0.5])
+        with pytest.raises(ModelError, match="is not finite, or is in the future"):
+            s.absorb(delta, 1.0, stream)
+        assert pickle.dumps(s) == before
+        assert stream.count == 0
+        # the next proposal is the one the sampler made before the rejected delta
+        expect = pickle.loads(before).next_event(1.0, FakeStream([0.25, 0.75]))
+        assert s.next_event(1.0, FakeStream([0.25, 0.75])) == expect
 
 
 def test_nr_queue_tracks_enabled_set():
@@ -506,6 +533,20 @@ def test_direct_stalls_when_finite_hazard_mass_runs_out(sampler):
     assert abs(stalled - n * p) <= 4.5 * math.sqrt(n * p * (1.0 - p)), stalled
 
 
+@pytest.mark.parametrize("sampler", ["direct", "hierarchical:direct=0-1;next-reaction=rest"])
+def test_direct_boundary_fallback_fires_the_clock_whose_hazard_just_ended(sampler):
+    # u1 = 1 - e^-1 makes the budget exactly 1.0, unit hazard's whole mass on
+    # [0, 1): the sampled time is 1.0, where the tree totals 0.0, so the clock
+    # is picked by its hazard just before 1.0.  A clock of zero hazard is skipped.
+    ends = parse_hazard("piecewise:0,1|1,0")
+    for enabled, fires in (({0: (ends, 0.0)}, 0), ({0: (parse_hazard("piecewise:0|0"), 0.0), 1: (ends, 0.0)}, 1)):
+        s = make_sampler(sampler)
+        enable(s, enabled, 0.0, FakeStream([]))
+        assert s.next_event(0.0, FakeStream([0.6321205588285577, 0.5])) == (fires, 1.0)
+        direct = s if isinstance(s, DirectSampler) else s._children[0]
+        assert direct._tree.total() == 0.0
+
+
 # sha256 of the files of streams 0-19 (seed 640), written one after another
 STALL_PATH_DIGESTS = {
     "direct": "ff24c5e4359db84f5e4d090470f3a5ccb45f8e1bc5475a38fc1f5ee85db1b5eb",
@@ -655,9 +696,9 @@ def test_hier_checks_each_touched_part_once(monkeypatch):
     checked = []
     check = samplers._check_delta
 
-    def counting_check(delta, enabled):
+    def counting_check(delta, enabled, now):
         checked.append(sorted(e[0] for e in delta.newly_enabled))
-        check(delta, enabled)
+        check(delta, enabled, now)
 
     monkeypatch.setattr(samplers, "_check_delta", counting_check)
     hier = HierarchicalSampler([
