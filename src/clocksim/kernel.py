@@ -175,8 +175,10 @@ class Engine:
     of `model.graph` and `model.by_id`, the hazard cache, every enabling
     rule's first evaluation and the sampler's initial `absorb` make tables
     that live as long as the model or the engine and hold no cycles, so a
-    collector pass over them finds nothing.  The caller's collector setting
-    is restored afterwards, also when a rule or the sampler raises.
+    collector pass over them finds nothing.  One such pass still runs, a
+    young-generation collection over those tables at the first tracked
+    allocation after the pause.  The caller's collector setting is restored
+    afterwards, also when a rule or the sampler raises.
     """
 
     def __init__(self, model, sampler, stream):

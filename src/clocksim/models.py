@@ -217,6 +217,12 @@ def build_rabbits(m, food_rate, portions=(1,), shape=2.0, initial_food=0) -> Mod
     d_k <= available food, with a Weibull hazard anchored at the rabbit's
     last meal and scaled by the last meal's size (1.0 before the first
     meal).  portions is a sequence of sizes or a string such as ``"1;2"``.
+
+    A rabbit's eating clocks share a one-entry memo of the last Enabled
+    their rule returned, and return it again while the rabbit's meal
+    history is unchanged: the kernel then recognises the unchanged outcome
+    by identity, and a rabbit builds one outcome per meal (plus its first),
+    not one per evaluation.
     """
     m = _int("m", m, 1)
     food_rate = _float("food_rate", food_rate, positive=True)
@@ -245,29 +251,34 @@ def build_rabbits(m, food_rate, portions=(1,), shape=2.0, initial_food=0) -> Mod
     ]
 
     def eat_rule(keys, view, now):
-        dk, meal_keys = keys
+        dk, meals, memo = keys
         if view.count("food") < dk:
             return DISABLED
         last_t = 0.0
         last_size = 1
-        for k2, key in enumerate(meal_keys):
+        for key, size in meals:
             if view.count(key) > 0:
                 t2 = view.changed_at(key)
                 if t2 >= last_t:
                     last_t = t2
-                    last_size = portions[k2]
-        return Enabled(weibull(last_size), enabling_time=last_t)
+                    last_size = size
+        out = memo[0]
+        if out is None or out.enabling_time != last_t or out.spec is not weibull(last_size):
+            out = memo[0] = Enabled(weibull(last_size), enabling_time=last_t)
+        return out
 
     cid = 1
     for r in range(m):
-        # one reads set per rabbit, shared by its eating clocks
-        meal_keys = tuple(f"meal_{r}_{k}" for k in range(len(portions)))
+        # one reads set and one outcome memo per rabbit, shared by its eating clocks
+        meal_keys = [f"meal_{r}_{k}" for k in range(len(portions))]
         reads = frozenset({"food", *meal_keys})
+        meals = tuple(zip(meal_keys, portions))
+        memo = [None]
         for k, dk in enumerate(portions):
             clocks.append(
                 ClockSpec(
                     id=cid,
-                    enabling=types.MethodType(eat_rule, (dk, meal_keys)),
+                    enabling=types.MethodType(eat_rule, (dk, meals, memo)),
                     mark=JumpMark({"food": -dk, meal_keys[k]: +1}),
                     reads=reads,
                     name=f"eat_{r}_{k}",
@@ -428,9 +439,11 @@ def build(name, params=None) -> Model:
     The builder runs with Python's cyclic collector paused: a model's
     clocks, marks and keys live as long as the model and hold no cycles,
     so the collector passes their allocation count would start find no
-    garbage.  Enabling rules are not called here; `Engine` evaluates them
-    first, inside its own pause.  The caller's collector setting is
-    restored afterwards, also when the builder raises.
+    garbage.  The pause defers those passes to one young-generation
+    collection at the first tracked allocation after it, which scans the
+    whole new model.  Enabling rules are not called here; `Engine`
+    evaluates them first, inside its own pause.  The caller's collector
+    setting is restored afterwards, also when the builder raises.
     """
     if name not in MODEL_BUILDERS:
         raise ModelError(f"unknown model {name!r}; valid: {', '.join(sorted(MODEL_BUILDERS))}")

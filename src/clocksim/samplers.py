@@ -542,11 +542,12 @@ class DirectSampler(_Sampler):
             if slot >= 0:
                 return SamplerEvent(self._owner[slot], t)
         # Degenerate boundary (hazard vanished exactly at t): pick the
-        # smallest-id clock with positive hazard just before t.
-        t_left = math.nextafter(t, now)
+        # smallest-id clock with positive hazard just before t; just after t
+        # when t is now (a zero budget), since nextafter(now, now) is now.
+        probe = math.nextafter(t, INF) if t == now else math.nextafter(t, now)
         for cid in sorted(self._enabled):
             _, spec, te = self._enabled[cid]
-            if spec.continuous_hazard(t_left - te) > 0.0:
+            if spec.continuous_hazard(probe - te) > 0.0:
                 return SamplerEvent(cid, t)
         raise Stalled("no hazard at sampled time")
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,22 @@ def test_future_anchor_rejected():
     clock = ClockSpec(id=0, enabling=rule, mark=JumpMark({"a": 1}), reads=frozenset())
     with pytest.raises(ModelError, match="in the future"):
         evaluate_enabling(clock, view({}), 1.0, DISABLED)
+
+
+def test_rule_returning_its_previous_outcome_is_unchanged_while_the_anchor_holds():
+    # The kernel recognises the rule's own previous object by identity, and
+    # still rejects its anchor when it lies after now or is not finite.
+    def returning(out):
+        return ClockSpec(id=0, enabling=lambda v, now: out, mark=JumpMark({"a": 1}), reads=frozenset())
+
+    spec = HazardSpec(Weibull(2.0, 1.0))
+    for previously in (DISABLED, Enabled(spec, 1.0)):
+        assert evaluate_enabling(returning(previously), view({}), 1.0, previously) is UNCHANGED
+        assert evaluate_enabling(returning(previously), view({}), 5.0, previously) is UNCHANGED
+    for te in (1.5, math.nan, -math.inf):
+        previously = Enabled(spec, te)
+        with pytest.raises(ModelError, match="not finite, or is in the future"):
+            evaluate_enabling(returning(previously), view({}), 1.0, previously)
 
 
 @given(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from clocksim import graph as depgraph
+from clocksim import models
 from clocksim.clocks import (
     DISABLED,
     UNCHANGED,
@@ -211,6 +212,41 @@ def test_rabbits_food_bookkeeping():
             k = int(name.split("_")[-1])
             eaten += (1, 2)[k]
     assert state.get("food", 0) == 5 + produced - eaten
+
+
+def test_rabbits_eating_rule_reuses_its_outcome_until_the_rabbit_eats():
+    # Rabbit 0 owns clocks 1 (portion 1) and 2 (portion 2).  While its meal
+    # history is unchanged both return one shared object, whatever the food
+    # count, the time or another rabbit's meals; a meal gives a new outcome.
+    model = build_rabbits(2, 1.0, (1, 2))
+    eat_1, eat_2 = model.by_id[1].enabling, model.by_id[2].enabling
+    first = eat_1(StateView({"food": 2}, {"food": 0.5}), 1.0)
+    assert first == Enabled(HazardSpec(Weibull(2.0, 1.0)), 0.0)
+    other_meal = StateView({"food": 3, "meal_1_0": 1}, {"food": 2.0, "meal_1_0": 1.5})
+    assert eat_1(other_meal, 2.0) is first
+    assert eat_2(other_meal, 2.5) is first
+    eaten = StateView({"food": 2, "meal_0_1": 1}, {"food": 3.0, "meal_0_1": 3.0})
+    after = eat_1(eaten, 4.0)
+    assert after == Enabled(HazardSpec(Weibull(2.0, 2.0)), 3.0)
+    assert after is not first
+    assert eat_2(StateView({"food": 5, "meal_0_1": 1}, {"food": 4.5, "meal_0_1": 3.0}), 5.0) is after
+
+
+def test_rabbits_eating_rule_builds_one_outcome_per_meal(monkeypatch):
+    # Each rabbit's clocks build an Enabled on their first enable and after
+    # each of its meals, not on every re-evaluation.
+    model = build("rabbits", {"m": 20, "food_rate": 10, "portions": "1;2"})
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return Enabled(*args, **kwargs)
+
+    monkeypatch.setattr(models, "Enabled", counting)
+    traj = run_trajectory(model, "next-reaction", 3, EventCount(500))
+    meals = sum(ev.clock != 0 for ev in traj.events)
+    assert meals > 100
+    assert len(built) <= meals + model.params["m"]
 
 
 def test_rabbits_zero_food_disables_eating():

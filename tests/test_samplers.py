@@ -547,6 +547,17 @@ def test_direct_boundary_fallback_fires_the_clock_whose_hazard_just_ended(sample
         assert direct._tree.total() == 0.0
 
 
+@pytest.mark.parametrize("sampler", [*SAMPLER_NAMES[:-1], "hierarchical:direct=0;next-reaction=rest"])
+def test_zero_budget_fires_at_now_on_every_sampler(sampler):
+    # u1 = 0.0 makes the budget 0, so the sampled time is now itself, where
+    # Weibull(2, 1)'s hazard is 0: direct's boundary fallback must look just
+    # after now, as nothing lies before it, and fire the clock as the others do.
+    # The queue-based samplers draw on absorb, the others on next_event.
+    s, stream = make_sampler(sampler), FakeStream([0.0, 0.0])
+    enable(s, {0: (parse_hazard("weibull:2,1"), 0.0)}, 0.0, stream)
+    assert s.next_event(0.0, stream) == samplers.SamplerEvent(0, 0.0)
+
+
 # sha256 of the files of streams 0-19 (seed 640), written one after another
 STALL_PATH_DIGESTS = {
     "direct": "ff24c5e4359db84f5e4d090470f3a5ccb45f8e1bc5475a38fc1f5ee85db1b5eb",
