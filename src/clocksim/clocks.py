@@ -7,13 +7,13 @@ time; it answers "can this clock fire, and with what hazard, measured from
 when" by returning :data:`DISABLED` or an :class:`Enabled`.  The kernel
 compares successive answers and collapses identical ones to
 :data:`UNCHANGED`, so rules may be re-evaluated freely; a rule never returns
-:data:`UNCHANGED` itself.  The comparison is cheapest when the answer is
-the very object returned last time, and next when its HazardSpec is, so a
-rule should return outcomes built once (in the model's builder), or taken
-from a table bounded by the state, such as one keyed by a count that cannot
-exceed a conserved total; then no spec is built per event.  A rule anchored
-at a past change can keep its last outcome and return it again while the
-anchor and spec are unchanged (rabbits does).
+:data:`UNCHANGED` itself.  The comparison is cheapest when the answer's
+HazardSpec is the very object returned last time, so a rule should return
+outcomes built once (in the model's builder), or taken from a table bounded
+by the state, such as one keyed by a count that cannot exceed a conserved
+total; then no spec is built per event.  A rule anchored at a past change
+can keep its last outcome and return it again while the anchor and spec are
+unchanged (rabbits does), so that it builds no outcome per event either.
 """
 
 from __future__ import annotations
@@ -208,13 +208,9 @@ def evaluate_enabling(clock: ClockSpec, view: StateView, now: float, previously)
     `previously` is DISABLED for a clock never queried (or just fired, whose
     draw was consumed: re-enabling is regenerative).  Raises ModelError if
     the rule itself returns UNCHANGED.  Consecutive resolutions of one spec
-    object at one enabling time return one shared Enabled.  A rule that
-    returns the very object it returned last time costs one identity test,
-    plus the anchor check on an Enabled.
+    object at one enabling time return one shared Enabled.
     """
     raw = clock.enabling(view, now)
-    if raw is previously and (raw is DISABLED or -INF < raw.enabling_time <= now):
-        return UNCHANGED
     if raw is UNCHANGED:
         raise ModelError(f"clock {clock.id}: enabling rule returned UNCHANGED, not DISABLED or an Enabled")
     if raw is DISABLED:

@@ -221,8 +221,8 @@ def build_rabbits(m, food_rate, portions=(1,), shape=2.0, initial_food=0) -> Mod
     A rabbit's eating clocks share a one-entry memo of the last Enabled
     their rule returned, and return it again while the rabbit's meal
     history is unchanged: the kernel then recognises the unchanged outcome
-    by identity, and a rabbit builds one outcome per meal (plus its first),
-    not one per evaluation.
+    by its spec's identity and its anchor, and a rabbit builds one outcome
+    per meal (plus its first), not one per evaluation.
     """
     m = _int("m", m, 1)
     food_rate = _float("food_rate", food_rate, positive=True)

@@ -184,8 +184,8 @@ def test_future_anchor_rejected():
 
 
 def test_rule_returning_its_previous_outcome_is_unchanged_while_the_anchor_holds():
-    # The kernel recognises the rule's own previous object by identity, and
-    # still rejects its anchor when it lies after now or is not finite.
+    # A rule that hands back its own previous object is UNCHANGED, and its
+    # anchor is still rejected when it lies after now or is not finite.
     def returning(out):
         return ClockSpec(id=0, enabling=lambda v, now: out, mark=JumpMark({"a": 1}), reads=frozenset())
 
