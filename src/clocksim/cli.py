@@ -12,8 +12,8 @@ other exception; its traceback goes to stderr).
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 import os
 import time
 import traceback
@@ -21,11 +21,11 @@ import typing
 from dataclasses import asdict, dataclass, field
 
 import click
-import numpy as np
 import yaml
 
-from . import hazards, kernel, models
+from . import kernel, models
 from .errors import ClocksimError, ConfigError, ModelError
+from .pool import fork_map
 from .samplers import SAMPLER_NAMES, make_sampler
 
 
@@ -199,14 +199,8 @@ def cmd_run(config, param, **flags):
         if k == 1:
             results = _run_trajectories(built, spec, range(spec.trajectories))
         else:
-            # only a forked run pays for the pool's imports
-            import concurrent.futures
-            import multiprocessing
-
-            ctx = multiprocessing.get_context("fork")
-            with concurrent.futures.ProcessPoolExecutor(k, mp_context=ctx) as pool:
-                futures = [pool.submit(_run_strided, spec, w, k) for w in range(k)]
-                results = sorted(r for f in futures for r in f.result())
+            shares = fork_map(_run_strided, [(spec, w, k) for w in range(k)])
+            results = sorted(r for share in shares for r in share)
     except ClocksimError as exc:
         # a model that violates the clock contract mid-run (e.g. DuplicateAtoms)
         raise click.UsageError(f"{type(exc).__name__}: {exc}")
@@ -279,111 +273,44 @@ def cmd_summarize(files, observable):
 
 
 # -- verification suites ------------------------------------------------------
+# Each runs `verify`'s checks at the suite's own sizes and seeds; the acceptance
+# criteria run the same checks at theirs.  scipy's statistics load only for
+# the suites, with `verify`.
 
 
 def _suite_distributions():
-    matrix = [
-        "exponential:1",
-        "exponential:0.5@1,0.3",
-        "weibull:2,1",
-        "weibull:0.7,2",
-        "gamma:2,3",
-        "uniform:0.5,2",
-        "piecewise:0,1,2|0.5,0,2",
-        "none@1,0.25;2,0.5",
-    ]
-    ts = [float(t) for t in np.linspace(0.01, 4.0, 101)]
-    rows = []
-    for text in matrix:
-        spec = models.parse_hazard(text)
-        worst = worst_rt = 0.0
-        for t in ts:
-            s = hazards.survival(spec, t)
-            via_tp = math.exp(-hazards.time_process(spec, 0.0, t))
-            if s > 1e-300:
-                worst = max(worst, abs(s - via_tp) / s)
-            if s <= 1e-12 or s >= 1.0:
-                continue
-            t_back = hazards.invert_conditional(spec, 0.0, math.log(s))
-            if abs(t_back - t) > 1e-9 * t:
-                # a tie inside a flat segment or at an atom is consistent iff
-                # no hazard was consumed between the two answers
-                gap = hazards.time_process(spec, min(t, t_back), max(t, t_back))
-                if gap > 1e-9:
-                    worst_rt = math.inf
-            else:
-                worst_rt = max(worst_rt, abs(t_back - t) / t)
-        ok = worst < 1e-10 and worst_rt < 1e-9
-        rows.append((f"distributions {text}", f"sup-rel {worst:.2e} rt {worst_rt:.2e}", ok))
-    return rows
+    from . import verify
+
+    return verify.distributions()
 
 
-def _first_events(model, sampler_name, n, seed):
-    """First-event times and pooled mark counts of n trajectories under base seed `seed`."""
-    times = []
-    marks = {}
-    for traj in kernel.run_ensemble(model, sampler_name, seed, n, kernel.StalledOnly()):
-        if traj.events:
-            times.append(traj.events[0].time)
-            for ev in traj.events:
-                marks[ev.clock] = marks.get(ev.clock, 0) + 1
-    return times, marks
+def _suite_equivalence():
+    from . import verify
 
-
-def _suite_equivalence(n=20_000):
-    from . import verify  # scipy's statistics load only for the suites that use them
-
-    model = models.build("sir", {"n": 3, "initial_infected": 1})
-    # each sampler gets its own stream family: on a shared one, samplers that draw
-    # one variate per enabled clock in id order give identical first events
-    base_times, base_marks = _first_events(model, "first-reaction", n, seed=101)
-    rows = []
-    all_clocks = sorted({c.id for c in model.clocks})
-    others = ("next-reaction", "next-to-fire", "direct", "hierarchical:direct=6-8;next-reaction=rest")
-    for seed, name in enumerate(others, start=102):
-        times, marks = _first_events(model, name, n, seed)
-        _, p_ks = verify.ks_two_sample(base_times, times)
-        va = [base_marks.get(c, 0) for c in all_clocks]
-        vb = [marks.get(c, 0) for c in all_clocks]
-        _, p_chi = verify.chi_square_homogeneity(va, vb)
-        ok = p_ks > 0.01 and p_chi > 0.01
-        rows.append((f"equivalence {name} vs first-reaction",
-                     f"KS p {p_ks:.3f} chi2 p {p_chi:.3f}", ok))
-    return rows
+    sir3 = functools.partial(models.build, "sir", {"n": 3, "initial_infected": 1})
+    cases = [("sir3", sir3, kernel.StalledOnly(), "hierarchical:direct=6-8;next-reaction=rest")]
+    return verify.sampler_equivalence(cases, seed0=101, trajectories=20_000)
 
 
 def _suite_oracle():
     from . import verify
 
-    rows = []
-    model = models.build("atomic-showcase", {})
-    n = 4000
-    trajs = kernel.run_ensemble(model, "direct", 7, n, kernel.StalledOnly())
-    b_fired = sum(1 for t in trajs if t.events and t.events[0].clock == 1)
-    emp = b_fired / n
-    total_sf, cifs = verify.cif_numeric(
-        [(models.parse_hazard("exponential:%r" % math.log(2.0)), 0.0),
-         (models.parse_hazard("none@1,0.5"), 0.0)],
-        grid_step=1e-3, horizon=3.0,
-    )
-    cif_b = cifs[1].final
-    ok = abs(emp - 0.25) < 0.02 and abs(cif_b - 0.25) < 1e-3
-    rows.append(("oracle atomic-showcase P(B)", f"empirical {emp:.4f} cif {cif_b:.6f}", ok))
-
     bd = models.build("birth-death", {"birth": 1.0, "death": 1.0, "x0": 1, "capacity": 30})
-    horizon = 1.0
-    trajs = kernel.run_ensemble(bd, "next-reaction", 11, 4000, kernel.EndTime(horizon))
-    emp_occ = verify.occupancy_from_trajectories(bd, trajs)
-    oracle = verify.ctmc_oracle(bd, horizon)
-    tv = verify.total_variation(emp_occ, oracle)
-    rows.append(("oracle birth-death occupancy", f"TV {tv:.4f}", tv < 0.03))
-    return rows
+    return (verify.competing_risks(4000, seed=7, grid_step=1e-3, horizon=3.0, tol=0.02, cif_tol=1e-3)
+            + verify.ctmc_agreement([("birth-death", bd, "next-reaction", 11)], 4000, horizon=1.0, tol=0.03))
+
+
+def _suite_hazard_round_trip():
+    from . import verify
+
+    return verify.hazard_round_trip(20_000, seed=13, tol=0.05)
 
 
 _SUITES = {
     "distributions": _suite_distributions,
     "sampler-equivalence": _suite_equivalence,
     "oracle": _suite_oracle,
+    "hazard-round-trip": _suite_hazard_round_trip,
 }
 
 

@@ -1,10 +1,18 @@
-"""Statistical and numerical oracles.
+"""Statistical and numerical oracles, and the checks built on them.
 
 Independent checks of the sampling machinery: the Nelson-Aalen cumulative
 hazard estimator (simulation output back to hazard), a numerical
 product-integral evaluator for competing risks with mixed continuous and
 atomic hazards, a brute-force CTMC occupancy oracle by uniformization, and
 goodness-of-fit statistics.
+
+The checks at the end (`distributions`, `sampler_equivalence`,
+`competing_risks`, `ctmc_agreement`, `hazard_round_trip`) each take their
+sizes, seeds and thresholds and return (label, statistics, ok) rows.
+`clocksim verify` runs them at its suites' sizes and the acceptance criteria
+at theirs.  `sampler_equivalence` runs its independent collections on
+`pool.fork_map`, the pool of `clocksim run --workers`, and compares them in
+this process.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from scipy import stats as _stats
 from scipy.special import kolmogorov as _kolmogorov
 
 from .clocks import DISABLED, Enabled, StateView, apply_mark_inplace
+from . import hazards
 from .errors import (
     DuplicateAtoms,
     ModelError,
@@ -25,7 +34,9 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .hazards import Exponential
-from .kernel import final_state
+from .kernel import EndTime, EventCount, StalledOnly, final_state, run_ensemble, run_trajectory
+from .models import build, parse_hazard
+from .pool import fork_map
 
 
 @dataclass(frozen=True)
@@ -286,3 +297,161 @@ def chi_square_homogeneity(counts_a, counts_b):
         raise ModelError("insufficient data: all cells merged")
     stat, p, _, _ = _stats.chi2_contingency(table, correction=False)
     return float(stat), float(p)
+
+
+def compare_to_reference(reference, samples):
+    """[(name, KS p, chi-square p)] of each (times, mark counts) sample in the
+    mapping `samples` against `reference`: two-sample KS on the times,
+    chi-square homogeneity on the counts over the clocks either one saw (None
+    with fewer than 2; a clock neither saw would only add an empty cell, which
+    the chi-square pools away)."""
+    ref_times, ref_marks = reference
+    rows = []
+    for name, (times, marks) in samples.items():
+        _, p_ks = ks_two_sample(ref_times, times)
+        clocks = sorted(ref_marks.keys() | marks.keys())
+        p_chi = None
+        if len(clocks) >= 2:
+            _, p_chi = chi_square_homogeneity([ref_marks.get(c, 0) for c in clocks],
+                                              [marks.get(c, 0) for c in clocks])
+        rows.append((name, p_ks, p_chi))
+    return rows
+
+
+# -- checks: rows for `clocksim verify` and the acceptance criteria -----------
+
+
+def distributions():
+    """Survival against exp(-time_process) and its inversion back to time, on eight hazard specs."""
+    matrix = [
+        "exponential:1",
+        "exponential:0.5@1,0.3",
+        "weibull:2,1",
+        "weibull:0.7,2",
+        "gamma:2,3",
+        "uniform:0.5,2",
+        "piecewise:0,1,2|0.5,0,2",
+        "none@1,0.25;2,0.5",
+    ]
+    ts = [float(t) for t in np.linspace(0.01, 4.0, 101)]
+    rows = []
+    for text in matrix:
+        spec = parse_hazard(text)
+        worst = worst_rt = 0.0
+        for t in ts:
+            s = hazards.survival(spec, t)
+            via_tp = math.exp(-hazards.time_process(spec, 0.0, t))
+            if s > 1e-300:
+                worst = max(worst, abs(s - via_tp) / s)
+            if s <= 1e-12 or s >= 1.0:
+                continue
+            t_back = hazards.invert_conditional(spec, 0.0, math.log(s))
+            if abs(t_back - t) > 1e-9 * t:
+                # a tie inside a flat segment or at an atom is consistent iff
+                # no hazard was consumed between the two answers
+                gap = hazards.time_process(spec, min(t, t_back), max(t, t_back))
+                if gap > 1e-9:
+                    worst_rt = math.inf
+            else:
+                worst_rt = max(worst_rt, abs(t_back - t) / t)
+        ok = worst < 1e-10 and worst_rt < 1e-9
+        rows.append((f"distributions {text}", f"sup-rel {worst:.2e} rt {worst_rt:.2e}", ok))
+    return rows
+
+
+def event_sample(model, sampler, seed, stop, trajectories=math.inf, events=math.inf):
+    """(first-event times, mark counts over all events) of the trajectories on
+    stream indices 0, 1, ... under base seed `seed`, until `trajectories` have
+    run or `events` events have fired; a trajectory without events adds nothing."""
+    if math.isinf(trajectories) and math.isinf(events):
+        raise ModelError("event_sample needs a finite trajectories or events bound")
+    times = []
+    marks = {}
+    index = total = 0
+    while index < trajectories and total < events:
+        traj = run_trajectory(model, sampler, seed, stop, stream_index=index)
+        index += 1
+        if traj.events:
+            times.append(traj.events[0].time)
+            for ev in traj.events:
+                marks[ev.clock] = marks.get(ev.clock, 0) + 1
+            total += len(traj.events)
+    return times, marks
+
+
+def _event_sample_of(build_model, *args):
+    return event_sample(build_model(), *args)
+
+
+_SAMPLERS = ("first-reaction", "next-reaction", "next-to-fire", "direct")
+
+
+def sampler_equivalence(cases, seed0, trajectories=math.inf, events=math.inf):
+    """Every sampler against first-reaction on each case, by `compare_to_reference`
+    on `event_sample`s; a row passes when both p-values exceed 0.01.
+
+    A case is (label, model factory, stop, hierarchical sampler spec).  The
+    samples are collected in (case, sampler) order, the k-th on base seed
+    seed0 + k: each sampler needs its own stream family, since on a shared one
+    the samplers that draw one variate per enabled clock in id order give
+    identical first events.  The model factory and the stop are pickled to
+    the pool's workers.
+    """
+    tasks = []
+    for _, build_model, stop, hier in cases:
+        for name in (*_SAMPLERS, hier):
+            tasks.append((build_model, name, seed0 + len(tasks), stop, trajectories, events))
+    collected = iter(fork_map(_event_sample_of, tasks))
+    rows = []
+    for label, _, _, hier in cases:
+        reference = next(collected)
+        samples = {name: next(collected) for name in (*_SAMPLERS[1:], hier)}
+        for name, p_ks, p_chi in compare_to_reference(reference, samples):
+            rows.append((f"equivalence {name} vs first-reaction on {label}",
+                         f"KS p {p_ks:.3f} chi2 p {p_chi:.3f}", p_ks > 0.01 and p_chi > 0.01))
+    return rows
+
+
+def competing_risks(trajectories, seed, grid_step, horizon, tol, cif_tol):
+    """Atomic-showcase's probability 1/4 that the atom B wins: from
+    `trajectories` direct runs (within `tol`) and from `cif_numeric` on a
+    `grid_step` grid up to `horizon` (within `cif_tol`)."""
+    model = build("atomic-showcase", {})
+    trajs = run_ensemble(model, "direct", seed, trajectories, StalledOnly())
+    emp = sum(1 for t in trajs if t.events and t.events[0].clock == 1) / trajectories
+    _, cifs = cif_numeric(
+        [(parse_hazard(f"exponential:{math.log(2.0)!r}"), 0.0), (parse_hazard("none@1,0.5"), 0.0)],
+        grid_step=grid_step, horizon=horizon,
+    )
+    cif_b = cifs[1].final
+    ok = abs(emp - 0.25) < tol and abs(cif_b - 0.25) < cif_tol
+    return [("oracle atomic-showcase P(B)", f"empirical {emp:.4f} cif {cif_b:.6f}", ok)]
+
+
+def ctmc_agreement(cases, trajectories, horizon, tol):
+    """Each case's final-state occupancy at `horizon` over `trajectories` runs
+    against `ctmc_oracle`, by total variation below `tol`.  A case is
+    (label, model, sampler, seed)."""
+    rows = []
+    for label, model, sampler, seed in cases:
+        trajs = run_ensemble(model, sampler, seed, trajectories, EndTime(horizon))
+        tv = total_variation(occupancy_from_trajectories(model, trajs), ctmc_oracle(model, horizon))
+        rows.append((f"oracle {label} occupancy", f"TV {tv:.4f}", tv < tol))
+    return rows
+
+
+def hazard_round_trip(events, seed, tol):
+    """Nelson-Aalen over the interarrivals of `events` Weibull(2, 1) renewals
+    against their cumulative hazard t^2: the sup distance on [0, 1], at each
+    step of the estimate and just before it, below `tol`."""
+    model = build("renewal", {"interarrival": "weibull:2,1"})
+    times = [ev.time for ev in run_trajectory(model, "next-to-fire", seed, EventCount(events)).events]
+    samples = [CensoredSample(t - prev) for prev, t in zip([0.0, *times], times)]
+    sf = nelson_aalen(samples)
+    mask = sf.times <= 1.0
+    ts = sf.times[mask]
+    vals = sf.values[mask]
+    prev_vals = np.concatenate([[0.0], vals[:-1]])
+    sup = max(float(np.max(np.abs(vals - ts ** 2))), float(np.max(np.abs(prev_vals - ts ** 2))))
+    return [("hazard-round-trip renewal weibull:2,1",
+             f"sup |NA(t) - t^2| on [0,1] {sup:.4f} over {len(samples)} samples", sup < tol)]

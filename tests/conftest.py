@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from scipy.integrate import quad
 
+from clocksim.kernel import run_ensemble
 from clocksim.samplers import EnablingDelta, NextReactionSampler
 
 
@@ -46,6 +47,17 @@ def enable(sampler, enabled, now, stream):
     kernel does: one delta listing every clock in newly_enabled, ascending id."""
     entries = [(cid, spec, te) for cid, (spec, te) in sorted(enabled.items())]
     sampler.absorb(EnablingDelta(newly_enabled=entries), now, stream)
+
+
+def last_event_sample(model, sampler, seed, n, stop):
+    """(last-event times, mark counts over all events) of n trajectories under base seed `seed`."""
+    times = []
+    marks = {}
+    for traj in run_ensemble(model, sampler, seed, n, stop):
+        times.append(traj.events[-1].time)
+        for ev in traj.events:
+            marks[ev.clock] = marks.get(ev.clock, 0) + 1
+    return times, marks
 
 
 def tracked_objects_after_build(build):

@@ -10,8 +10,8 @@ from click.testing import CliRunner
 
 import clocksim
 import clocksim.cli as cli_module
-from clocksim import kernel, models, verify
-from clocksim.cli import RunSpec, _suite_equivalence, cli
+from clocksim import kernel, models
+from clocksim.cli import RunSpec, cli
 
 
 @pytest.fixture
@@ -470,7 +470,7 @@ def test_env_var_overrides_flag_default(runner, tmp_path):
 def test_verify_unknown_suite_exits_2(runner):
     result = runner.invoke(cli, ["verify", "nonsense"])
     assert result.exit_code == 2
-    assert "distributions" in result.output
+    assert "distributions" in result.output and "hazard-round-trip" in result.output
 
 
 def test_verify_distributions_suite_passes(runner):
@@ -484,6 +484,12 @@ def test_verify_oracle_suite_passes(runner):
     result = runner.invoke(cli, ["verify", "oracle"])
     assert result.exit_code == 0, result.output
     assert [line.split()[-1] for line in result.output.strip().split("\n")] == ["PASS", "PASS"]
+
+
+def test_verify_hazard_round_trip_suite_passes(runner):
+    result = runner.invoke(cli, ["verify", "hazard-round-trip"])
+    assert result.exit_code == 0, result.output
+    assert [line.split()[-1] for line in result.output.strip().split("\n")] == ["PASS"]
 
 
 def test_verify_runs_suites_in_order_and_exits_1_on_a_failed_check(runner, monkeypatch):
@@ -508,26 +514,6 @@ def test_verify_runs_suites_in_order_and_exits_1_on_a_failed_check(runner, monke
     assert (result.exit_code, ran, result.stderr) == (1, ["second"], "1 check(s) failed\n")
     result = runner.invoke(cli, ["verify", "third"])
     assert (result.exit_code, ran, result.stderr) == (0, ["second", "third"], "")
-
-
-def test_sampler_equivalence_compares_independent_samples(monkeypatch):
-    # first-reaction, next-reaction and next-to-fire draw one uniform per enabled
-    # clock in id order, so on one shared stream their first events coincide
-    # and every comparison passes whatever the samplers do
-    compared = []
-    ks_two_sample = verify.ks_two_sample
-
-    def capture(a, b):
-        compared.append((list(a), list(b)))
-        return ks_two_sample(a, b)
-
-    monkeypatch.setattr(verify, "ks_two_sample", capture)
-    rows = _suite_equivalence(n=2000)
-    reference = compared[0][0]
-    assert all(a == reference and b != reference for a, b in compared)
-    assert [label.split()[1].split(":")[0] for label, _, _ in rows] == [
-        "next-reaction", "next-to-fire", "direct", "hierarchical"]
-    assert len(compared) == 4 and all(ok for _, _, ok in rows), rows
 
 
 # `clocksim run` in a fresh interpreter, then the scipy modules it imported

@@ -39,8 +39,8 @@ from clocksim.models import (
     parse_hazard,
     unparse_hazard,
 )
-from clocksim.verify import ctmc_oracle, ks_statistic
-from conftest import traced_bytes_after_build, tracked_objects_after_build
+from clocksim.verify import compare_to_reference, ctmc_oracle, event_sample, ks_statistic
+from conftest import last_event_sample, traced_bytes_after_build, tracked_objects_after_build
 
 ALL_BUILTINS = [
     ("sir", {"n": 3, "initial_infected": 1, "recover": "weibull:2,1"}),
@@ -412,8 +412,6 @@ def test_graph_soundness_fuzz(name, params):
 def test_rabbits_scarce_food_equivalence_multi_event():
     """Scarce food churns enabling: frozen budgets, past anchors, and scale
     changes must leave every sampler on the same trajectory distribution."""
-    from clocksim.verify import chi_square_homogeneity, ks_two_sample
-
     model = build("rabbits", {"m": 2, "food_rate": 1.0, "portions": "1;2", "initial_food": 1})
     n = 1200
     depth = 8
@@ -422,23 +420,10 @@ def test_rabbits_scarce_food_equivalence_multi_event():
     # three comparisons share the first-reaction reference, so its noise enters all
     # three; a reference four times the compared size keeps that share small
     for seed, sampler in enumerate(("first-reaction", "next-reaction", "next-to-fire", "direct"), start=4096):
-        finals = []
-        marks = {}
         size = 4 * n if sampler == "first-reaction" else n
-        for traj in run_ensemble(model, sampler, seed, size, EventCount(depth)):
-            assert len(traj.events) == depth
-            finals.append(traj.events[-1].time)
-            for ev in traj.events:
-                marks[ev.clock] = marks.get(ev.clock, 0) + 1
-        data[sampler] = (finals, marks)
-    ref_finals, ref_marks = data["first-reaction"]
-    clocks = sorted({c for _, m in data.values() for c in m})
-    for sampler in ("next-reaction", "next-to-fire", "direct"):
-        finals, marks = data[sampler]
-        _, p_ks = ks_two_sample(ref_finals, finals)
-        _, p_chi = chi_square_homogeneity(
-            [ref_marks.get(c, 0) for c in clocks], [marks.get(c, 0) for c in clocks]
-        )
+        data[sampler] = last_event_sample(model, sampler, seed, size, EventCount(depth))
+        assert sum(data[sampler][1].values()) == depth * size  # every trajectory reached the depth
+    for sampler, p_ks, p_chi in compare_to_reference(data.pop("first-reaction"), data):
         assert p_ks > 0.005, (sampler, p_ks)
         assert p_chi > 0.005, (sampler, p_chi)
 
@@ -446,28 +431,10 @@ def test_rabbits_scarce_food_equivalence_multi_event():
 @pytest.mark.parametrize("name,params", ALL_BUILTINS, ids=[m[0] for m in ALL_BUILTINS])
 def test_first_event_equivalence_desk_scale(name, params):
     """All samplers draw the first (clock, time) from the same distribution."""
-    from clocksim.verify import chi_square_homogeneity, ks_two_sample
-
     model = build(name, params)
-    n = 1200
-    data = {}
     # each sampler gets its own stream family, as in acceptance criterion 1
-    for seed, sampler in enumerate(("first-reaction", "next-reaction", "next-to-fire", "direct"), start=81):
-        times = []
-        marks = {}
-        for traj in run_ensemble(model, sampler, seed, n, EventCount(1)):
-            if traj.events:
-                times.append(traj.events[0].time)
-                marks[traj.events[0].clock] = marks.get(traj.events[0].clock, 0) + 1
-        data[sampler] = (times, marks)
-    base_times, base_marks = data["first-reaction"]
-    clocks = sorted({c for _, m in data.values() for c in m})
-    for sampler in ("next-reaction", "next-to-fire", "direct"):
-        times, marks = data[sampler]
-        _, p_ks = ks_two_sample(base_times, times)
+    data = {sampler: event_sample(model, sampler, seed, EventCount(1), trajectories=1200)
+            for seed, sampler in enumerate(("first-reaction", "next-reaction", "next-to-fire", "direct"), start=81)}
+    for sampler, p_ks, p_chi in compare_to_reference(data.pop("first-reaction"), data):
         assert p_ks > 0.005, (name, sampler, p_ks)
-        if len(clocks) >= 2:
-            _, p_chi = chi_square_homogeneity(
-                [base_marks.get(c, 0) for c in clocks], [marks.get(c, 0) for c in clocks]
-            )
-            assert p_chi > 0.005, (name, sampler, p_chi)
+        assert p_chi is None or p_chi > 0.005, (name, sampler, p_chi)

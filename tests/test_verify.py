@@ -1,10 +1,15 @@
 import math
+import multiprocessing
+import os
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from clocksim import verify
 from clocksim.errors import ModelError, NonExponentialClock, StateSpaceTooLarge
+from clocksim.kernel import EventCount, StalledOnly
 from clocksim.models import build, parse_hazard
 from clocksim.verify import (
     CensoredSample,
@@ -15,6 +20,7 @@ from clocksim.verify import (
     ks_statistic,
     ks_two_sample,
     nelson_aalen,
+    sampler_equivalence,
     total_variation,
 )
 
@@ -222,6 +228,13 @@ def test_two_sample_helpers_accept_null():
     assert p > 0.01
 
 
+def test_chi_square_ignores_cells_both_samples_left_empty():
+    # compare_to_reference counts only the clocks a pair saw; a clock that
+    # neither saw is an empty cell, which pools to nothing
+    a, b = [30, 50, 2, 1], [25, 55, 3, 0]
+    assert chi_square_homogeneity(a, b) == chi_square_homogeneity([30, 0, 50, 2, 1, 0], [25, 0, 55, 3, 0, 0])
+
+
 def test_step_function_interface():
     sf = StepFunction(np.array([1.0, 2.0]), np.array([0.5, 0.25]), initial=1.0)
     assert sf(0.0) == 1.0
@@ -234,3 +247,43 @@ def test_step_function_interface():
 def test_total_variation():
     assert total_variation({"a": 1.0}, {"a": 1.0}) == 0.0
     assert total_variation({"a": 1.0}, {"b": 1.0}) == 1.0
+
+
+# -- sampler equivalence ----------------------------------------------------------
+
+SIR3 = ("sir3", partial(build, "sir", {"n": 3, "initial_infected": 1}), StalledOnly(),
+        "hierarchical:direct=6-8;next-reaction=rest")
+
+
+def test_sampler_equivalence_compares_independent_samples(monkeypatch):
+    # first-reaction, next-reaction and next-to-fire draw one uniform per enabled
+    # clock in id order, so on one shared stream their first events coincide
+    # and every comparison passes whatever the samplers do
+    compared = []
+    ks_two_sample = verify.ks_two_sample
+
+    def capture(a, b):
+        compared.append((list(a), list(b)))
+        return ks_two_sample(a, b)
+
+    monkeypatch.setattr(verify, "ks_two_sample", capture)
+    rows = sampler_equivalence([SIR3], seed0=101, trajectories=2000)
+    reference = compared[0][0]
+    assert all(a == reference and b != reference for a, b in compared)
+    assert [label.split()[1].split(":")[0] for label, _, _ in rows] == [
+        "next-reaction", "next-to-fire", "direct", "hierarchical"]
+    assert len(compared) == 4 and all(ok for _, _, ok in rows), rows
+
+
+def test_event_sample_needs_a_bound():
+    with pytest.raises(ModelError, match="bound"):
+        verify.event_sample(build("poisson", {}), "direct", 0, EventCount(1))
+
+
+def test_sampler_equivalence_rows_do_not_depend_on_the_worker_count(monkeypatch):
+    rows = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rows.append(sampler_equivalence([SIR3], seed0=101, trajectories=300))
+        assert multiprocessing.active_children() == []
+    assert rows[0] == rows[1]
