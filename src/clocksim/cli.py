@@ -108,7 +108,7 @@ def _parse_param_value(text: str):
 
 
 def _load_run_spec(config, param, flags) -> tuple[RunSpec, models.Model]:
-    """The config file's values, then `--param` items, then every flag given."""
+    """The config file's values, then `--param` items (each key once), then every flag given."""
     doc = {}
     if config:
         try:
@@ -122,13 +122,16 @@ def _load_run_spec(config, param, flags) -> tuple[RunSpec, models.Model]:
     params = doc.get("params")
     params = {} if params is None else params
     _check_type("params", params)
-    params = dict(params)
+    given = {}
     for item in param:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--param needs key=value, got {item!r}")
-        params[key.strip()] = _parse_param_value(value.strip())
-    doc["params"] = params
+        key = key.strip()
+        if key in given:
+            raise ConfigError(f"--param {key!r} is given more than once")
+        given[key] = _parse_param_value(value.strip())
+    doc["params"] = {**params, **given}
     doc.update((key, value) for key, value in flags.items() if value is not None)
     spec = RunSpec.from_dict(doc)
     return spec, spec.validate()
@@ -273,44 +276,23 @@ def cmd_summarize(files, observable):
 
 
 # -- verification suites ------------------------------------------------------
-# Each runs `verify`'s checks at the suite's own sizes and seeds; the acceptance
-# criteria run the same checks at theirs.  scipy's statistics load only for
-# the suites, with `verify`.
-
-
-def _suite_distributions():
-    from . import verify
-
-    return verify.distributions()
-
-
-def _suite_equivalence():
-    from . import verify
-
-    sir3 = functools.partial(models.build, "sir", {"n": 3, "initial_infected": 1})
-    cases = [("sir3", sir3, kernel.StalledOnly(), "hierarchical:direct=6-8;next-reaction=rest")]
-    return verify.sampler_equivalence(cases, seed0=101, trajectories=20_000)
-
-
-def _suite_oracle():
-    from . import verify
-
-    bd = models.build("birth-death", {"birth": 1.0, "death": 1.0, "x0": 1, "capacity": 30})
-    return (verify.competing_risks(4000, seed=7, grid_step=1e-3, horizon=3.0, tol=0.02, cif_tol=1e-3)
-            + verify.ctmc_agreement([("birth-death", bd, "next-reaction", 11)], 4000, horizon=1.0, tol=0.03))
-
-
-def _suite_hazard_round_trip():
-    from . import verify
-
-    return verify.hazard_round_trip(20_000, seed=13, tol=0.05)
-
+# Each suite is the `verify` checks it runs, at its own sizes and seeds; the
+# acceptance criteria run the same checks at theirs.  `cmd_verify` hands each
+# suite the `verify` module, so scipy's statistics load only for the suites.
 
 _SUITES = {
-    "distributions": _suite_distributions,
-    "sampler-equivalence": _suite_equivalence,
-    "oracle": _suite_oracle,
-    "hazard-round-trip": _suite_hazard_round_trip,
+    "distributions": lambda verify: verify.distributions(),
+    "sampler-equivalence": lambda verify: verify.sampler_equivalence(
+        [("sir3", functools.partial(models.build, "sir", {"n": 3, "initial_infected": 1}), kernel.StalledOnly(),
+          "hierarchical:direct=6-8;next-reaction=rest")],
+        seed0=101, trajectories=20_000),
+    "oracle": lambda verify: (
+        verify.competing_risks(4000, seed=7, grid_step=1e-3, horizon=3.0, tol=0.02, cif_tol=1e-3)
+        + verify.ctmc_agreement(
+            [("birth-death", models.build("birth-death", {"birth": 1.0, "death": 1.0, "x0": 1, "capacity": 30}),
+              "next-reaction", 11)],
+            4000, horizon=1.0, tol=0.03)),
+    "hazard-round-trip": lambda verify: verify.hazard_round_trip(20_000, seed=13, tol=0.05),
 }
 
 
@@ -323,9 +305,11 @@ def cmd_verify(suite):
         names = [suite]
     else:
         raise click.UsageError(f"unknown suite {suite!r}; valid: {', '.join([*_SUITES, 'all'])}")
+    from . import verify
+
     rows = []
     for name in names:
-        rows.extend(_SUITES[name]())
+        rows.extend(_SUITES[name](verify))
     width = max(len(r[0]) for r in rows)
     failed = 0
     for label, stats, ok in rows:

@@ -207,7 +207,8 @@ def evaluate_enabling(clock: ClockSpec, view: StateView, now: float, previously)
     when the functional form and enabling time are identical to `previously`.
     `previously` is DISABLED for a clock never queried (or just fired, whose
     draw was consumed: re-enabling is regenerative).  Raises ModelError if
-    the rule itself returns UNCHANGED.  Consecutive resolutions of one spec
+    the rule itself returns UNCHANGED or anything else that is neither
+    DISABLED nor an Enabled (None, say).  Consecutive resolutions of one spec
     object at one enabling time return one shared Enabled.
     """
     raw = clock.enabling(view, now)
@@ -216,7 +217,10 @@ def evaluate_enabling(clock: ClockSpec, view: StateView, now: float, previously)
     if raw is DISABLED:
         return UNCHANGED if previously is DISABLED else DISABLED
     was_enabled = isinstance(previously, Enabled)
-    te = raw.enabling_time
+    try:
+        te = raw.enabling_time
+    except AttributeError:
+        raise ModelError(f"clock {clock.id}: enabling rule returned {raw!r}, not DISABLED or an Enabled") from None
     if te is None:
         te = previously.enabling_time if was_enabled else now
     if not -INF < te <= now:

@@ -60,8 +60,9 @@ def _div(x, y):
     return math.copysign(INF, x) * math.copysign(1.0, y)
 
 
-def _brentq(f, xa, xb, xtol, rtol, maxiter):
-    """Root of f in [xa, xb] by Brent's method, as scipy.optimize.brentq finds it.
+def _brentq(f, xa, fa, xb, fb, xtol, rtol, maxiter):
+    """Root of f in [xa, xb] by Brent's method, as scipy.optimize.brentq finds
+    it; fa and fb are f(xa) and f(xb), which the caller already holds.
 
     A transcription of scipy's brentq.c (BSD-3-Clause, by Charles Harris):
     the same steps and the same floating-point operations in the same
@@ -71,15 +72,14 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter):
     half a second and about 60 MB.
     """
 
-    def value(x):
-        fx = f(x)
+    def value(x, fx):
         if fx != fx:
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
     xpre, xcur = xa, xb
-    fpre = value(xpre)
-    fcur = value(xcur)
+    fpre = value(xa, fa)
+    fcur = value(xb, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -120,7 +120,7 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = value(xcur, f(xcur))
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur!r}")
 
 
@@ -431,8 +431,8 @@ class DirectSampler(_Sampler):
 
         Bisection until the upper bracket value is finite (it may start at a
         survival asymptote), then Brent's method to relative 1e-12 in time.
-        Brent opens by evaluating both bracket ends; those values are known
-        (at s_prev nothing is consumed, so f is -budget there), so every
+        Brent is handed both bracket values, which are already known (at
+        s_prev nothing is consumed, so f is -budget there), so every
         consumption sum is evaluated at most once per time point; a zero
         budget returns lo at Brent's own f(lo) == 0 test.
         """
@@ -453,15 +453,8 @@ class DirectSampler(_Sampler):
                 f_lo = f_mid
         if hi - lo <= _INVERT_RTOL * max(abs(hi), 1e-300):
             return hi
-
-        def f(t):
-            if t == lo:
-                return f_lo
-            if t == hi:
-                return f_hi
-            return g(varying, bases, crate, s_prev, t) - budget
-
-        return float(_brentq(f, lo, hi, 1e-15, _INVERT_RTOL, _INVERT_MAXITER))
+        return float(_brentq(lambda t: g(varying, bases, crate, s_prev, t) - budget,
+                             lo, f_lo, hi, f_hi, 1e-15, _INVERT_RTOL, _INVERT_MAXITER))
 
     def _invert_waiting(self, now, budget):
         """(absolute event time, atom owner cid | None); raises Stalled.

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy import stats as _stats
-from scipy.special import kolmogorov as _kolmogorov
 
 from .clocks import DISABLED, Enabled, StateView, apply_mark_inplace
 from . import hazards
@@ -37,6 +36,7 @@ from .hazards import Exponential
 from .kernel import EndTime, EventCount, StalledOnly, final_state, run_ensemble, run_trajectory
 from .models import build, parse_hazard
 from .pool import fork_map
+from .samplers import _BASE_SAMPLERS
 
 
 @dataclass(frozen=True)
@@ -249,21 +249,6 @@ def total_variation(p: dict, q: dict) -> float:
 # -- goodness of fit ---------------------------------------------------------
 
 
-def ks_statistic(samples, cdf):
-    """One-sample Kolmogorov-Smirnov with asymptotic (Stephens) p-value."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = len(x)
-    if n < 10:
-        raise ModelError(f"need at least 10 samples, got {n}")
-    f = np.asarray([cdf(v) for v in x], dtype=float)
-    d_plus = np.max(np.arange(1, n + 1) / n - f)
-    d_minus = np.max(f - np.arange(0, n) / n)
-    d = max(d_plus, d_minus)
-    root_n = math.sqrt(n)
-    p = float(_kolmogorov((root_n + 0.12 + 0.11 / root_n) * d))
-    return d, min(max(p, 0.0), 1.0)
-
-
 def ks_two_sample(a, b):
     """Two-sample KS (asymptotic p), for pairwise sampler comparisons."""
     res = _stats.ks_2samp(a, b, method="asymp")
@@ -383,7 +368,7 @@ def _event_sample_of(build_model, *args):
     return event_sample(build_model(), *args)
 
 
-_SAMPLERS = ("first-reaction", "next-reaction", "next-to-fire", "direct")
+_SAMPLERS = tuple(_BASE_SAMPLERS)  # first-reaction first: the reference
 
 
 def sampler_equivalence(cases, seed0, trajectories=math.inf, events=math.inf):

@@ -82,6 +82,16 @@ def traced_bytes_after_build(build):
         tracemalloc.stop()
 
 
+def scan_find(leaves, x):
+    """Prefix-tree oracle: smallest index whose inclusive prefix sum strictly exceeds x, else -1."""
+    acc = 0.0
+    for i, v in enumerate(leaves):
+        acc += v
+        if acc > x:
+            return i
+    return -1
+
+
 def survival_quadrature(spec, t):
     """Independent survival oracle: numerical quadrature of the continuous
     hazard plus the explicit atom product.  Never uses the closed-form

@@ -28,7 +28,7 @@ from clocksim.samplers import make_sampler
 from clocksim.structs import PrefixSumTree, PutativeQueue
 from clocksim.verify import competing_risks, ctmc_agreement, hazard_round_trip, sampler_equivalence
 
-from conftest import AuditedNextReaction
+from conftest import AuditedNextReaction, scan_find
 
 
 def _report(num, label, ok, detail):
@@ -147,15 +147,6 @@ def test_criterion_5_next_reaction_budget_conservation():
     )
 
 
-def _scan_find(leaves, x):
-    acc = 0.0
-    for i, v in enumerate(leaves):
-        acc += v
-        if acc > x:
-            return i
-    return -1
-
-
 def test_criterion_6_data_structure_oracles():
     started = time.perf_counter()
     rng = np.random.default_rng(92)
@@ -172,7 +163,7 @@ def test_criterion_6_data_structure_oracles():
         total = sum(leaves)
         for _ in range(5):
             x = float(rng.random()) * (total if total > 0 else 1.0)
-            assert tree.find(x) == _scan_find(leaves, x)
+            assert tree.find(x) == scan_find(leaves, x)
             tree_checks += 1
     queue_checks = 0
     for _ in range(1000):

@@ -182,6 +182,23 @@ def test_unknown_param_exits_2(runner, tmp_path):
     assert "initial_infectd" in result.output
 
 
+def test_repeated_param_key_exits_2_but_a_param_overrides_the_config_file(runner, tmp_path):
+    result = runner.invoke(cli, [
+        "run", "--model", "ring", "--param", "m=4", "--param", " m=6", "--max-events", "3",
+        "--output", str(tmp_path / "x"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "--param 'm' is given more than once" in result.output
+    assert not os.path.exists(tmp_path / "x")
+    cfg = tmp_path / "run.yaml"
+    doc = {"model": "ring", "params": {"m": 4}, "max_events": 3, "output": str(tmp_path / "y")}
+    cfg.write_text(yaml.safe_dump(doc))
+    result = runner.invoke(cli, ["run", "--config", str(cfg), "--param", "m=6"])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "y" / "manifest.yaml") as fh:
+        assert yaml.safe_load(fh)["params"] == {"m": 6}
+
+
 @pytest.mark.parametrize("sampler", ["direct", "next-reaction"])
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_model_error_mid_run_exits_2(runner, tmp_path, workers, sampler):
@@ -496,7 +513,7 @@ def test_verify_runs_suites_in_order_and_exits_1_on_a_failed_check(runner, monke
     ran = []
 
     def suite(name, ok):
-        def run():
+        def run(verify):
             ran.append(name)
             return [(f"{name} check", "stats", ok)]
         return run

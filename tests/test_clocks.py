@@ -183,6 +183,14 @@ def test_future_anchor_rejected():
         evaluate_enabling(clock, view({}), 1.0, DISABLED)
 
 
+def test_rule_returning_none_is_rejected_naming_its_clock():
+    # a rule that forgets `return DISABLED`; the previous outcome does not matter
+    clock = ClockSpec(id=7, enabling=lambda v, now: None, mark=JumpMark({"a": 1}), reads=frozenset())
+    for previously in (DISABLED, Enabled(HazardSpec(Exponential(1.0)), 0.0)):
+        with pytest.raises(ModelError, match="clock 7: enabling rule returned None, not DISABLED or an Enabled"):
+            evaluate_enabling(clock, view({}), 1.0, previously)
+
+
 def test_rule_returning_its_previous_outcome_is_unchanged_while_the_anchor_holds():
     # A rule that hands back its own previous object is UNCHANGED, and its
     # anchor is still rejected when it lies after now or is not finite.

@@ -415,7 +415,7 @@ def _root_or_error(solve, f, lo, hi, maxiter):
 
 
 def _ours(f, lo, hi, maxiter):
-    return samplers._brentq(f, lo, hi, 1e-15, 1e-12, maxiter)
+    return samplers._brentq(f, lo, f(lo), hi, f(hi), 1e-15, 1e-12, maxiter)
 
 
 def _scipy(f, lo, hi, maxiter):

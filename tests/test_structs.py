@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from clocksim.structs import PrefixSumTree, PutativeQueue
 
+from conftest import scan_find
+
 
 # -- putative queue ----------------------------------------------------------
 
@@ -144,16 +146,6 @@ def test_queue_churn_keeps_heap_bounded():
 
 # -- prefix-sum tree -----------------------------------------------------------
 
-def _scan_find(leaves, x):
-    """Oracle: smallest index whose inclusive prefix sum strictly exceeds x."""
-    acc = 0.0
-    for i, v in enumerate(leaves):
-        acc += v
-        if acc > x:
-            return i
-    return -1
-
-
 def test_tree_basic():
     t = PrefixSumTree()
     t.set(0, 1.0)
@@ -215,7 +207,7 @@ def test_tree_random_matches_scan():
         assert t.total() == pytest.approx(total, rel=1e-12, abs=1e-12)
         for _ in range(20):
             x = float(rng.random()) * (total if total > 0 else 1.0)
-            assert t.find(x) == _scan_find(leaves, x)
+            assert t.find(x) == scan_find(leaves, x)
 
 
 def test_tree_total_drift_bounded_with_rebuilds():

@@ -17,7 +17,6 @@ from clocksim.verify import (
     chi_square_homogeneity,
     cif_numeric,
     ctmc_oracle,
-    ks_statistic,
     ks_two_sample,
     nelson_aalen,
     sampler_equivalence,
@@ -191,30 +190,6 @@ def test_ctmc_rejects_nonexponential_and_large_spaces():
 
 
 # -- goodness of fit -----------------------------------------------------------------
-
-def test_ks_statistic_near_zero_on_own_grid():
-    n = 1000
-    samples = [(i + 1) / n for i in range(n)]
-    stat, p = ks_statistic(samples, lambda x: min(max(x, 0.0), 1.0))
-    assert stat <= 1.0 / n + 1e-12
-    assert p > 0.99
-
-
-def test_ks_statistic_rejects_small_samples():
-    with pytest.raises(ModelError):
-        ks_statistic([0.5] * 9, lambda x: x)
-
-
-def test_ks_p_values_uniform_under_null():
-    rng = np.random.default_rng(21)
-    cdf = lambda x: 1.0 - math.exp(-x)
-    ps = []
-    for _ in range(1000):
-        stat, p = ks_statistic(rng.exponential(size=200), cdf)
-        ps.append(p)
-    _, p_meta = ks_statistic(ps, lambda x: min(max(x, 0.0), 1.0))
-    assert p_meta > 0.01
-
 
 def test_two_sample_helpers_accept_null():
     rng = np.random.default_rng(41)
