@@ -254,17 +254,20 @@ def cmd_summarize(files, observable):
         return
     # final-state: pooled histogram over replayed final states
     hist = {}
-    built = {}  # (model, params) header -> (Model, its model_hash)
+    built = {}  # (model, params) header -> (Model, the header lines it pins)
     for tf in parsed:
         try:
             header = (tf.header["model"], tf.header.get("params", "{}"))
             if header not in built:
                 model = models.build(header[0], json.loads(header[1]))
-                built[header] = model, kernel.model_hash(model)
-            model, digest = built[header]
-            written = tf.header.get("model_hash", "(none)")
-            if written != digest:
-                raise ModelError(f"model_hash {written} is not the rebuilt model's {digest}")
+                pinned = {"model_hash": kernel.model_hash(model),
+                          "initial_state": json.dumps(model.initial_state.counts, sort_keys=True)}
+                built[header] = model, pinned
+            model, pinned = built[header]
+            for key, expected in pinned.items():
+                written = tf.header.get(key, "(none)")
+                if written != expected:
+                    raise ModelError(f"{key} {written} is not the rebuilt model's {expected}")
             counts = kernel.final_state(model, tf).counts
         except (ClocksimError, KeyError, TypeError, ValueError) as exc:
             raise click.UsageError(f"{tf.path}: cannot replay ({exc})")

@@ -69,12 +69,31 @@ class Atom:
     def __post_init__(self):
         if not (0.0 < self.mass <= 1.0):
             raise ValueError(f"atom mass must be in (0, 1], got {self.mass}")
-        if not (self.offset >= 0.0 and math.isfinite(self.offset)):
-            raise ValueError(f"atom offset must be finite and >= 0, got {self.offset}")
+        if not (self.offset > 0.0 and math.isfinite(self.offset)):
+            raise ValueError(f"atom offset must be finite and > 0, got {self.offset}")
+
+
+class ContinuousHazard:
+    """Base of the continuous hazard families, the one type a HazardSpec's
+    continuous part must have.  A family whose survival reaches zero at a
+    finite duration overrides `support_end`."""
+
+    def support_end(self):
+        """Duration at which the survival hits zero (inf if never)."""
+        return INF
+
+
+def _hazard_at_zero(shape, unit_shape_hazard):
+    """The duration-0 hazard of a family whose hazard behaves as d ** (shape - 1) near 0."""
+    if shape > 1.0:
+        return 0.0
+    if shape == 1.0:
+        return unit_shape_hazard
+    return INF
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(ContinuousHazard):
     """Constant hazard."""
 
     rate: float
@@ -96,12 +115,9 @@ class Exponential:
             return 0.0
         return x / self.rate
 
-    def support_end(self):
-        return INF
-
 
 @dataclass(frozen=True)
-class Weibull:
+class Weibull(ContinuousHazard):
     """Weibull hazard; cumulative hazard (d / scale) ** shape.
 
     A power past the float range is INF, so an extreme shape saturates
@@ -120,11 +136,7 @@ class Weibull:
     def hazard(self, d):
         k = self.shape
         if d <= 0.0:
-            if k > 1.0:
-                return 0.0
-            if k == 1.0:
-                return 1.0 / self.scale
-            return INF
+            return _hazard_at_zero(k, 1.0 / self.scale)
         try:
             return (k / self.scale) * (d / self.scale) ** (k - 1.0)
         except OverflowError:
@@ -146,12 +158,9 @@ class Weibull:
         except OverflowError:
             return INF
 
-    def support_end(self):
-        return INF
-
 
 @dataclass(frozen=True)
-class Gamma:
+class Gamma(ContinuousHazard):
     """Gamma-distributed interarrival; hazard pdf(d) / sf(d).
 
     The cumulative hazard has no closed-form inverse, so inversion is
@@ -169,11 +178,7 @@ class Gamma:
 
     def hazard(self, d):
         if d <= 0.0:
-            if self.shape > 1.0:
-                return 0.0
-            if self.shape == 1.0:
-                return self.rate
-            return INF
+            return _hazard_at_zero(self.shape, self.rate)
         special = _special or _load_special()
         x = self.rate * d
         sf = float(special.gammaincc(self.shape, x))
@@ -200,12 +205,9 @@ class Gamma:
             return 0.0
         return _invert_monotone(self.cumulative, self.hazard, x, self.shape / self.rate)
 
-    def support_end(self):
-        return INF
-
 
 @dataclass(frozen=True)
-class UniformInterval:
+class UniformInterval(ContinuousHazard):
     """Jump uniformly distributed on [a, b].
 
     The hazard 1 / (b - d) diverges at b; inversion works on the survival
@@ -244,7 +246,7 @@ class UniformInterval:
 
 
 @dataclass(frozen=True)
-class PiecewiseConstant:
+class PiecewiseConstant(ContinuousHazard):
     """Piecewise-constant hazard; rates[i] applies on [breakpoints[i], breakpoints[i+1]).
 
     The last rate extends to infinity.  breakpoints[0] must be 0.
@@ -294,9 +296,6 @@ class PiecewiseConstant:
             return INF
         return self.breakpoints[i] + (x - self._cum[i]) / rate
 
-    def support_end(self):
-        return INF
-
 
 #: The continuous hazard families by the name model strings spell them with
 #: (see :func:`clocksim.models.parse_hazard`); the only list of them.
@@ -307,9 +306,6 @@ FAMILIES = {
     "uniform": UniformInterval,
     "piecewise": PiecewiseConstant,
 }
-
-#: Families accepted as the continuous part of a HazardSpec.
-CONTINUOUS_FAMILIES = tuple(FAMILIES.values())
 
 
 def _invert_monotone(cumulative, hazard, x, scale_guess):
@@ -365,7 +361,7 @@ class HazardSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        if self.continuous is not None and not isinstance(self.continuous, CONTINUOUS_FAMILIES):
+        if self.continuous is not None and not isinstance(self.continuous, ContinuousHazard):
             raise ValueError(f"unknown continuous family {self.continuous!r}")
         offs = [a.offset for a in self.atoms]
         if any(o2 <= o1 for o1, o2 in zip(offs, offs[1:])):

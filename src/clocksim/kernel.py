@@ -130,7 +130,6 @@ class EventRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    initial_state: SystemState
     events: tuple
     final_time: float
     rng_seed: int
@@ -171,14 +170,10 @@ class Engine:
     """Mutable per-trajectory state: counts, hazard cache, sampler, and the table
     of enabled clocks' future atom times, where a shared time raises DuplicateAtoms.
 
-    Construction runs with Python's cyclic collector paused: the first touch
-    of `model.graph` and `model.by_id`, the hazard cache, every enabling
-    rule's first evaluation and the sampler's initial `absorb` make tables
-    that live as long as the model or the engine and hold no cycles, so a
-    collector pass over them finds nothing.  One such pass still runs, a
-    young-generation collection over those tables at the first tracked
-    allocation after the pause.  The caller's collector setting is restored
-    afterwards, also when a rule or the sampler raises.
+    Construction runs inside `clocks._collector_paused` (see there for
+    why): the first touch of `model.graph` and `model.by_id`, the hazard
+    cache, every enabling rule's first evaluation and the sampler's initial
+    `absorb`.
     """
 
     def __init__(self, model, sampler, stream):
@@ -303,7 +298,6 @@ def run_trajectory(model, sampler, seed, stop, stream_index=0) -> Trajectory:
     # a run under an end time ends there, stalled or censored
     final_time = limit if limit is not None else engine.now
     return Trajectory(
-        initial_state=model.initial_state,
         events=tuple(events),
         final_time=final_time,
         rng_seed=seed,
@@ -320,8 +314,11 @@ def run_ensemble(model, sampler, base_seed, count, stop) -> list:
 
 
 def final_state(model, trajectory) -> SystemState:
-    """The state after the trajectory's last event; `trajectory` is a Trajectory or a TrajectoryFile."""
-    counts = dict(trajectory.initial_state.counts)
+    """The state after the trajectory's last event; `trajectory` is a Trajectory or a TrajectoryFile.
+
+    The replay starts from `model.initial_state`, the copy `model_hash` covers.
+    """
+    counts = dict(model.initial_state.counts)
     for ev in trajectory.events:
         apply_mark_inplace(counts, model.by_id[ev.clock].mark)
     return SystemState(counts)
@@ -367,11 +364,6 @@ class TrajectoryFile:
     header: dict
     events: tuple
     path: str = ""
-
-    @property
-    def initial_state(self) -> SystemState:
-        """The header's initial state (empty when the header has none)."""
-        return SystemState(dict(json.loads(self.header.get("initial_state", "{}"))))
 
 
 def read_trajectory(fh, path="") -> TrajectoryFile:

@@ -302,23 +302,16 @@ def build_atomic_showcase() -> Model:
     """Single-shot race: A exponential (rate ln 2) vs B, one atom of mass 0.5
     at absolute time 1.  Each jump disables the other clock.
     P(B fires) = S_A(1-) * 0.5 = 0.25."""
-    on_a = Enabled(HazardSpec(Exponential(math.log(2.0))))
-    on_b = Enabled(HazardSpec(None, (Atom(1.0, 0.5),)))
-    clocks = (
+    specs = {"A": HazardSpec(Exponential(math.log(2.0))), "B": HazardSpec(None, (Atom(1.0, 0.5),))}
+    clocks = tuple(
         ClockSpec(
-            id=0,
-            enabling=lambda view, now, out=on_a: out if view.count("armed") == 1 else DISABLED,
-            mark=JumpMark({"armed": -1, "a_count": +1}),
+            id=i,
+            enabling=lambda view, now, out=Enabled(spec): out if view.count("armed") == 1 else DISABLED,
+            mark=JumpMark({"armed": -1, f"{name.lower()}_count": +1}),
             reads=frozenset({"armed"}),
-            name="A",
-        ),
-        ClockSpec(
-            id=1,
-            enabling=lambda view, now, out=on_b: out if view.count("armed") == 1 else DISABLED,
-            mark=JumpMark({"armed": -1, "b_count": +1}),
-            reads=frozenset({"armed"}),
-            name="B",
-        ),
+            name=name,
+        )
+        for i, (name, spec) in enumerate(specs.items())
     )
     return Model("atomic-showcase", clocks, SystemState({"armed": 1}), {})
 
@@ -436,14 +429,9 @@ def build(name, params=None) -> Model:
     params binds to the builder's signature; an unknown, missing or
     malformed parameter raises ModelError naming the model.
 
-    The builder runs with Python's cyclic collector paused: a model's
-    clocks, marks and keys live as long as the model and hold no cycles,
-    so the collector passes their allocation count would start find no
-    garbage.  The pause defers those passes to one young-generation
-    collection at the first tracked allocation after it, which scans the
-    whole new model.  Enabling rules are not called here; `Engine`
-    evaluates them first, inside its own pause.  The caller's collector
-    setting is restored afterwards, also when the builder raises.
+    The builder runs inside `clocks._collector_paused` (see there for
+    why).  Enabling rules are not called here; `Engine` evaluates them
+    first, inside its own pause.
     """
     if name not in MODEL_BUILDERS:
         raise ModelError(f"unknown model {name!r}; valid: {', '.join(sorted(MODEL_BUILDERS))}")

@@ -95,7 +95,7 @@ def nelson_aalen(samples) -> StepFunction:
 def cif_numeric(specs, grid_step, horizon):
     """Numerical competing-risks solution for clocks racing from time 0.
 
-    specs: list of (HazardSpec, enabling_time).  Returns (total survival,
+    specs: list of (HazardSpec, enabling_time >= 0).  Returns (total survival,
     [per-clock cumulative incidence]) as step functions on a grid refined to
     contain every atom's absolute time.  Continuous parts integrate by the
     trapezoid rule; atomic factors are exact, with the survival entering
@@ -128,13 +128,9 @@ def cif_numeric(specs, grid_step, horizon):
     k = len(specs)
     surv = np.empty(len(grid))
     cifs = np.zeros((k, len(grid)))
-    s = 1.0
+    # an atom lies strictly after its enabling time >= 0, so none at grid[0] = 0
+    s = surv[0] = 1.0
     h_prev = [hazard(j, grid[0]) for j in range(k)]
-    if grid[0] in atom_at:
-        j, mass = atom_at[grid[0]]
-        cifs[j, 0] += s * mass
-        s *= 1.0 - mass
-    surv[0] = s
     for g in range(1, len(grid)):
         dt = grid[g] - grid[g - 1]
         h_here = [hazard(j, grid[g]) for j in range(k)]

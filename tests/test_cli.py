@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -161,6 +162,13 @@ def test_unknown_model_and_bad_param_exit_2(runner, tmp_path):
         "run", "--model", "poisson", "--param", "oops", "--output", str(tmp_path / "x"),
     ])
     assert result.exit_code == 2
+    # an atom at the enabling instant would be an immediate event
+    result = runner.invoke(cli, [
+        "run", "--model", "renewal", "--param", "interarrival=none@0,0.5", "--max-events", "3",
+        "--output", str(tmp_path / "x"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "atom offset must be finite and > 0" in result.output
 
 
 @pytest.mark.parametrize("interarrival", ["piecewise:0,nan|1,2", "piecewise:0,inf|1,2"])
@@ -336,6 +344,13 @@ def test_run_spec_round_trip():
     assert RunSpec.from_dict(doc) == spec
 
 
+def test_readme_config_schema_is_a_valid_run_spec():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Config file schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    model = RunSpec.from_dict(yaml.safe_load(block)).validate()
+    assert model.name == "sir"
+
+
 def test_run_spec_rejects_unknown_fields():
     from clocksim.errors import ConfigError
 
@@ -452,7 +467,8 @@ def test_summarize_final_state_bad_initial_state_exits_2(runner, tmp_path):
     out = tmp_path / "out"
     runner.invoke(cli, ["run", "--model", "poisson", "--max-events", "3", "--output", str(out)])
     text = (out / "traj_000000.tsv").read_text()
-    for value in ("5", '{"n": "x"}', '{"n": 1.5}', '{"n": true}', '{"n": -1}', "not json"):
+    # the model_hash pins the initial state; a well-formed but other one is not replayed either
+    for value in ("5", '{"n": "x"}', '{"n": 1.5}', '{"n": true}', '{"n": -1}', "not json", '{"n": 5}'):
         bad = tmp_path / "bad.tsv"
         bad.write_text(text.replace("# initial_state: {}", f"# initial_state: {value}"))
         result = runner.invoke(cli, ["summarize", "--observable", "final-state", str(bad)])

@@ -112,8 +112,7 @@ def test_survival_equals_exp_time_process(spec):
 
 @pytest.mark.parametrize("spec", MATRIX, ids=_ids(MATRIX))
 def test_survival_nonincreasing_and_starts_at_one(spec):
-    if not any(a.offset == 0.0 for a in spec.atoms):
-        assert survival(spec, 0.0) == 1.0
+    assert survival(spec, 0.0) == 1.0
     prev = 1.0
     for t in _grid_for(spec):
         s = survival(spec, t)
@@ -388,16 +387,37 @@ def test_validation_errors():
         Atom(1.0, 1.5)
     with pytest.raises(ValueError):
         Atom(-1.0, 0.5)
+    # an atom at the enabling instant would be an immediate event
+    with pytest.raises(ValueError, match="atom offset must be finite and > 0"):
+        Atom(0.0, 0.5)
     with pytest.raises(ValueError):
         HazardSpec(None, (Atom(2.0, 0.5), Atom(1.0, 0.5)))
     with pytest.raises(ValueError):
         HazardSpec(None, (Atom(1.0, 1.0), Atom(2.0, 0.5)))
     with pytest.raises(ValueError):
         Weibull(0.0, 1.0)
+    with pytest.raises(ValueError, match="rate must be finite and >= 0"):
+        Exponential(-1.0)
+    with pytest.raises(ValueError, match="scale must be finite and > 0"):
+        Weibull(1.0, 0.0)
+    with pytest.raises(ValueError, match="shape must be finite and > 0"):
+        Gamma(0.0, 1.0)
+    with pytest.raises(ValueError, match="rate must be finite and > 0"):
+        Gamma(1.0, 0.0)
     with pytest.raises(ValueError):
         UniformInterval(2.0, 1.0)
     with pytest.raises(ValueError):
         PiecewiseConstant((1.0, 2.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match="breakpoints and rates must have equal nonzero length"):
+        PiecewiseConstant((0.0, 1.0), (1.0,))
+    with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
+        PiecewiseConstant((0.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="rates must be finite and >= 0"):
+        PiecewiseConstant((0.0, 1.0), (1.0, -1.0))
+    with pytest.raises(ValueError, match="unknown continuous family"):
+        HazardSpec("weibull:2,1")
+    with pytest.raises(ValueError, match="duration must be >= 0"):
+        survival(HazardSpec(Exponential(1.0)), -1.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="breakpoints must be finite"):
             PiecewiseConstant((0.0, bad), (1.0, 2.0))

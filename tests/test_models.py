@@ -65,6 +65,11 @@ def test_parse_hazard_round_trip():
         parse_hazard("cauchy:1")
     with pytest.raises(ModelError):
         parse_hazard("weibull:2")
+    with pytest.raises(ModelError, match="expected a hazard string or HazardSpec"):
+        parse_hazard(2.0)
+    # an atom at the enabling instant would be an immediate event
+    with pytest.raises(ModelError, match="atom offset must be finite and > 0"):
+        parse_hazard("exponential:1@0,1")
 
 
 def test_unknown_model_rejected():
@@ -74,6 +79,12 @@ def test_unknown_model_rejected():
         build("sir", {"n": 0})
     with pytest.raises(ModelError):
         build("sir", {})  # n required
+    with pytest.raises(ModelError, match="need initial_infected <= n, got 4 > 3"):
+        build("sir", {"n": 3, "initial_infected": 4})
+    with pytest.raises(ModelError, match="parameter 'portions' must name at least one size"):
+        build("rabbits", {"m": 1, "food_rate": 1.0, "portions": []})
+    with pytest.raises(ModelError, match="need x0 <= capacity, got x0=5, capacity=2"):
+        build("birth-death", {"x0": 5, "capacity": 2})
 
 
 @pytest.mark.parametrize("name,params,key", [

@@ -208,6 +208,11 @@ def test_chi_square_ignores_cells_both_samples_left_empty():
     # neither saw is an empty cell, which pools to nothing
     a, b = [30, 50, 2, 1], [25, 55, 3, 0]
     assert chi_square_homogeneity(a, b) == chi_square_homogeneity([30, 0, 50, 2, 1, 0], [25, 0, 55, 3, 0, 0])
+    with pytest.raises(ModelError, match="need matching count vectors with >= 2 cells"):
+        chi_square_homogeneity([1, 2], [1, 2, 3])
+    # every cell's expected count is below 5, so all of them pool into one
+    with pytest.raises(ModelError, match="insufficient data: all cells merged"):
+        chi_square_homogeneity([1, 1], [1, 1])
 
 
 def test_step_function_interface():
