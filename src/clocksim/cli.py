@@ -1,10 +1,9 @@
 """Command-line front end: run models, verify, summarize trajectories.
 
 `RunSpec`'s fields are the one table of `clocksim run` settings: each is a
-YAML config key and a `run` flag (flags win), and every flag can also be set
-through the environment with the prefix CLOCKSIM_RUN_, per click's
-auto-envvar rules.  Values from every source are checked on one path, against
-types read from `RunSpec`'s annotations.  Exit codes: 0 success,
+YAML config key and a `run` flag (flags win); nothing is read from the
+environment.  Values from both sources are checked on one path, against types
+read from `RunSpec`'s annotations.  Exit codes: 0 success,
 1 verification failure, 2 configuration/usage error, 3 a trajectory stalled
 before producing any event under an event-count stop, 4 internal error (any
 other exception; its traceback goes to stderr).
@@ -26,7 +25,7 @@ import yaml
 from . import kernel, models
 from .errors import ClocksimError, ConfigError, ModelError
 from .pool import fork_map
-from .samplers import SAMPLER_NAMES, make_sampler
+from .samplers import SAMPLER_NAMES, HierarchicalSampler, make_sampler
 
 
 @dataclass
@@ -42,9 +41,6 @@ class RunSpec:
     max_events: int | None = None
     output: str = "out"
     workers: int = 1
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunSpec":
@@ -74,8 +70,11 @@ class RunSpec:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         self.stop()
-        make_sampler(self.sampler)
-        return models.build(self.model, self.params)
+        sampler = make_sampler(self.sampler)
+        model = models.build(self.model, self.params)
+        if isinstance(sampler, HierarchicalSampler):
+            sampler.check_partition(model.by_id)
+        return model
 
 
 _KIND_WORDS = {str: "a string", dict: "a mapping", int: "an integer", float: "a number"}
@@ -207,7 +206,7 @@ def cmd_run(config, param, **flags):
     except ClocksimError as exc:
         # a model that violates the clock contract mid-run (e.g. DuplicateAtoms)
         raise click.UsageError(f"{type(exc).__name__}: {exc}")
-    manifest = spec.to_dict()
+    manifest = asdict(spec)
     del manifest["output"]  # the manifest is written inside that directory
     manifest.update(
         model_hash=kernel.model_hash(built),
@@ -236,17 +235,17 @@ def cmd_summarize(files, observable):
     for path in sorted(files):
         try:
             with open(path) as fh:
-                parsed.append(kernel.read_trajectory(fh, path=path))
+                parsed.append((path, kernel.read_trajectory(fh)))
         except (ClocksimError, ValueError) as exc:
             raise click.UsageError(f"{path}: {exc}")
     if observable == "event-count":
         click.echo("file\tevents")
-        for tf in parsed:
-            click.echo(f"{tf.path}\t{len(tf.events)}")
+        for path, tf in parsed:
+            click.echo(f"{path}\t{len(tf.events)}")
         return
     if observable == "interarrival":
         click.echo("interarrival")
-        for tf in parsed:
+        for _, tf in parsed:
             prev = 0.0
             for ev in tf.events:
                 click.echo(kernel._fmt(ev.time - prev))
@@ -255,7 +254,7 @@ def cmd_summarize(files, observable):
     # final-state: pooled histogram over replayed final states
     hist = {}
     built = {}  # (model, params) header -> (Model, the header lines it pins)
-    for tf in parsed:
+    for path, tf in parsed:
         try:
             header = (tf.header["model"], tf.header.get("params", "{}"))
             if header not in built:
@@ -270,7 +269,7 @@ def cmd_summarize(files, observable):
                     raise ModelError(f"{key} {written} is not the rebuilt model's {expected}")
             counts = kernel.final_state(model, tf).counts
         except (ClocksimError, KeyError, TypeError, ValueError) as exc:
-            raise click.UsageError(f"{tf.path}: cannot replay ({exc})")
+            raise click.UsageError(f"{path}: cannot replay ({exc})")
         key = json.dumps(counts, sort_keys=True)
         hist[key] = hist.get(key, 0) + 1
     click.echo("final_state\tcount")
@@ -302,30 +301,24 @@ _SUITES = {
 @cli.command("verify", help="Run a verification suite: " + " | ".join([*_SUITES, "all"]) + ".")
 @click.argument("suite")
 def cmd_verify(suite):
-    if suite == "all":
-        names = list(_SUITES)
-    elif suite in _SUITES:
-        names = [suite]
-    else:
+    if suite != "all" and suite not in _SUITES:
         raise click.UsageError(f"unknown suite {suite!r}; valid: {', '.join([*_SUITES, 'all'])}")
     from . import verify
 
     rows = []
-    for name in names:
+    for name in _SUITES if suite == "all" else [suite]:
         rows.extend(_SUITES[name](verify))
     width = max(len(r[0]) for r in rows)
-    failed = 0
     for label, stats, ok in rows:
-        status = "PASS" if ok else "FAIL"
-        failed += 0 if ok else 1
-        click.echo(f"{label.ljust(width)}  {stats}  {status}")
+        click.echo(f"{label.ljust(width)}  {stats}  {'PASS' if ok else 'FAIL'}")
+    failed = sum(not ok for _, _, ok in rows)
     if failed:
         click.echo(f"{failed} check(s) failed", err=True)
         raise SystemExit(1)
 
 
 def main():
-    cli(auto_envvar_prefix="CLOCKSIM")
+    cli()
 
 
 if __name__ == "__main__":

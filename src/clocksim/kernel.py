@@ -363,10 +363,9 @@ def write_trajectory(fh, trajectory, model) -> None:
 class TrajectoryFile:
     header: dict
     events: tuple
-    path: str = ""
 
 
-def read_trajectory(fh, path="") -> TrajectoryFile:
+def read_trajectory(fh) -> TrajectoryFile:
     header = {}
     events = []
     for line in fh:
@@ -395,4 +394,4 @@ def read_trajectory(fh, path="") -> TrajectoryFile:
             raise ModelError(f"header says {header['events']} events, found {len(events)} event lines")
         if any(ev.seq != i for i, ev in enumerate(events)):
             raise ModelError("event seq column does not run 0, 1, 2, ...")
-    return TrajectoryFile(header=header, events=tuple(events), path=path)
+    return TrajectoryFile(header=header, events=tuple(events))

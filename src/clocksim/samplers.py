@@ -582,6 +582,14 @@ class HierarchicalSampler:
             raise ModelError(f"clock {cid} not covered by the partition")
         return i
 
+    def check_partition(self, ids):
+        """Raise ModelError unless the parts name only clocks in `ids` and cover each of them."""
+        absent = self._owner.keys() - ids
+        if absent:
+            raise ModelError(f"the partition names clocks {sorted(absent)} that the model lacks")
+        for cid in ids:
+            self._owner_index(cid)
+
     def next_event(self, now, stream):
         best = None
         for child in self._children:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -143,12 +144,16 @@ def test_bad_hierarchical_partition_exits_2(runner, tmp_path):
         "hierarchical:direct;next-reaction=rest",
         "hierarchical:direct=;next-reaction=rest",
         "hierarchical",
+        # ring m=4 has clocks 0-3: a child that owns only absent clocks, and a clock no part covers
+        "hierarchical:direct=0-3;next-reaction=4-9",
+        "hierarchical:direct=0-2",
     ):
         result = runner.invoke(cli, [
-            "run", "--model", "poisson", "--sampler", spec, "--max-events", "3",
+            "run", "--model", "ring", "--param", "m=4", "--sampler", spec, "--max-events", "3",
             "--output", str(tmp_path / "x"),
         ])
         assert result.exit_code == 2, (spec, result.output)
+        assert not os.path.exists(tmp_path / "x"), spec
 
 
 def test_unknown_model_and_bad_param_exit_2(runner, tmp_path):
@@ -340,7 +345,7 @@ def test_run_spec_round_trip():
     spec = RunSpec(model="sir", params={"n": 5, "recover": "weibull:2,1"},
                    sampler="direct", seed=9, trajectories=4, t_end=2.5,
                    output="somewhere", workers=2)
-    doc = yaml.safe_load(yaml.safe_dump(spec.to_dict()))
+    doc = yaml.safe_load(yaml.safe_dump(dataclasses.asdict(spec)))
     assert RunSpec.from_dict(doc) == spec
 
 
@@ -487,19 +492,6 @@ def test_hierarchical_sampler_spec_accepted(runner, tmp_path):
     assert len(_read_traj_files(out)) == 2
 
 
-def test_env_var_overrides_flag_default(runner, tmp_path):
-    out = tmp_path / "out"
-    result = runner.invoke(
-        cli,
-        ["run", "--model", "poisson", "--t-end", "1", "--output", str(out)],
-        env={"CLOCKSIM_RUN_SEED": "31415"},
-        auto_envvar_prefix="CLOCKSIM",
-    )
-    assert result.exit_code == 0, result.output
-    with open(out / "manifest.yaml") as fh:
-        assert yaml.safe_load(fh)["seed"] == 31415
-
-
 def test_verify_unknown_suite_exits_2(runner):
     result = runner.invoke(cli, ["verify", "nonsense"])
     assert result.exit_code == 2
@@ -595,3 +587,15 @@ def test_importing_the_cli_loads_no_process_pool():
         "import sys, clocksim.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     assert loaded == "[]"
+
+
+def test_the_console_entry_point_reads_no_setting_from_the_environment(tmp_path, monkeypatch):
+    # flags and --config are the only sources of a run setting
+    monkeypatch.setenv("CLOCKSIM_RUN_SEED", "5")
+    monkeypatch.setenv("CLOCKSIM_RUN_SAMPLER", "direct")
+    out = tmp_path / "out"
+    _fresh_python("from clocksim.cli import main; main()",
+                  "run", "--model", "poisson", "--max-events", "2", "--output", str(out))
+    with open(out / "manifest.yaml") as fh:
+        manifest = yaml.safe_load(fh)
+    assert (manifest["seed"], manifest["sampler"]) == (0, "first-reaction")

@@ -92,6 +92,24 @@ def test_invert_conditional_examples():
     assert invert_conditional(HazardSpec(Weibull(2.0, 1.0)), 0.0, -4.0) == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("value, expected", [
+    # unit shape: the duration-0 hazard is the family's rate
+    (lambda: Weibull(1.0, 2.0).hazard(0.0), 0.5),
+    (lambda: Gamma(1.0, 3.0).hazard(0.0), 3.0),
+    # (d / scale) ** shape overflows
+    (lambda: Weibull(50.0, 1e-6).hazard(1e6), INF),
+    (lambda: Weibull(50.0, 1e-6).cumulative(1e6), INF),
+    (lambda: Gamma(2.0, 1.0).inverse_cumulative(0.0), 0.0),
+    (lambda: UniformInterval(0.0, 1.0).hazard(1.0), INF),
+    # past the support end the whole mass is consumed: the draw is the shift itself
+    (lambda: invert_conditional(HazardSpec(UniformInterval(0.0, 1.0)), 1.5, -1.0), 1.5),
+    (lambda: invert_conditional(HazardSpec(UniformInterval(0.0, 1.0), (Atom(2.0, 0.5),)), 1.5, -1.0), 1.5),
+], ids=["weibull-h0", "gamma-h0", "weibull-h-overflow", "weibull-H-overflow", "gamma-Hinv0",
+        "uniform-h-at-b", "uniform-past-b", "uniform-atom-past-b"])
+def test_family_values_at_the_ends_of_their_support(value, expected):
+    assert value() == expected
+
+
 # -- oracles and invariants --------------------------------------------------
 
 @pytest.mark.parametrize("spec", MATRIX, ids=_ids(MATRIX))

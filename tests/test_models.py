@@ -95,6 +95,7 @@ def test_unknown_model_rejected():
     ("atomic-showcase", {"n": 1}, "n"),
     ("sir", {"n": True}, "n"),
     ("rabbits", {"m": 2, "food_rate": True}, "food_rate"),
+    ("sir", {"n": "abc"}, "n"),
 ])
 def test_bad_parameter_names_model_and_parameter(name, params, key):
     with pytest.raises(ModelError) as info:
