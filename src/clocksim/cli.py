@@ -253,20 +253,18 @@ def cmd_summarize(files, observable):
         return
     # final-state: pooled histogram over replayed final states
     hist = {}
-    built = {}  # (model, params) header -> (Model, the header lines it pins)
+    built = {}  # (model, params) header -> (Model, its model_header)
     for path, tf in parsed:
         try:
             header = (tf.header["model"], tf.header.get("params", "{}"))
             if header not in built:
                 model = models.build(header[0], json.loads(header[1]))
-                pinned = {"model_hash": kernel.model_hash(model),
-                          "initial_state": json.dumps(model.initial_state.counts, sort_keys=True)}
-                built[header] = model, pinned
+                built[header] = model, kernel.model_header(model)
             model, pinned = built[header]
-            for key, expected in pinned.items():
+            for key in ("model_hash", "initial_state"):
                 written = tf.header.get(key, "(none)")
-                if written != expected:
-                    raise ModelError(f"{key} {written} is not the rebuilt model's {expected}")
+                if written != pinned[key]:
+                    raise ModelError(f"{key} {written} is not the rebuilt model's {pinned[key]}")
             counts = kernel.final_state(model, tf).counts
         except (ClocksimError, KeyError, TypeError, ValueError) as exc:
             raise click.UsageError(f"{path}: cannot replay ({exc})")

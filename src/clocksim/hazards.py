@@ -59,6 +59,12 @@ _INVERT_RTOL = 1e-12
 _INVERT_MAXITER = 200
 
 
+def _check_parameter(name, value, zero_ok=False):
+    """Raise ValueError unless a parameter is finite and > 0 (>= 0 if `zero_ok`)."""
+    if not (math.isfinite(value) and (value > 0.0 or zero_ok and value == 0.0)):
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
+
+
 @dataclass(frozen=True)
 class Atom:
     """A point mass in the intensity: survival drops by (1 - mass) at offset."""
@@ -69,8 +75,7 @@ class Atom:
     def __post_init__(self):
         if not (0.0 < self.mass <= 1.0):
             raise ValueError(f"atom mass must be in (0, 1], got {self.mass}")
-        if not (self.offset > 0.0 and math.isfinite(self.offset)):
-            raise ValueError(f"atom offset must be finite and > 0, got {self.offset}")
+        _check_parameter("atom offset", self.offset)
 
 
 class ContinuousHazard:
@@ -99,8 +104,7 @@ class Exponential(ContinuousHazard):
     rate: float
 
     def __post_init__(self):
-        if not (self.rate >= 0.0 and math.isfinite(self.rate)):
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
+        _check_parameter("rate", self.rate, zero_ok=True)
 
     def hazard(self, d):
         return self.rate
@@ -128,10 +132,8 @@ class Weibull(ContinuousHazard):
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and math.isfinite(self.shape)):
-            raise ValueError(f"shape must be finite and > 0, got {self.shape}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
+        _check_parameter("shape", self.shape)
+        _check_parameter("scale", self.scale)
 
     def hazard(self, d):
         k = self.shape
@@ -171,10 +173,8 @@ class Gamma(ContinuousHazard):
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and math.isfinite(self.shape)):
-            raise ValueError(f"shape must be finite and > 0, got {self.shape}")
-        if not (self.rate > 0.0 and math.isfinite(self.rate)):
-            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
+        _check_parameter("shape", self.shape)
+        _check_parameter("rate", self.rate)
 
     def hazard(self, d):
         if d <= 0.0:

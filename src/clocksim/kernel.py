@@ -341,13 +341,17 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def model_header(model) -> dict:
+    """{key: value} of the header lines that name a model: `write_trajectory` writes them, `summarize` checks them."""
+    return {"model": model.name, "params": json.dumps(model.params, sort_keys=True), "model_hash": model_hash(model),
+            "initial_state": json.dumps(model.initial_state.counts, sort_keys=True)}
+
+
 def write_trajectory(fh, trajectory, model) -> None:
     """Tab-separated events with a #-header; times at 17 significant digits."""
     fh.write("# clocksim trajectory v1\n")
-    fh.write(f"# model: {model.name}\n")
-    fh.write(f"# params: {json.dumps(model.params, sort_keys=True)}\n")
-    fh.write(f"# model_hash: {model_hash(model)}\n")
-    fh.write(f"# initial_state: {json.dumps(model.initial_state.counts, sort_keys=True)}\n")
+    for key, value in model_header(model).items():
+        fh.write(f"# {key}: {value}\n")
     fh.write(f"# sampler: {trajectory.sampler}\n")
     fh.write(f"# seed: {trajectory.rng_seed}\n")
     fh.write(f"# stream: {trajectory.stream_index}\n")

@@ -583,12 +583,12 @@ class HierarchicalSampler:
         return i
 
     def check_partition(self, ids):
-        """Raise ModelError unless the parts name only clocks in `ids` and cover each of them."""
+        """Raise ModelError unless the parts name only clocks in `ids`, cover each, and leave `rest` one."""
         absent = self._owner.keys() - ids
         if absent:
             raise ModelError(f"the partition names clocks {sorted(absent)} that the model lacks")
-        for cid in ids:
-            self._owner_index(cid)
+        if self._rest not in {self._owner_index(cid) for cid in ids} | {None}:
+            raise ModelError("the catch-all part `rest` owns no clock")
 
     def next_event(self, now, stream):
         best = None

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy import stats as _stats
 
-from .clocks import DISABLED, Enabled, StateView, apply_mark_inplace
+from .clocks import DISABLED, UNCHANGED, StateView, apply_mark_inplace, evaluate_enabling
 from . import hazards
 from .errors import (
     DuplicateAtoms,
@@ -157,12 +157,16 @@ def _canonical(counts) -> tuple:
     return tuple(sorted(counts.items()))
 
 
-def ctmc_oracle(model, horizon, max_states=10_000, tail=1e-9):
+_CTMC_MAX_STATES = 10_000  # reachable states `ctmc_oracle` enumerates before it gives up
+_CTMC_TAIL = 1e-9  # Poisson weight `ctmc_oracle`'s uniformization leaves out
+
+
+def ctmc_oracle(model, horizon):
     """Exact state occupancy at the horizon for exponential-clock models.
 
     Enumerates the reachable states breadth-first (errors out above
-    max_states) and applies uniformization with Poisson-weight truncation
-    error below `tail`.  Returns {canonical state tuple: probability}.
+    _CTMC_MAX_STATES) and applies uniformization with Poisson-weight truncation
+    error below _CTMC_TAIL.  Returns {canonical state tuple: probability}.
     """
     start = dict(model.initial_state.counts)
     index = {_canonical(start): 0}
@@ -176,12 +180,10 @@ def ctmc_oracle(model, horizon, max_states=10_000, tail=1e-9):
             view = StateView(counts, {})
             out = []
             for cid in sorted(model.by_id):
-                raw = model.by_id[cid].enabling(view, 0.0)
-                if raw is DISABLED:
+                resolved = evaluate_enabling(model.by_id[cid], view, 0.0, DISABLED)
+                if resolved is UNCHANGED:  # still disabled
                     continue
-                if not isinstance(raw, Enabled):
-                    raise ModelError(f"clock {cid}: cannot resolve enabling without history")
-                spec = raw.spec
+                spec = resolved.spec
                 if spec.atoms or not isinstance(spec.continuous, Exponential):
                     raise NonExponentialClock(f"clock {cid} is not purely exponential")
                 rate = spec.continuous.rate
@@ -193,8 +195,8 @@ def ctmc_oracle(model, horizon, max_states=10_000, tail=1e-9):
                 ti = index.get(key)
                 if ti is None:
                     ti = len(states)
-                    if ti >= max_states:
-                        raise StateSpaceTooLarge(f"more than {max_states} reachable states")
+                    if ti >= _CTMC_MAX_STATES:
+                        raise StateSpaceTooLarge(f"more than {_CTMC_MAX_STATES} reachable states")
                     index[key] = ti
                     states.append(target)
                     nxt.append(ti)
@@ -215,7 +217,7 @@ def ctmc_oracle(model, horizon, max_states=10_000, tail=1e-9):
     if q_rate > 0.0 and horizon > 0.0:
         p_hat = (sparse.eye(n) + q_matrix.tocsr() / q_rate).tocsr()
         qt = q_rate * horizon
-        k_max = int(_stats.poisson.isf(tail, qt)) + 1
+        k_max = int(_stats.poisson.isf(_CTMC_TAIL, qt)) + 1
         weights = _stats.poisson.pmf(np.arange(k_max + 1), qt)
         acc = weights[0] * pi
         v = pi
@@ -223,8 +225,7 @@ def ctmc_oracle(model, horizon, max_states=10_000, tail=1e-9):
             v = v @ p_hat
             acc = acc + weights[k] * v
         pi = acc
-    keys = sorted(index, key=index.get)
-    return {keys[i]: float(pi[i]) for i in range(n)}
+    return {key: float(p) for key, p in zip(index, pi)}  # index holds the states in index order
 
 
 def occupancy_from_trajectories(model, trajectories):
@@ -297,7 +298,7 @@ def compare_to_reference(reference, samples):
 
 
 def distributions():
-    """Survival against exp(-time_process) and its inversion back to time, on eight hazard specs."""
+    """Survival against exp(-time_process) and its inversion back to time, on eleven hazard specs."""
     matrix = [
         "exponential:1",
         "exponential:0.5@1,0.3",
@@ -307,6 +308,9 @@ def distributions():
         "uniform:0.5,2",
         "piecewise:0,1,2|0.5,0,2",
         "none@1,0.25;2,0.5",
+        "exponential:0.6931471805599453@1,0.5",
+        "gamma:0.5,1",
+        "weibull:1.5,1@0.5,0.2;1.5,1",
     ]
     ts = [float(t) for t in np.linspace(0.01, 4.0, 101)]
     rows = []
@@ -389,16 +393,15 @@ def sampler_equivalence(cases, seed0, trajectories=math.inf, events=math.inf):
 
 def competing_risks(trajectories, seed, grid_step, horizon, tol, cif_tol):
     """Atomic-showcase's probability 1/4 that the atom B wins: from
-    `trajectories` direct runs (within `tol`) and from `cif_numeric` on a
-    `grid_step` grid up to `horizon` (within `cif_tol`)."""
+    `trajectories` direct runs (within `tol`) and from `cif_numeric` on its
+    rules' initial specs, `grid_step` apart up to `horizon` (within `cif_tol`)."""
     model = build("atomic-showcase", {})
-    trajs = run_ensemble(model, "direct", seed, trajectories, StalledOnly())
-    emp = sum(1 for t in trajs if t.events and t.events[0].clock == 1) / trajectories
-    _, cifs = cif_numeric(
-        [(parse_hazard(f"exponential:{math.log(2.0)!r}"), 0.0), (parse_hazard("none@1,0.5"), 0.0)],
-        grid_step=grid_step, horizon=horizon,
-    )
-    cif_b = cifs[1].final
+    view = StateView(model.initial_state.counts, {})
+    specs = [(evaluate_enabling(clock, view, 0.0, DISABLED).spec, 0.0) for clock in model.clocks]
+    b = next(j for j, (spec, _) in enumerate(specs) if spec.atoms)
+    _, marks = event_sample(model, "direct", seed, StalledOnly(), trajectories=trajectories)
+    _, cifs = cif_numeric(specs, grid_step=grid_step, horizon=horizon)
+    emp, cif_b = marks.get(model.clocks[b].id, 0) / trajectories, cifs[b].final
     ok = abs(emp - 0.25) < tol and abs(cif_b - 0.25) < cif_tol
     return [("oracle atomic-showcase P(B)", f"empirical {emp:.4f} cif {cif_b:.6f}", ok)]
 

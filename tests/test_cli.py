@@ -144,9 +144,11 @@ def test_bad_hierarchical_partition_exits_2(runner, tmp_path):
         "hierarchical:direct;next-reaction=rest",
         "hierarchical:direct=;next-reaction=rest",
         "hierarchical",
-        # ring m=4 has clocks 0-3: a child that owns only absent clocks, and a clock no part covers
+        # ring m=4 has clocks 0-3: a child that owns only absent clocks, a clock no part
+        # covers, and a catch-all left with no clock
         "hierarchical:direct=0-3;next-reaction=4-9",
         "hierarchical:direct=0-2",
+        "hierarchical:direct=0-3;next-reaction=rest",
     ):
         result = runner.invoke(cli, [
             "run", "--model", "ring", "--param", "m=4", "--sampler", spec, "--max-events", "3",

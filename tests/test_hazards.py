@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainccinv
 
+from clocksim import verify
 from clocksim.hazards import (
     INF,
     Atom,
@@ -19,6 +20,7 @@ from clocksim.hazards import (
     survival,
     time_process,
 )
+from clocksim.models import parse_hazard
 
 from conftest import survival_quadrature
 
@@ -120,15 +122,6 @@ def test_survival_matches_quadrature(spec):
 
 
 @pytest.mark.parametrize("spec", MATRIX, ids=_ids(MATRIX))
-def test_survival_equals_exp_time_process(spec):
-    for t in _grid_for(spec):
-        s = survival(spec, t)
-        tp = time_process(spec, 0.0, t)
-        via = 0.0 if tp == INF else math.exp(-tp)
-        assert s == pytest.approx(via, rel=1e-10, abs=1e-300)
-
-
-@pytest.mark.parametrize("spec", MATRIX, ids=_ids(MATRIX))
 def test_survival_nonincreasing_and_starts_at_one(spec):
     assert survival(spec, 0.0) == 1.0
     prev = 1.0
@@ -138,20 +131,13 @@ def test_survival_nonincreasing_and_starts_at_one(spec):
         prev = s
 
 
-@pytest.mark.parametrize("spec", MATRIX, ids=_ids(MATRIX))
-def test_round_trip_inversion(spec):
-    for t in _grid_for(spec)[::3]:
-        s = survival(spec, t)
-        if s <= 1e-14 or s >= 1.0:
-            continue
-        t_back = invert_conditional(spec, 0.0, math.log(s))
-        if abs(t_back - t) > 1e-9 * t:
-            # inside a flat segment or exactly at an atom: a tie, not an error;
-            # verify there is no consumed hazard between the two answers
-            lo, hi = min(t, t_back), max(t, t_back)
-            assert time_process(spec, lo, hi) <= 1e-9
-        else:
-            assert t_back == pytest.approx(t, rel=1e-9)
+def test_distributions_suite_checks_every_matrix_spec():
+    # `verify.distributions` holds the survival = exp(-time_process) and the
+    # inversion round-trip checks; every spec here must be one of its rows
+    rows = verify.distributions()
+    assert all(ok for _, _, ok in rows), rows
+    checked = [parse_hazard(label.split()[1]) for label, _, _ in rows]
+    assert [spec for spec in MATRIX if spec not in checked] == []
 
 
 @pytest.mark.parametrize("spec", [m for m in MATRIX if m.atoms], ids=lambda s: "atoms")

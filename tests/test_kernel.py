@@ -375,22 +375,6 @@ def test_rejected_mark_changes_nothing():
     assert engine.cache_consistent()
 
 
-@pytest.mark.parametrize("model", [build("ring", {"m": 64}), build_sir(6)], ids=["ring-64", "sir-6"])
-def test_first_reaction_draws_one_variate_per_enabled_clock(model):
-    stream = CountingStream(derived_generator(4, 0))
-    engine = Engine(model, make_sampler("first-reaction"), stream)
-    for _ in range(30):
-        enabled = sum(out is not DISABLED for out in engine._cache.values())
-        before = stream.count
-        try:
-            engine.sampler.next_event(engine.now, stream)
-        except Stalled:
-            assert enabled == 0
-            break
-        assert stream.count - before == enabled
-        engine.step()
-
-
 FIVE_SAMPLERS = [*SAMPLERS, "hierarchical:first-reaction=rest"]
 
 
@@ -643,12 +627,15 @@ def test_benchmark_wrapped_names_stay_on_the_call_path(monkeypatch, sampler):
     ("sir", {"n": 8, "recover": "weibull:2,1@1.5,0.5"}),
     ("rabbits", {"m": 4, "food_rate": 2.0, "portions": "1;2"}),
     ("atomic-showcase", {}),
+    ("ring", {"m": 64}),
+    ("sir", {"n": 6}),
 ])
 def test_first_reaction_draws_once_per_enabled_clock(monkeypatch, name, params):
     # The samplers docstring's contract, seen through the wrapped names:
     # each event calls `uniform` and `invert_conditional` once per enabled
     # clock, whatever the spec: Weibull with atoms (SIR), Weibull anchored
-    # at a past meal (rabbits), atoms only (atomic-showcase).
+    # at a past meal (rabbits), atoms only (atomic-showcase), and plain
+    # exponentials over many clocks (ring-64, SIR with 6 individuals).
     calls = {"uniform": 0, "invert_conditional": 0}
     for owner, attr in ((kernel.CountingStream, "uniform"), (samplers, "invert_conditional")):
         def counting(*args, _attr=attr, _fn=getattr(owner, attr), **kwargs):
