@@ -23,6 +23,7 @@ import click
 import yaml
 
 from . import kernel, models
+from .clocks import _check_integer
 from .errors import ClocksimError, ConfigError, ModelError
 from .pool import fork_map
 from .samplers import SAMPLER_NAMES, HierarchicalSampler, make_sampler
@@ -64,11 +65,9 @@ class RunSpec:
         """Check every field; returns the model, built once here."""
         for name in _ACCEPTS:
             _check_type(name, getattr(self, name))
-        kernel.stream_key("seed", self.seed)
-        if self.trajectories < 1:
-            raise ConfigError(f"trajectories must be >= 1, got {self.trajectories}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        _check_integer("seed", self.seed, 0, ConfigError, kernel.SEED_BOUND)
+        _check_integer("trajectories", self.trajectories, 1, ConfigError)
+        _check_integer("workers", self.workers, 1, ConfigError)
         self.stop()
         sampler = make_sampler(self.sampler)
         model = models.build(self.model, self.params)
@@ -236,7 +235,7 @@ def cmd_summarize(files, observable):
         try:
             with open(path) as fh:
                 parsed.append((path, kernel.read_trajectory(fh)))
-        except (ClocksimError, ValueError) as exc:
+        except ClocksimError as exc:
             raise click.UsageError(f"{path}: {exc}")
     if observable == "event-count":
         click.echo("file\tevents")

@@ -31,19 +31,29 @@ ClockId = int
 SubstateKey = str
 
 
+def _check_integer(name, value, minimum=None, error=ModelError, below=None) -> int:
+    """`value` as a plain int; `error` unless it has `__index__` (numpy integers
+    do; bools are refused) and lies in [minimum, below), an end open when None.
+    The one statement of the rule."""
+    n = (value if type(value) is int else
+         value.__index__() if hasattr(value, "__index__") and not isinstance(value, bool) else None)
+    if n is None or minimum is not None and n < minimum or below is not None and n >= below:
+        limits = "" if minimum is None else f" >= {minimum}" if below is None else f" in [{minimum}, {below})"
+        raise error(f"{name} must be an integer{limits}, got {value!r}")
+    return n
+
+
 def _nonzero_integers(what, mapping, nonnegative=False) -> dict:
     """`mapping` without its zero entries; ModelError naming the key for a
-    value that is not an integer (floats, strings and bools included; numpy
-    integers pass and become ints), or is negative when `nonnegative`.  The
-    keys are kept, not copied, so builders can share one string per substate."""
+    value the integer rule rejects (>= 0 when `nonnegative`).  The keys are
+    kept, not copied, so builders can share one string per substate."""
     cleaned = {}
     for key, value in mapping.items():
-        if type(value) is not int:
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise ModelError(f"{what} for {key!r} must be an integer, got {value!r}")
-            value = value.__index__()
-        if value < 0 and nonnegative:
-            raise ModelError(f"{what} for {key!r} must be >= 0, got {value}")
+        try:
+            value = _check_integer(what, value, 0 if nonnegative else None)
+        except ModelError as exc:
+            # the key is named only here: formatting it per entry would slow every model build
+            raise ModelError(f"substate {key!r}: {exc}") from None
         if value:
             cleaned[key] = value
     return cleaned
@@ -192,6 +202,12 @@ def apply_mark_inplace(counts: dict, mark: JumpMark) -> None:
             counts[key] = new
 
 
+def _check_anchor(cid, te, now):
+    """ModelError unless -inf < te <= now (NaN fails): every sampler needs a finite anchor at or before now."""
+    if not -INF < te <= now:
+        raise ModelError(f"clock {cid}: enabling time {te} is not finite, or is in the future (now={now})")
+
+
 # The last Enabled that evaluate_enabling resolved from an enabling_time of
 # None.  Consecutive resolutions with the same spec object and enabling time
 # share it, so a bulk enable (engine init, one SIR infection) makes one
@@ -223,9 +239,7 @@ def evaluate_enabling(clock: ClockSpec, view: StateView, now: float, previously)
         raise ModelError(f"clock {clock.id}: enabling rule returned {raw!r}, not DISABLED or an Enabled") from None
     if te is None:
         te = previously.enabling_time if was_enabled else now
-    if not -INF < te <= now:
-        # NaN and -inf fail too: every sampler needs a finite anchor
-        raise ModelError(f"clock {clock.id}: enabling time {te} is not finite, or is in the future (now={now})")
+    _check_anchor(clock.id, te, now)
     if (
         was_enabled
         and previously.enabling_time == te

@@ -39,6 +39,7 @@ after every finite time.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -59,10 +60,13 @@ _INVERT_RTOL = 1e-12
 _INVERT_MAXITER = 200
 
 
-def _check_parameter(name, value, zero_ok=False):
-    """Raise ValueError unless a parameter is finite and > 0 (>= 0 if `zero_ok`)."""
-    if not (math.isfinite(value) and (value > 0.0 or zero_ok and value == 0.0)):
-        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
+def _check_parameter(name, value, zero_ok=False, error=ValueError):
+    """`value` as a float; `error` unless it is a real number (never a bool),
+    finite, and > 0 (>= 0 if `zero_ok`).  The one statement of the rule."""
+    if not ((type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool))
+            and value < INF and (value > 0.0 or zero_ok and value == 0.0)):
+        raise error(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,8 @@ class Atom:
     mass: float
 
     def __post_init__(self):
-        if not (0.0 < self.mass <= 1.0):
-            raise ValueError(f"atom mass must be in (0, 1], got {self.mass}")
+        if not _check_parameter("atom mass", self.mass) <= 1.0:
+            raise ValueError(f"atom mass must be in (0, 1], got {self.mass!r}")
         _check_parameter("atom offset", self.offset)
 
 
@@ -219,8 +223,8 @@ class UniformInterval(ContinuousHazard):
     b: float
 
     def __post_init__(self):
-        if not (0.0 <= self.a < self.b and math.isfinite(self.b)):
-            raise ValueError(f"need 0 <= a < b finite, got [{self.a}, {self.b}]")
+        if not _check_parameter("a", self.a, zero_ok=True) < _check_parameter("b", self.b):
+            raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
 
     def hazard(self, d):
         if d < self.a:
@@ -256,20 +260,16 @@ class PiecewiseConstant(ContinuousHazard):
     rates: tuple
 
     def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
-        rs = tuple(float(r) for r in self.rates)
+        bp = tuple(_check_parameter("breakpoints", b, zero_ok=True) for b in self.breakpoints)
+        rs = tuple(_check_parameter("rates", r, zero_ok=True) for r in self.rates)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "rates", rs)
         if len(bp) != len(rs) or not bp:
             raise ValueError("breakpoints and rates must have equal nonzero length")
         if bp[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
-        if not all(math.isfinite(b) for b in bp):
-            raise ValueError("breakpoints must be finite")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(r < 0.0 or not math.isfinite(r) for r in rs):
-            raise ValueError("rates must be finite and >= 0")
         cum = [0.0]
         for i in range(len(bp) - 1):
             cum.append(cum[-1] + rs[i] * (bp[i + 1] - bp[i]))
@@ -396,7 +396,7 @@ class HazardSpec:
 
 def survival(spec: HazardSpec, t: float) -> float:
     """P[jump later than t], right-continuous in t (atoms at t included)."""
-    if t < 0.0:
+    if not t >= 0.0:  # NaN fails too
         raise ValueError("duration must be >= 0")
     s = math.exp(-spec._cum(t))
     for a in spec.atoms:
@@ -442,7 +442,7 @@ def invert_conditional(spec: HazardSpec, shift: float, required_log_survival: fl
     """
     if not shift >= 0.0:  # NaN fails too
         raise ValueError("shift must be >= 0")
-    if required_log_survival > 0.0:
+    if not required_log_survival <= 0.0:
         raise ValueError("required log-survival must be <= 0")
     need = -required_log_survival
     rate = spec._exp_rate

@@ -24,12 +24,13 @@ from .clocks import (
     UNCHANGED,
     StateView,
     SystemState,
+    _check_integer,
     _collector_paused,
     apply_mark_inplace,
     evaluate_enabling,
 )
 from .errors import ConfigError, DuplicateAtoms, ModelError, Stalled, UnknownClock
-from .hazards import INF
+from .hazards import INF, _check_parameter
 from .samplers import EnablingDelta, make_sampler
 
 
@@ -74,14 +75,6 @@ def _mix64(x):
     return x
 
 
-def stream_key(name, value):
-    """`value` as an int in [0, SEED_BOUND); ConfigError for anything else, bools included."""
-    key = value.__index__() if hasattr(value, "__index__") and not isinstance(value, bool) else -1
-    if not 0 <= key < SEED_BOUND:
-        raise ConfigError(f"{name} must be an integer in [0, 2**64), got {value!r}")
-    return key
-
-
 class _ZeroSeed(np.random.bit_generator.ISeedSequence):
     """Zero seed words, for a bit generator whose state `derived_generator` sets at once.
 
@@ -104,7 +97,8 @@ def derived_generator(seed, index):
     streams from a pure function of (seed, index).  Every call returns a
     Generator over a bit generator of its own.
     """
-    seed, index = stream_key("seed", seed), stream_key("stream index", index)
+    seed = _check_integer("seed", seed, 0, ConfigError, SEED_BOUND)
+    index = _check_integer("stream index", index, 0, ConfigError, SEED_BOUND)
     s0 = _mix64(seed ^ 0x243F6A8885A308D3)
     s1 = _mix64(s0 ^ index)
     i0 = _mix64(seed + 0x452821E638D01377 + index * 0x9E3779B97F4A7C15)
@@ -143,14 +137,7 @@ class EndTime:
     t: float
 
     def __post_init__(self):
-        if not (self.t >= 0.0 and math.isfinite(self.t)):
-            raise ModelError(f"end time must be finite and >= 0, got {self.t}")
-
-
-def _positive_integer(what, value):
-    """ModelError unless `value` is an integer > 0; bools are rejected."""
-    if isinstance(value, bool) or not hasattr(value, "__index__") or value <= 0:
-        raise ModelError(f"{what} must be an integer > 0, got {value!r}")
+        _check_parameter("end time", self.t, zero_ok=True, error=ModelError)
 
 
 @dataclass(frozen=True)
@@ -158,7 +145,7 @@ class EventCount:
     n: int
 
     def __post_init__(self):
-        _positive_integer("event count", self.n)
+        object.__setattr__(self, "n", _check_integer("event count", self.n, 1))
 
 
 @dataclass(frozen=True)
@@ -309,7 +296,7 @@ def run_trajectory(model, sampler, seed, stop, stream_index=0) -> Trajectory:
 
 def run_ensemble(model, sampler, base_seed, count, stop) -> list:
     """Independent trajectories; trajectory i uses stream (base_seed, i)."""
-    _positive_integer("count", count)
+    count = _check_integer("count", count, 1)
     return [run_trajectory(model, sampler, base_seed, stop, stream_index=i) for i in range(count)]
 
 
@@ -370,22 +357,28 @@ class TrajectoryFile:
 
 
 def read_trajectory(fh) -> TrajectoryFile:
+    """Parse a file `write_trajectory` wrote; ModelError, naming the line, for one that does not parse."""
     header = {}
     events = []
-    for line in fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                header[key.strip()] = value.strip()
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ModelError(f"malformed event line: {line!r}")
-        events.append(EventRecord(seq=int(parts[0]), time=float(parts[1]), clock=int(parts[2])))
+    try:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if ":" in body:
+                    key, _, value = body.partition(":")
+                    header[key.strip()] = value.strip()
+                    if key.strip() == "final_time":
+                        float(value)  # ValueError, so a malformed line, unless a number
+                continue
+            seq, time, clock = line.split("\t")
+            events.append(EventRecord(seq=int(seq), time=float(time), clock=int(clock)))
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"not a text file: {exc}") from None
+    except ValueError:
+        raise ModelError(f"malformed line: {line!r}") from None
     times = [ev.time for ev in events]
     if not all(0.0 <= t < INF for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         raise ModelError("event times must be finite, >= 0 and strictly increasing")

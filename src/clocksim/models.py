@@ -39,9 +39,9 @@ from functools import cached_property
 from typing import Mapping
 
 from . import graph as depgraph
-from .clocks import DISABLED, ClockSpec, Enabled, JumpMark, SystemState, _collector_paused
+from .clocks import DISABLED, ClockSpec, Enabled, JumpMark, SystemState, _check_integer, _collector_paused
 from .errors import ModelError
-from .hazards import FAMILIES, Atom, Exponential, HazardSpec, Weibull
+from .hazards import FAMILIES, Atom, Exponential, HazardSpec, Weibull, _check_parameter
 
 
 @dataclass(frozen=True)
@@ -119,29 +119,15 @@ def unparse_hazard(spec: HazardSpec) -> str:
 # -- parameter checks ----------------------------------------------------------
 
 def _int(key, value, minimum):
-    """An integer parameter: 3, 3.0 and "3" are accepted, 3.7 and True are not."""
-    try:
-        out = None if isinstance(value, bool) else int(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or (isinstance(value, float) and value != out):
-        raise ModelError(f"parameter {key!r} must be an integer, got {value!r}")
-    if out < minimum:
-        raise ModelError(f"parameter {key!r} must be >= {minimum}, got {out}")
-    return out
-
-
-def _float(key, value, positive=False):
-    """A finite number parameter, > 0 if positive, else >= 0; never a bool."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ModelError(f"parameter {key!r} must be a number, got {value!r}") from None
-    if not math.isfinite(out) or out < 0.0 or (positive and out == 0.0):
-        raise ModelError(f"parameter {key!r} must be finite and {'>' if positive else '>='} 0, got {value!r}")
-    return out
+    """An integer parameter >= `minimum`.  Command-line text may spell one as
+    ``"3"`` or ``3.0`` (``--param n=3.0`` arrives as a float), so those are
+    converted first; then the integer rule applies, rejecting 3.7 and True."""
+    if isinstance(value, str) or isinstance(value, float) and value.is_integer():
+        try:
+            value = int(value)
+        except ValueError:
+            pass  # the integer rule names the text
+    return _check_integer(f"parameter {key!r}", value, minimum)
 
 
 # -- SIR -------------------------------------------------------------------
@@ -225,8 +211,8 @@ def build_rabbits(m, food_rate, portions=(1,), shape=2.0, initial_food=0) -> Mod
     per meal (plus its first), not one per evaluation.
     """
     m = _int("m", m, 1)
-    food_rate = _float("food_rate", food_rate, positive=True)
-    shape = _float("shape", shape, positive=True)
+    food_rate = _check_parameter("parameter 'food_rate'", food_rate, error=ModelError)
+    shape = _check_parameter("parameter 'shape'", shape, error=ModelError)
     initial_food = _int("initial_food", initial_food, 0)
     if isinstance(portions, str):
         portions = portions.split(";")
@@ -323,8 +309,8 @@ def build_birth_death(birth=1.0, death=1.0, x0=1, capacity=100) -> Model:
 
     The death clock's rate is death * x, so its hazard is modified at every
     jump while x stays positive."""
-    birth = _float("birth", birth)
-    death = _float("death", death)
+    birth = _check_parameter("parameter 'birth'", birth, zero_ok=True, error=ModelError)
+    death = _check_parameter("parameter 'death'", death, zero_ok=True, error=ModelError)
     x0 = _int("x0", x0, 0)
     capacity = _int("capacity", capacity, 1)
     if x0 > capacity:
@@ -359,7 +345,7 @@ def build_ring(m, rate=1.0, tokens=1) -> Model:
     constant size, so per-event cost is dominated by the sampler's data
     structures."""
     m = _int("m", m, 2)
-    rate = _float("rate", rate, positive=True)
+    rate = _check_parameter("parameter 'rate'", rate, error=ModelError)
     tokens = _int("tokens", tokens, 1)
     # one outcome per count reached, made on first use: a site holds at
     # most the m * tokens tokens in the ring
@@ -397,7 +383,7 @@ def _single_clock(model_name, spec, clock_name, params) -> Model:
 
 def build_poisson(rate=1.0) -> Model:
     """Always-enabled exponential clock."""
-    rate = _float("rate", rate, positive=True)
+    rate = _check_parameter("parameter 'rate'", rate, error=ModelError)
     return _single_clock("poisson", HazardSpec(Exponential(rate)), "tick", {"rate": rate})
 
 

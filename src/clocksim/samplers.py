@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .clocks import _check_anchor
 from .errors import ModelError, Stalled, UnknownClock
 from .hazards import INF, Exponential, invert_conditional, time_process
 from .hazards import _INVERT_MAXITER, _INVERT_RTOL
@@ -154,7 +155,7 @@ def _check_delta(delta, enabled, now):
     Each clock is listed at most once, except that a fired or newly disabled
     clock may also be newly enabled; only enabled clocks fire, are disabled
     or are modified, and only the others are newly enabled (UnknownClock).
-    Modified and newly enabled anchors satisfy -inf < te <= now, NaN failing (ModelError).
+    Modified and newly enabled anchors pass `clocks._check_anchor` (ModelError).
     """
     fired = delta.fired
     freed = {}  # id listed so far -> whether this delta frees it to be enabled
@@ -165,14 +166,12 @@ def _check_delta(delta, enabled, now):
     for cid, _, te in delta.modified:
         if cid in freed or cid not in enabled:
             raise UnknownClock(cid)
-        if not -INF < te <= now:
-            raise ModelError(f"clock {cid}: enabling time {te} is not finite, or is in the future (now={now})")
+        _check_anchor(cid, te, now)
         freed[cid] = False
     for cid, _, te in delta.newly_enabled:
         if not freed.get(cid, cid not in enabled):
             raise UnknownClock(cid)
-        if not -INF < te <= now:
-            raise ModelError(f"clock {cid}: enabling time {te} is not finite, or is in the future (now={now})")
+        _check_anchor(cid, te, now)
         freed[cid] = False
 
 

@@ -24,7 +24,9 @@ returns -1 wherever its descent ends on a leaf that is not > 0.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import inf
+
+from .clocks import _check_integer
+from .hazards import _check_parameter
 
 # Recorded by the benchmark with every result; records from different
 # backends are not compared.
@@ -120,12 +122,10 @@ class PrefixSumTree:
         self._ops = 0
 
     def set(self, index, value):
-        if not 0.0 <= value < inf:
-            # a NaN or infinite weight would poison every prefix sum it enters
-            raise ValueError(f"weights must be finite and >= 0, got {value}")
-        if index < 0:
-            # Fenwick index 0 has no lowest set bit: the update loop would never end.
-            raise IndexError(index)
+        # a NaN or infinite weight would poison every prefix sum it enters
+        value = _check_parameter("weights", value, True)
+        # Fenwick index 0 has no lowest set bit: a negative index's update loop would never end.
+        index = _check_integer("index", index, 0, IndexError)
         if index >= self._n:
             self._grow(index + 1)
         old = self._leaves[index]

@@ -433,9 +433,11 @@ def test_summarize_no_files_exits_2(runner):
 
 def test_summarize_malformed_file_exits_2(runner, tmp_path):
     bad = tmp_path / "bad.tsv"
-    bad.write_text("# clocksim trajectory v1\nnot a valid line\n")
-    result = runner.invoke(cli, ["summarize", "--observable", "event-count", str(bad)])
-    assert result.exit_code == 2
+    # bad columns, a field that is not a number, a final time that is not one, bytes that are not text
+    for content in (b"not a valid line\n", b"0\tabc\t0\n", b"# final_time: x\n", b"\xff\xfe\n"):
+        bad.write_bytes(b"# clocksim trajectory v1\n" + content)
+        result = runner.invoke(cli, ["summarize", "--observable", "event-count", str(bad)])
+        assert result.exit_code == 2, (content, result.output)
 
 
 def test_summarize_truncated_file_exits_2(runner, tmp_path):

@@ -61,7 +61,7 @@ def test_non_integer_counts_rejected_naming_the_key(make, value):
 
 def test_negative_counts_rejected_naming_the_key():
     # a state starts at or above zero; a mark keeps its negative deltas
-    with pytest.raises(ModelError, match="count for 'x' must be >= 0, got -2"):
+    with pytest.raises(ModelError, match="substate 'x': count must be an integer >= 0, got -2"):
         SystemState({"a": 1, "x": -2})
     with pytest.raises(ModelError, match="'x'"):
         SystemState({"x": np.int64(-1)})

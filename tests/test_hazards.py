@@ -384,6 +384,18 @@ def test_invert_conditional_rejects_a_negative_or_nan_shift():
                 invert_conditional(spec, shift, -1.0)
 
 
+def test_survival_rejects_a_nan_duration():
+    with pytest.raises(ValueError, match="duration must be >= 0"):
+        survival(HazardSpec(Exponential(1.0)), math.nan)
+
+
+def test_invert_conditional_rejects_a_nan_log_survival():
+    # the exponential path and the general path
+    for spec in (HazardSpec(Exponential(1.0)), HazardSpec(Weibull(2.0, 1.0))):
+        with pytest.raises(ValueError, match="required log-survival must be <= 0"):
+            invert_conditional(spec, 0.0, math.nan)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         Atom(1.0, 0.0)

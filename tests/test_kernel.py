@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 import weakref
 
 import numpy as np
@@ -161,8 +162,19 @@ def test_final_time_before_the_last_event_or_not_finite_is_rejected(final_time):
         read_trajectory(io.StringIO(text(final_time)))
     for ok in ("2", "2.5"):
         assert read_trajectory(io.StringIO(text(ok))).header["final_time"] == ok
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError, match="malformed line: '# final_time: soon'"):
         read_trajectory(io.StringIO(text("soon")))
+
+
+@pytest.mark.parametrize("content, names", [
+    (b"0\tabc\t0\n", r"malformed line: '0\tabc\t0'"),
+    (b"0\t1.0\n", r"malformed line: '0\t1.0'"),
+    (b"0.0\t1.0\t0\n", r"malformed line: '0.0\t1.0\t0'"),
+    (b"# model: ring\n\xff\xfe\n", "not a text file"),
+], ids=["time-not-a-number", "two-columns", "seq-not-an-integer", "not-text"])
+def test_malformed_trajectory_line_is_a_model_error_naming_it(content, names):
+    with pytest.raises(ModelError, match=re.escape(names)):
+        read_trajectory(io.TextIOWrapper(io.BytesIO(content), encoding="utf-8"))
 
 
 def test_ensemble_matches_run_trajectory_and_order_invariant():
