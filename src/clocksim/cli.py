@@ -2,8 +2,8 @@
 
 `RunSpec`'s fields are the one table of `clocksim run` settings: each is a
 YAML config key and a `run` flag (flags win); nothing is read from the
-environment.  Values from both sources are checked on one path, against types
-read from `RunSpec`'s annotations.  Exit codes: 0 success,
+environment.  Values from both sources are checked on one path, each setting by
+the rule that owns it (`RunSpec.validate`).  Exit codes: 0 success,
 1 verification failure, 2 configuration/usage error, 3 a trajectory stalled
 before producing any event under an event-count stop, 4 internal error (any
 other exception; its traceback goes to stderr).
@@ -11,12 +11,10 @@ other exception; its traceback goes to stderr).
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import time
 import traceback
-import typing
 from dataclasses import asdict, dataclass, field
 
 import click
@@ -47,7 +45,7 @@ class RunSpec:
     def from_dict(cls, doc: dict) -> "RunSpec":
         extra = set(doc) - cls.__dataclass_fields__.keys()
         if extra:
-            raise ConfigError(f"unknown config fields: {sorted(extra)}")
+            raise ConfigError(f"unknown config fields: {sorted(extra, key=str)}")
         if "model" not in doc:
             raise ConfigError("missing required field 'model'")
         return cls(**doc)
@@ -63,8 +61,10 @@ class RunSpec:
 
     def validate(self) -> models.Model:
         """Check every field; returns the model, built once here."""
-        for name in _ACCEPTS:
-            _check_type(name, getattr(self, name))
+        for name in ("model", "sampler", "output"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         _check_integer("seed", self.seed, 0, ConfigError, kernel.SEED_BOUND)
         _check_integer("trajectories", self.trajectories, 1, ConfigError)
         _check_integer("workers", self.workers, 1, ConfigError)
@@ -76,26 +76,6 @@ class RunSpec:
         return model
 
 
-_KIND_WORDS = {str: "a string", dict: "a mapping", int: "an integer", float: "a number"}
-
-
-def _accepted(hint):
-    """(types a field takes, what the message calls them) from its annotation."""
-    kinds = typing.get_args(hint) or (hint,)
-    return kinds + ((int,) if float in kinds else ()), _KIND_WORDS[kinds[0]]
-
-
-# RunSpec field -> (accepted types, their name); bools are never accepted,
-# although bool is a subclass of int
-_ACCEPTS = {name: _accepted(hint) for name, hint in typing.get_type_hints(RunSpec).items()}
-
-
-def _check_type(name, value):
-    kinds, what = _ACCEPTS[name]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-
-
 def _parse_param_value(text: str):
     for cast in (int, float):
         try:
@@ -105,21 +85,26 @@ def _parse_param_value(text: str):
     return text
 
 
+def _mapping(what, value) -> dict:
+    """`value`, or {} for a YAML null (an empty file, `params:` with no value)."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a mapping, got {value!r}")
+    return value
+
+
 def _load_run_spec(config, param, flags) -> tuple[RunSpec, models.Model]:
     """The config file's values, then `--param` items (each key once), then every flag given."""
     doc = {}
     if config:
         try:
             with open(config) as fh:
-                loaded = yaml.safe_load(fh) or {}
+                loaded = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{config}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{config}: top level must be a mapping")
-        doc.update(loaded)
-    params = doc.get("params")
-    params = {} if params is None else params
-    _check_type("params", params)
+        doc.update(_mapping(f"{config}: top level", loaded))
+    params = _mapping("params", doc.get("params"))
     given = {}
     for item in param:
         key, sep, value = item.partition("=")
@@ -136,21 +121,16 @@ def _load_run_spec(config, param, flags) -> tuple[RunSpec, models.Model]:
 
 
 def _run_trajectories(model, spec: RunSpec, indices):
-    """Run and write the trajectories `indices`; returns [(index, events)]."""
+    """Run and write the trajectories `indices`; returns [(index, file name, events)]."""
     stop = spec.stop()
     results = []
     for i in indices:
         traj = kernel.run_trajectory(model, spec.sampler, spec.seed, stop, stream_index=i)
-        with open(os.path.join(spec.output, f"traj_{i:06d}.tsv"), "w") as fh:
+        name = f"traj_{i:06d}.tsv"
+        with open(os.path.join(spec.output, name), "w") as fh:
             kernel.write_trajectory(fh, traj, model)
-        results.append((i, len(traj.events)))
+        results.append((i, name, len(traj.events)))
     return results
-
-
-def _run_strided(spec: RunSpec, first: int, stride: int):
-    """One pool worker's share: build the model once, run every stride-th index."""
-    model = models.build(spec.model, spec.params)
-    return _run_trajectories(model, spec, range(first, spec.trajectories, stride))
 
 
 class _Group(click.Group):
@@ -196,12 +176,10 @@ def cmd_run(config, param, **flags):
     except OSError as exc:
         raise click.UsageError(f"cannot create output directory {spec.output!r}: {exc.strerror}")
     try:
-        k = min(spec.workers, spec.trajectories)
-        if k == 1:
-            results = _run_trajectories(built, spec, range(spec.trajectories))
-        else:
-            shares = fork_map(_run_strided, [(spec, w, k) for w in range(k)])
-            results = sorted(r for share in shares for r in share)
+        n = spec.trajectories
+        k = min(spec.workers, n)
+        shares = fork_map(_run_trajectories, [(built, spec, range(w, n, k)) for w in range(k)])
+        results = sorted(r for share in shares for r in share)
     except ClocksimError as exc:
         # a model that violates the clock contract mid-run (e.g. DuplicateAtoms)
         raise click.UsageError(f"{type(exc).__name__}: {exc}")
@@ -210,14 +188,14 @@ def cmd_run(config, param, **flags):
     manifest.update(
         model_hash=kernel.model_hash(built),
         stream_derivation=kernel.STREAM_DERIVATION,
-        files=[f"traj_{i:06d}.tsv" for i, _ in results],
-        events=dict(results),
+        files=[name for _, name, _ in results],
+        events={i: events for i, _, events in results},
         wall_time_s=round(time.perf_counter() - started, 6),
     )
     with open(os.path.join(spec.output, "manifest.yaml"), "w") as fh:
         yaml.safe_dump(manifest, fh, sort_keys=True)
     click.echo(f"wrote {spec.trajectories} trajectories to {spec.output}")
-    if spec.max_events is not None and any(n == 0 for _, n in results):
+    if spec.max_events is not None and any(events == 0 for *_, events in results):
         click.echo("stalled before any event", err=True)
         raise SystemExit(3)
 
@@ -282,7 +260,7 @@ def cmd_summarize(files, observable):
 _SUITES = {
     "distributions": lambda verify: verify.distributions(),
     "sampler-equivalence": lambda verify: verify.sampler_equivalence(
-        [("sir3", functools.partial(models.build, "sir", {"n": 3, "initial_infected": 1}), kernel.StalledOnly(),
+        [("sir3", models.build("sir", {"n": 3, "initial_infected": 1}), kernel.StalledOnly(),
           "hierarchical:direct=6-8;next-reaction=rest")],
         seed0=101, trajectories=20_000),
     "oracle": lambda verify: (

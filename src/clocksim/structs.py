@@ -26,7 +26,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .clocks import _check_integer
-from .hazards import _check_parameter
+from .hazards import INF, _check_parameter
 
 # Recorded by the benchmark with every result; records from different
 # backends are not compared.
@@ -122,10 +122,13 @@ class PrefixSumTree:
         self._ops = 0
 
     def set(self, index, value):
-        # a NaN or infinite weight would poison every prefix sum it enters
-        value = _check_parameter("weights", value, True)
-        # Fenwick index 0 has no lowest set bit: a negative index's update loop would never end.
-        index = _check_integer("index", index, 0, IndexError)
+        # A NaN or infinite weight would poison every prefix sum it enters, and a negative
+        # index's update loop would never end (Fenwick index 0 has no lowest set bit).
+        # The samplers' plain floats and ints in range skip the rules' helpers.
+        if not (type(value) is float and 0.0 <= value < INF):
+            value = _check_parameter("weights", value, True)
+        if not (type(index) is int and index >= 0):
+            index = _check_integer("index", index, 0, IndexError)
         if index >= self._n:
             self._grow(index + 1)
         old = self._leaves[index]

@@ -11,8 +11,8 @@ The checks at the end (`distributions`, `sampler_equivalence`,
 sizes, seeds and thresholds and return (label, statistics, ok) rows.
 `clocksim verify` runs them at its suites' sizes and the acceptance criteria
 at theirs.  `sampler_equivalence` runs its independent collections on
-`pool.fork_map`, the pool of `clocksim run --workers`, and compares them in
-this process.
+`pool.fork_map`, the pool of `clocksim run --workers`, whose forked workers
+inherit each case's built model, and compares them in this process.
 """
 
 from __future__ import annotations
@@ -369,10 +369,6 @@ def event_sample(model, sampler, seed, stop, trajectories=math.inf, events=math.
     return times, marks
 
 
-def _event_sample_of(build_model, *args):
-    return event_sample(build_model(), *args)
-
-
 _SAMPLERS = tuple(_BASE_SAMPLERS)  # first-reaction first: the reference
 
 
@@ -380,18 +376,17 @@ def sampler_equivalence(cases, seed0, trajectories=math.inf, events=math.inf):
     """Every sampler against first-reaction on each case, by `compare_to_reference`
     on `event_sample`s; a row passes when both p-values exceed 0.01.
 
-    A case is (label, model factory, stop, hierarchical sampler spec).  The
-    samples are collected in (case, sampler) order, the k-th on base seed
-    seed0 + k: each sampler needs its own stream family, since on a shared one
-    the samplers that draw one variate per enabled clock in id order give
-    identical first events.  The model factory and the stop are pickled to
-    the pool's workers.
+    A case is (label, model, stop, hierarchical sampler spec).  The samples
+    are collected in (case, sampler) order, the k-th on base seed seed0 + k:
+    each sampler needs its own stream family, since on a shared one the
+    samplers that draw one variate per enabled clock in id order give
+    identical first events.  The pool's workers inherit the cases' models.
     """
     tasks = []
-    for _, build_model, stop, hier in cases:
+    for _, model, stop, hier in cases:
         for name in (*_SAMPLERS, hier):
-            tasks.append((build_model, name, seed0 + len(tasks), stop, trajectories, events))
-    collected = iter(fork_map(_event_sample_of, tasks))
+            tasks.append((model, name, seed0 + len(tasks), stop, trajectories, events))
+    collected = iter(fork_map(event_sample, tasks))
     rows = []
     for label, _, _, hier in cases:
         reference = next(collected)

@@ -7,7 +7,6 @@ timings.  Seeds are fixed so the statistical checks are deterministic.
 import gc
 import os
 import time
-from functools import partial
 
 import numpy as np
 from click.testing import CliRunner
@@ -56,15 +55,15 @@ def _race3():
 def test_criterion_1_four_sampler_equivalence():
     started = time.perf_counter()
     cases = [
-        ("race3", _race3, EventCount(1), "hierarchical:direct=0;next-reaction=rest"),
-        ("sir10-weibull", partial(build, "sir", {"n": 10, "infect": "exponential:0.5", "recover": "weibull:2,1"}),
+        ("race3", _race3(), EventCount(1), "hierarchical:direct=0;next-reaction=rest"),
+        ("sir10-weibull", build("sir", {"n": 10, "infect": "exponential:0.5", "recover": "weibull:2,1"}),
          StalledOnly(), "hierarchical:direct=0-89;next-reaction=rest"),
-        ("atomic-showcase", partial(build, "atomic-showcase", {}), EventCount(1),
+        ("atomic-showcase", build("atomic-showcase", {}), EventCount(1),
          "hierarchical:direct=0;next-reaction=rest"),
         # decreasing hazards, infinite at each recovery's enabling instant;
         # the recoveries (ids 12-15) go to the direct child
-        ("sir4-weibull-decreasing", partial(build, "sir", {"n": 4, "infect": "exponential:1",
-                                                           "recover": "weibull:0.5,1"}),
+        ("sir4-weibull-decreasing", build("sir", {"n": 4, "infect": "exponential:1",
+                                                  "recover": "weibull:0.5,1"}),
          StalledOnly(), "hierarchical:direct=12-15;next-reaction=rest"),
     ]
     rows = sampler_equivalence(cases, seed0=5000, events=100_000)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -14,6 +15,7 @@ import clocksim
 import clocksim.cli as cli_module
 from clocksim import kernel, models
 from clocksim.cli import RunSpec, cli
+from clocksim.pool import fork_map
 
 
 @pytest.fixture
@@ -111,6 +113,41 @@ def test_one_trajectory_runs_in_process_whatever_the_workers(runner, tmp_path, m
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert run(4) == run(1)
+
+
+def test_forked_workers_inherit_the_built_model(runner, tmp_path, monkeypatch):
+    # the count goes to a file, so a build in a forked worker counts too
+    log = tmp_path / "builds"
+    real = models.build
+
+    def counting(name, params=None):
+        with open(log, "a") as fh:
+            fh.write(f"{name}\n")
+        return real(name, params)
+
+    monkeypatch.setattr(models, "build", counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    result = runner.invoke(cli, [
+        "run", "--model", "sir", "--param", "n=3", "--t-end", "1",
+        "--trajectories", "4", "--workers", "2", "--output", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert log.read_text() == "sir\n"
+
+
+def test_fork_map_hands_workers_what_cannot_be_pickled(monkeypatch):
+    # a built model holds bound local rules and a lambda has no import path:
+    # neither pickles, and forked workers inherit both
+    model = models.build("sir", {"n": 3})
+    tasks = [(model, lambda traj: [ev.clock for ev in traj.events], seed) for seed in range(4)]
+
+    def fn(model, marks, seed):
+        return marks(kernel.run_trajectory(model, "direct", seed, kernel.EventCount(5)))
+
+    serial = [fn(*task) for task in tasks]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert fork_map(fn, tasks) == serial
+    assert multiprocessing.active_children() == []
 
 
 def test_direct_runs_sir_past_its_last_continuous_hazard(runner, tmp_path):
@@ -267,18 +304,24 @@ def test_config_file_with_flag_overrides(runner, tmp_path):
     ({}, ["--seed", str(2**64)]),
     ({"trajectories": 0}, []),
     ({"workers": 0}, []),
+    ({"model": 5}, []),
+    ({"sampler": ["direct"]}, []),
+    ({"output": 7}, []),
 ], ids=["params-list", "seed-str", "seed-bool", "trajectories-str", "workers-float",
-        "max_events-float", "t_end-str", "seed-negative", "seed-2**64", "trajectories-0", "workers-0"])
-def test_malformed_config_value_exits_2(runner, tmp_path, fields, flags):
+        "max_events-float", "t_end-str", "seed-negative", "seed-2**64", "trajectories-0", "workers-0",
+        "model-int", "sampler-list", "output-int"])
+def test_malformed_config_value_exits_2(runner, tmp_path, monkeypatch, fields, flags):
+    monkeypatch.chdir(tmp_path)  # where a relative output directory would go
     cfg = tmp_path / "run.yaml"
     doc = {"model": "poisson", "max_events": 3, "output": str(tmp_path / "x")}
     cfg.write_text(yaml.safe_dump({**doc, **fields}))
     result = runner.invoke(cli, ["run", "--config", str(cfg), *flags])
     assert result.exit_code == 2, result.output
-    assert not os.path.exists(tmp_path / "x")
+    assert os.listdir(tmp_path) == ["run.yaml"]
 
 
-@pytest.mark.parametrize("text", ["model: [poisson\n", "- model\n- poisson\n"], ids=["not-yaml", "top-level-list"])
+@pytest.mark.parametrize("text", ["model: [poisson\n", "- model\n- poisson\n", "[]\n"],
+                         ids=["not-yaml", "top-level-list", "empty-list"])
 def test_config_file_that_is_not_a_yaml_mapping_exits_2(runner, tmp_path, text):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(text)
@@ -363,6 +406,8 @@ def test_run_spec_rejects_unknown_fields():
 
     with pytest.raises(ConfigError):
         RunSpec.from_dict({"model": "poisson", "bogus": 1})
+    with pytest.raises(ConfigError, match="unknown config fields"):  # YAML keys need not be strings
+        RunSpec.from_dict({"model": "poisson", "bogus": 1, 1: "x"})
     with pytest.raises(ConfigError):
         RunSpec.from_dict({})
     with pytest.raises(ConfigError):

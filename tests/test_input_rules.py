@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from clocksim.cli import RunSpec
 from clocksim.errors import ModelError
 from clocksim.hazards import Atom, Exponential, PiecewiseConstant, UniformInterval, Weibull
 from clocksim.kernel import EndTime, EventCount
@@ -42,10 +43,16 @@ def test_integer_rule_returns_a_plain_int():
     assert n == 3 and type(n) is int
 
 
+def test_run_settings_take_what_the_integer_rule_takes():
+    assert RunSpec(model="poisson", max_events=2, seed=np.int64(3)).validate().name == "poisson"
+
+
 @pytest.mark.parametrize("message", [
     "is not finite, or is in the future",
     "must be finite and",
     "must be an integer",
+    "must be a string",
+    "must be a mapping",
 ])
 def test_each_rule_message_is_written_once(message):
     # a second copy of a rule is a second place for it to drift

@@ -1,7 +1,6 @@
 import math
 import multiprocessing
 import os
-from functools import partial
 
 import numpy as np
 import pytest
@@ -217,7 +216,7 @@ def test_total_variation():
 
 # -- sampler equivalence ----------------------------------------------------------
 
-SIR3 = ("sir3", partial(build, "sir", {"n": 3, "initial_infected": 1}), StalledOnly(),
+SIR3 = ("sir3", build("sir", {"n": 3, "initial_infected": 1}), StalledOnly(),
         "hierarchical:direct=6-8;next-reaction=rest")
 
 
