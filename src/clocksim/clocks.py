@@ -162,16 +162,30 @@ def _collector_paused():
     A model build and an engine init allocate many containers that live as
     long as the model or trajectory and form no reference cycles, so the
     collector passes their allocation count would start find no garbage.
-    The pause moves that work rather than removing it: the count still
-    grows, so the first tracked allocation after the pause runs one
-    young-generation collection over everything allocated inside it.
-    The previous `gc.isenabled()` is put back on every exit, exceptions
-    included; a collector the caller switched off stays off.
+    CPython keeps counting allocations while the collector is off, so
+    re-enabling it alone would leave one young-generation collection over
+    everything made inside the pause to the next tracked allocation.  On a
+    normal exit the pause therefore calls `gc.freeze()` then
+    `gc.unfreeze()`: together they move every tracked object into the
+    oldest generation and zero the young count, in constant time.  The
+    objects stay collectable (a full collection sees them; a bare
+    `gc.freeze()` would hide them from every collection for good).
+
+    Two exits only re-enable the collector: an exception, so a failed
+    build's cycles stay young and are reclaimed soon; and a caller that
+    holds frozen objects of its own (`gc.get_freeze_count() > 0`), which
+    `gc.unfreeze()` would release.  A pause entered with the collector off,
+    a nested one included, promotes nothing.  The previous `gc.isenabled()`
+    is put back on every exit; a collector the caller switched off stays
+    off.
     """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
+        if was_enabled and not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
     finally:
         if was_enabled:
             gc.enable()

@@ -146,6 +146,8 @@ def build_sir(n, infect="exponential:1", recover="exponential:1", initial_infect
     recover_on = Enabled(recover_spec)
     inf = [f"I_{i}" for i in range(n)]
     sus = [f"S_{i}" for i in range(n)]
+    # infecting j moves j from S to I whoever the infector is: one mark per j
+    infected = [JumpMark({sus[j]: -1, inf[j]: +1}) for j in range(n)]
 
     def infect_rule(keys, view, now):
         ii, sj = keys
@@ -166,7 +168,7 @@ def build_sir(n, infect="exponential:1", recover="exponential:1", initial_infect
                 ClockSpec(
                     id=cid,
                     enabling=types.MethodType(infect_rule, (inf[i], sus[j])),
-                    mark=JumpMark({sus[j]: -1, inf[j]: +1}),
+                    mark=infected[j],
                     reads=frozenset({inf[i], sus[j]}),
                     name=f"infect_{i}_{j}",
                 )

@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 from clocksim import graph, kernel, samplers
-from clocksim.clocks import DISABLED, UNCHANGED, ClockSpec, Enabled, JumpMark, SystemState, apply_mark_inplace
+from clocksim.clocks import (
+    DISABLED,
+    UNCHANGED,
+    ClockSpec,
+    Enabled,
+    JumpMark,
+    SystemState,
+    _collector_paused,
+    apply_mark_inplace,
+)
 from clocksim.errors import ConfigError, DuplicateAtoms, ModelError, NegativeSubstate, Stalled, UnknownClock
 from clocksim.hazards import Atom, Exponential, HazardSpec
 from clocksim.kernel import (
@@ -566,6 +575,88 @@ def test_build_and_engine_init_pause_the_collector(enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+@pytest.fixture
+def collector_on():
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        yield
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+class _Node:
+    pass
+
+
+def _in_generation(obj, generation):
+    return any(o is obj for o in gc.get_objects(generation))
+
+
+def test_build_and_engine_init_leave_their_tables_in_the_oldest_generation(collector_on):
+    model = build("ring", {"m": 4096})
+    assert gc.get_count()[0] < 100 and _in_generation(model.clocks[0], 2)
+    engine = Engine(model, make_sampler("next-reaction"), CountingStream(derived_generator(1, 0)))
+    assert gc.get_count()[0] < 100 and _in_generation(engine._cache, 2)
+
+
+def test_pause_keeps_the_callers_frozen_objects_frozen(collector_on):
+    gc.collect()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        build("ring", {"m": 64})
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+def test_cycle_promoted_by_the_pause_is_still_collected(collector_on):
+    with _collector_paused():
+        node = _Node()
+        node.self = node
+    assert _in_generation(node, 2)
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
+
+
+def test_pause_left_by_an_exception_promotes_nothing(collector_on):
+    gc.collect()
+    with pytest.raises(RuntimeError):
+        with _collector_paused():
+            node = _Node()
+            node.self = node
+            ref = weakref.ref(node)
+            del node
+            raise RuntimeError
+    gc.collect(0)
+    assert ref() is None
+
+
+def test_nested_pause_promotes_nothing_at_its_inner_exit(collector_on):
+    gc.collect()
+    with _collector_paused():
+        with _collector_paused():
+            node = _Node()
+        assert _in_generation(node, 0)
+    assert _in_generation(node, 2)
+
+
+def test_promoted_trajectories_are_not_kept_alive():
+    """5000 trajectories through `run_ensemble`, each engine init ending in a
+    promotion, leave no more tracked objects than the first 500 did."""
+    model = build("atomic-showcase", {})
+    counts = []
+    for chunk in range(10):
+        run_ensemble(model, "next-reaction", chunk, 500, StalledOnly())
+        gc.collect()
+        counts.append(len(gc.get_objects()))
+    assert max(counts) - counts[0] < 50
 
 
 @pytest.mark.parametrize("sampler", SAMPLERS)

@@ -383,6 +383,16 @@ def test_sir_clocks_share_key_strings():
     assert len({id(k) for k in keys}) == len(set(keys))
 
 
+def test_sir_infections_of_one_individual_share_one_mark():
+    model = build_sir(6)
+    marks = {}
+    for clock in model.clocks:
+        if clock.name.startswith("infect_"):
+            j = clock.name.split("_")[2]
+            assert marks.setdefault(j, clock.mark) is clock.mark
+    assert len(marks) == 6 and len({id(m) for m in marks.values()}) == 6
+
+
 @pytest.mark.parametrize("name,params", ALL_BUILTINS, ids=[m[0] for m in ALL_BUILTINS])
 def test_graph_soundness_fuzz(name, params):
     """Unaffected clocks see an unchanged enabling outcome after any jump."""
