@@ -292,8 +292,9 @@ def cmd_verify(suite):
         raise SystemExit(1)
 
 
-def main():
-    cli()
+def main(argv=None):
+    """Run the command line `argv` (default: the process's arguments); exits through SystemExit."""
+    cli(argv)
 
 
 if __name__ == "__main__":

@@ -284,7 +284,9 @@ class PiecewiseConstant(ContinuousHazard):
         if d <= 0.0:
             return 0.0
         i = bisect_right(self.breakpoints, d) - 1
-        return self._cum[i] + self.rates[i] * (d - self.breakpoints[i])
+        rate = self.rates[i]
+        # a zero-rate piece adds nothing, even at d = inf (where 0 * inf is NaN)
+        return self._cum[i] + rate * (d - self.breakpoints[i]) if rate else self._cum[i]
 
     def inverse_cumulative(self, x):
         x = max(x, 0.0)

@@ -267,7 +267,7 @@ def run_trajectory(model, sampler, seed, stop, stream_index=0) -> Trajectory:
         # anything else would run until the model stalls, which some never do
         raise ModelError(f"stop must be an EndTime, EventCount or StalledOnly, got {stop!r}")
     sampler_obj = make_sampler(sampler) if isinstance(sampler, str) else sampler
-    sampler_name = sampler if isinstance(sampler, str) else getattr(sampler_obj, "name", "custom")
+    sampler_name = getattr(sampler_obj, "name", "custom")
     stream = CountingStream(derived_generator(seed, stream_index))
     engine = Engine(model, sampler_obj, stream)
     limit = stop.t if isinstance(stop, EndTime) else None

@@ -7,12 +7,12 @@ Every sampler implements the same contract:
 
 and is exclusively owned by one trajectory.  The initial enabled set arrives
 as the first delta (newly_enabled only, fired None); after that, one delta
-follows each jump.  Each delta is checked once (`_check_delta`) before any
-state changes, so a rejected delta changes nothing: in the one base `absorb`,
-or, under hierarchical, for every touched child's part before any child's
-unchecked `_apply`.  `stream.uniform()` yields the trajectory's uniform
-variates; each sampler consumes a documented number per call, the initial
-delta included, so runs are reproducible:
+follows each jump.  Every sampler, hierarchical included, absorbs through
+the one base `absorb`: it checks the whole delta once (`_check_delta`)
+before any state changes, so a rejected delta changes nothing, then
+`_apply`s it.  `stream.uniform()` yields the trajectory's uniform variates;
+each sampler consumes a documented number per call, the initial delta
+included, so runs are reproducible:
 
   first-reaction  next_event: one variate per enabled clock, ascending id.
   next-reaction   absorb: one variate per fresh draw (never-seen or just-
@@ -150,7 +150,7 @@ class EnablingDelta:
 
 
 def _check_delta(delta, enabled, now):
-    """Raise unless `delta` applies at `now` to the ids in `enabled`.
+    """Raise unless `delta` applies at `now` to the ids in `enabled`, which is only asked `cid in enabled`.
 
     Each clock is listed at most once, except that a fired or newly disabled
     clock may also be newly enabled; only enabled clocks fire, are disabled
@@ -414,8 +414,8 @@ class DirectSampler(_Sampler):
 
     @staticmethod
     def _g(varying, bases, crate, s_prev, t):
-        """Total continuous consumption over (s_prev, t]."""
-        g = crate * (t - s_prev)
+        """Total continuous consumption over (s_prev, t]; finite at t = inf when the mass is."""
+        g = crate * (t - s_prev) if crate else 0.0
         i = 0
         for _, spec, te in varying:
             c = spec.cumulative_hazard(t - te)
@@ -498,6 +498,10 @@ class DirectSampler(_Sampler):
         # double the bracket until it holds the budget; past the float range, propose INF
         hi = s_prev + max(1.0, abs(s_prev) * 1e-6)
         g_hi = self._g(varying, bases, crate, s_prev, hi)
+        # the whole remaining mass is short of the budget: no bracket holds it.  A negative
+        # `crate` residue only lowers every finite g_hi, so it is left out of this bound
+        if g_hi < budget and self._g(varying, bases, max(crate, 0.0), s_prev, INF) < budget:
+            return INF, None
         while g_hi < budget:
             hi = s_prev + 2.0 * (hi - s_prev)
             if hi == INF:
@@ -544,7 +548,7 @@ class DirectSampler(_Sampler):
         raise Stalled("no hazard at sampled time")
 
 
-class HierarchicalSampler:
+class HierarchicalSampler(_Sampler):
     """Partition the clocks over child samplers; the soonest proposal wins.
 
     parts: list of (base sampler, clock-id set or None); the sets must be
@@ -553,9 +557,9 @@ class HierarchicalSampler:
     re-proposed draws.  A child provides `next_event(now, stream)` (raising
     Stalled rather than proposing INF), `_enabled` (its enabled ids) and
     `_apply(delta, now, stream)`, which applies a part without checking it.
-    Every touched child's part is checked against that child's `_enabled`
-    before any child applies its part, so a rejected delta changes nothing
-    and each part is checked once.
+    The base `absorb` checks the whole delta against this sampler, where
+    `cid in` asks the clock's owner child, and `_apply` hands each child
+    its part of the checked delta.
     """
 
     name = "hierarchical"
@@ -602,7 +606,13 @@ class HierarchicalSampler:
             raise Stalled("all children stalled")
         return best
 
-    def absorb(self, delta, now, stream):
+    # `cid in self._enabled` asks the owner child; an attribute would make each instance a reference cycle
+    _enabled = property(lambda self: self)
+
+    def __contains__(self, cid):
+        return cid in self._children[self._owner_index(cid)]._enabled
+
+    def _apply(self, delta, now, stream):
         subs = [EnablingDelta() for _ in self._children]
         owner = self._owner_index
         if delta.fired is not None:
@@ -614,14 +624,9 @@ class HierarchicalSampler:
         for entry in delta.modified:
             subs[owner(entry[0])].modified.append(entry)
         # children apply in construction order, and only those the delta touches
-        touched = [
-            (child, sub) for child, sub in zip(self._children, subs)
-            if sub.fired is not None or sub.newly_enabled or sub.newly_disabled or sub.modified
-        ]
-        for child, sub in touched:
-            _check_delta(sub, child._enabled, now)
-        for child, sub in touched:
-            child._apply(sub, now, stream)
+        for child, sub in zip(self._children, subs):
+            if sub.fired is not None or sub.newly_enabled or sub.newly_disabled or sub.modified:
+                child._apply(sub, now, stream)
 
 
 _BASE_SAMPLERS = {
@@ -657,7 +662,7 @@ _HIER_FORM = "hierarchical:<child>=<ids>;..."
 
 
 def make_sampler(name: str):
-    """Build a sampler by name.
+    """Build a sampler by name; the sampler's `name` is `name`.
 
     Hierarchical partitions are spelled
     `hierarchical:<child>=<ids>;<child>=<ids>` where <ids> is a comma list
@@ -680,4 +685,6 @@ def make_sampler(name: str):
         parts.append((_BASE_SAMPLERS[child_name](), _parse_id_set(ids.strip())))
     if not parts:
         raise ModelError(f"hierarchical needs a partition: {_HIER_FORM}")
-    return HierarchicalSampler(parts)
+    sampler = HierarchicalSampler(parts)
+    sampler.name = name  # a trajectory file's `# sampler:` line then rebuilds this partition
+    return sampler

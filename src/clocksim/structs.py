@@ -18,7 +18,9 @@ Updates are deltas, so float error can drift; the tree is rebuilt from the
 exact leaf array every 4096 updates to bound it.  The internal nodes of a
 tree whose leaves are all 0 may still hold that drift, so the tree counts
 its positive leaves: with none, `total()` is exactly 0.0, and `find`
-returns -1 wherever its descent ends on a leaf that is not > 0.
+returns -1 wherever its descent ends on a leaf that is not > 0.  With some,
+a running total that reads <= 0 (a large weight's removal cancelled a tiny
+one) is re-summed from the leaves, so `total()` is > 0 whenever a leaf is.
 """
 
 from __future__ import annotations
@@ -164,7 +166,12 @@ class PrefixSumTree:
     def total(self):
         if not self._positive:
             return 0.0
-        return self.prefix(self._n - 1)
+        s = self.prefix(self._n - 1)
+        if s <= 0.0:
+            # the running sums cancelled a positive leaf: re-sum the leaves once
+            self.rebuild()
+            s = self.prefix(self._n - 1)
+        return s
 
     def find(self, x):
         """Smallest index with inclusive prefix sum > x; -1 if x >= total or that leaf is not > 0."""

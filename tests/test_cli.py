@@ -599,12 +599,33 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
+def _this_clocksim_env():
+    """The environment of a fresh interpreter that imports this clocksim."""
+    src = os.path.dirname(os.path.dirname(clocksim.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _fresh_python(code, *args):
     """The last line `code` prints in a fresh interpreter importing this clocksim."""
-    src = os.path.dirname(os.path.dirname(clocksim.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=_this_clocksim_env(),
+                          capture_output=True, text=True, check=True)
     return done.stdout.strip().splitlines()[-1]
+
+
+def test_python_dash_m_clocksim_is_the_cli():
+    done = subprocess.run([sys.executable, "-m", "clocksim", "verify", "distributions"],
+                          env=_this_clocksim_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()
+    assert len(rows) == 11 and all(row.startswith("distributions ") and row.endswith("PASS") for row in rows)
+
+
+def test_main_runs_an_argument_list_in_process(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as done:
+        cli_module.main(["run", "--model", "poisson", "--max-events", "3", "--output", str(out)])
+    assert done.value.code == 0
+    assert len(_read_traj_files(out)) == 1
 
 
 def _scipy_modules_after_run(tmp_path, *args):

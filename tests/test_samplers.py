@@ -520,6 +520,50 @@ def test_direct_stalls_when_finite_hazard_mass_runs_out(sampler):
     assert abs(stalled - n * p) <= 4.5 * math.sqrt(n * p * (1.0 - p)), stalled
 
 
+@pytest.mark.parametrize("sampler", ["direct", "hierarchical:direct=0;next-reaction=rest"])
+def test_direct_decides_a_finite_mass_stall_without_a_bracket_search(sampler, monkeypatch):
+    # budget ln 10 > 1, the clock's whole mass: about 1,024 bracket doublings
+    # would each evaluate the cumulative hazard before the float range ends
+    calls = []
+    cumulative = HazardSpec.cumulative_hazard
+    monkeypatch.setattr(HazardSpec, "cumulative_hazard", lambda spec, d: calls.append(d) or cumulative(spec, d))
+    s = make_sampler(sampler)
+    enable(s, {0: (parse_hazard("piecewise:0,1|1,0"), 0.0)}, 0.0, FakeStream([]))
+    with pytest.raises(Stalled):
+        s.next_event(0.0, FakeStream([0.9, 0.5]))
+    assert len(calls) <= 5, calls
+
+
+@pytest.mark.parametrize("sampler", ["direct", "hierarchical:direct=0-2"])
+def test_direct_fires_past_the_first_bracket_over_a_negative_constant_rate_residue(sampler):
+    # enabling rates 0.1, 0.7 and removing 0.7, then 0.1 leaves direct's constant
+    # rate sum at -2.8e-17, not 0; the piecewise clock's mass 1.0 still covers the
+    # budget 0.9, which it reaches at t = 1.8, past the first bracket (0, 1]
+    specs = {0: (HazardSpec(Exponential(0.1)), 0.0), 1: (HazardSpec(Exponential(0.7)), 0.0),
+             2: (parse_hazard("piecewise:0,2|0.5,0"), 0.0)}
+    u1 = -math.expm1(-0.9)
+    events = []
+    for name in (sampler, "next-reaction"):
+        s = make_sampler(name)
+        enable(s, specs, 0.0, FakeStream([0.5, 0.5, u1]))
+        s.absorb(EnablingDelta(newly_disabled=[1]), 0.0, FakeStream([]))
+        s.absorb(EnablingDelta(newly_disabled=[0]), 0.0, FakeStream([]))
+        events.append(s.next_event(0.0, FakeStream([u1, 0.5])))
+    assert events[0].clock == events[1].clock == 2
+    assert events[0].time == pytest.approx(events[1].time, rel=1e-12)
+    assert events[0].time == pytest.approx(1.8, rel=1e-12)
+
+
+def test_direct_keeps_a_tiny_rate_whose_sum_a_removal_cancelled():
+    # removing rate 1.0 from the tree's running sums leaves 0.0 over the 1e-20 leaf
+    s = DirectSampler()
+    enable(s, {0: (EXP1, 0.0), 1: (HazardSpec(Exponential(1e-20)), 0.0)}, 0.0, FakeStream([]))
+    s.absorb(EnablingDelta(newly_disabled=[0]), 0.0, FakeStream([]))
+    ev = s.next_event(0.0, FakeStream([0.5, 0.5]))
+    assert ev.clock == 1
+    assert ev.time == pytest.approx(LN2 / 1e-20, rel=1e-12)
+
+
 @pytest.mark.parametrize("sampler", ["direct", "hierarchical:direct=0-1;next-reaction=rest"])
 def test_direct_boundary_fallback_fires_the_clock_whose_hazard_just_ended(sampler):
     # u1 = 1 - e^-1 makes the budget exactly 1.0, unit hazard's whole mass on
@@ -653,7 +697,7 @@ def test_hier_routes_delta_to_owner():
 class RecordingChild:
     """Child sampler that logs each delta it absorbs under its own tag.
 
-    `_enabled` is the fixed set of ids the parent checks each part against.
+    `_enabled` is the fixed set of ids the parent's check asks about.
     """
 
     def __init__(self, tag, log, enabled):
@@ -690,7 +734,7 @@ def test_hier_splits_delta_in_construction_order():
     assert log == [("a", 4, [], [], [])]
 
 
-def test_hier_checks_each_touched_part_once(monkeypatch):
+def test_hier_checks_each_delta_once(monkeypatch):
     checked = []
     check = samplers._check_delta
 
@@ -702,9 +746,9 @@ def test_hier_checks_each_touched_part_once(monkeypatch):
     hier = HierarchicalSampler([
         (NextToFireSampler(), {0, 1}), (DirectSampler(), {2}), (FirstReactionSampler(), None),
     ])
-    # touches the first and last children only
+    # touches the first and last children; the whole delta is checked once, before the split
     enable(hier, {0: (EXP1, 0.0), 1: (EXP1, 0.0), 5: (EXP1, 0.0)}, 0.0, FakeStream([0.5, 0.5]))
-    assert checked == [[0, 1], [5]]
+    assert checked == [[0, 1, 5]]
     checked.clear()
     enable(NextReactionSampler(), {3: (EXP1, 0.0)}, 0.0, FakeStream([0.5]))
     assert checked == [[3]]
@@ -716,6 +760,52 @@ def test_hier_uncovered_clock_and_second_catch_all_rejected():
         enable(hier, {0: (EXP1, 0.0), 2: (EXP1, 0.0)}, 0.0, FakeStream([0.5, 0.5]))
     with pytest.raises(ModelError, match="catch-all"):
         HierarchicalSampler([(NextToFireSampler(), None), (DirectSampler(), {1}), (DirectSampler(), None)])
+
+
+# Each fault follows a valid entry for the other child, so a part applied before
+# the check would show.  Clocks 0 (the sooner) and 1 are enabled, 2 is covered but disabled,
+# and 5 lies outside every part: the base sampler sees only a clock it does not
+# hold, the hierarchical sampler a clock its partition does not cover.
+FAULTY_DELTAS = {
+    "listed-twice": (EnablingDelta(newly_disabled=[0], modified=[(1, EXP1, 0.5), (1, EXP1, 0.5)]),
+                     UnknownClock, UnknownClock),
+    "disabled-modified": (EnablingDelta(newly_disabled=[0], modified=[(2, EXP1, 0.5)]),
+                          UnknownClock, UnknownClock),
+    "enabled-newly-enabled": (EnablingDelta(newly_disabled=[0], newly_enabled=[(1, EXP1, 0.5)]),
+                              UnknownClock, UnknownClock),
+    "outside-every-part": (EnablingDelta(newly_disabled=[0, 5]), UnknownClock, ModelError),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTY_DELTAS)
+@pytest.mark.parametrize("child", SAMPLER_NAMES[:-1])
+def test_hier_rejects_a_faulty_delta_as_its_base_sampler_does(child, fault):
+    delta, base_error, hier_error = FAULTY_DELTAS[fault]
+    for name, error in ((child, base_error), (f"hierarchical:{child}=0;{child}=1-2", hier_error)):
+        s = make_sampler(name)
+        enable(s, {0: (EXP2, 0.0), 1: (EXP1, 0.0)}, 0.0, FakeStream([0.5, 0.5]))
+        before = pickle.dumps(s)
+        stream = FakeStream([0.5, 0.5])
+        with pytest.raises(error) as raised:
+            s.absorb(delta, 1.0, stream)
+        assert type(raised.value) is error
+        assert pickle.dumps(s) == before
+        assert stream.count == 0
+        # the next proposal is the one the sampler made before the rejected delta
+        expect = pickle.loads(before).next_event(1.0, FakeStream([0.25, 0.75, 0.25, 0.75]))
+        assert s.next_event(1.0, FakeStream([0.25, 0.75, 0.25, 0.75])) == expect
+
+
+def test_built_hierarchical_sampler_writes_the_file_its_spec_does():
+    spec = "hierarchical:direct=0-3;next-reaction=rest"
+    model = build("sir", {"n": 4})
+    files = []
+    for sampler in (spec, make_sampler(spec)):
+        buf = io.StringIO()
+        write_trajectory(buf, run_trajectory(model, sampler, 5, EventCount(20)), model)
+        files.append(buf.getvalue())
+    assert files[0] == files[1]
+    assert f"# sampler: {spec}\n" in files[0]
 
 
 def test_make_sampler_names_and_partition_spec():

@@ -224,6 +224,16 @@ def test_tree_total_drift_bounded_with_rebuilds():
     assert t.total() == pytest.approx(math.fsum(leaves), rel=1e-12)
 
 
+def test_tree_total_resums_a_positive_leaf_that_a_removal_cancelled():
+    # 1.0 + 1e-20 rounds to 1.0, so removing the 1.0 leaves 0.0 in the running sums
+    t = PrefixSumTree()
+    t.set(0, 1.0)
+    t.set(1, 1e-20)
+    t.set(0, 0.0)
+    assert t.total() == 1e-20
+    assert t.find(0.0) == 1
+
+
 # Weights span twelve orders of magnitude.  Wider ranges let a delta update
 # absorb a small weight into a large one, so a node can read 0.0 over a
 # positive leaf: that is the delta tree's drift, not its zero handling.
