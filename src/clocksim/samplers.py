@@ -8,11 +8,11 @@ Every sampler implements the same contract:
 and is exclusively owned by one trajectory.  The initial enabled set arrives
 as the first delta (newly_enabled only, fired None); after that, one delta
 follows each jump.  Every sampler, hierarchical included, absorbs through
-the one base `absorb`: it checks the whole delta once (`_check_delta`)
-before any state changes, so a rejected delta changes nothing, then
-`_apply`s it.  `stream.uniform()` yields the trajectory's uniform variates;
-each sampler consumes a documented number per call, the initial delta
-included, so runs are reproducible:
+the one base `absorb`: it checks the whole delta once against its
+`_enabled` dict (`_check_delta`) before any state changes, so a rejected
+delta changes nothing, then `_apply`s it.  `stream.uniform()` yields the
+trajectory's uniform variates; each sampler consumes a documented number
+per call, the initial delta included, so runs are reproducible:
 
   first-reaction  next_event: one variate per enabled clock, ascending id.
   next-reaction   absorb: one variate per fresh draw (never-seen or just-
@@ -23,9 +23,10 @@ included, so runs are reproducible:
   direct          next_event: exactly two variates (waiting time, then the
                   clock draw; the second is consumed even on an atom hit),
                   or none when no clock is enabled: it raises Stalled first.
-  hierarchical    children queried in construction order; each child keeps
-                  its own discipline (losing first-reaction/direct children
-                  re-propose next step and draw again).
+  hierarchical    children queried in construction order; a child provides
+                  only next_event and _apply, and keeps its own discipline
+                  (losing first-reaction/direct children re-propose next
+                  step and draw again).
 
 Anchors satisfy -inf < te <= now and now never decreases, so every elapsed
 duration x - te (x >= now) is >= 0 unclamped.  The per-clock samplers
@@ -554,18 +555,18 @@ class HierarchicalSampler(_Sampler):
     parts: list of (base sampler, clock-id set or None); the sets must be
     disjoint, and at most one None entry catches every clock not named
     elsewhere.  Children keep their own contracts for retained vs
-    re-proposed draws.  A child provides `next_event(now, stream)` (raising
-    Stalled rather than proposing INF), `_enabled` (its enabled ids) and
-    `_apply(delta, now, stream)`, which applies a part without checking it.
-    The base `absorb` checks the whole delta against this sampler, where
-    `cid in` asks the clock's owner child, and `_apply` hands each child
-    its part of the checked delta.
+    re-proposed draws.  A child provides only `next_event(now, stream)`
+    (raising Stalled rather than proposing INF) and `_apply(delta, now,
+    stream)`, which applies a part without checking it.  `_enabled` maps
+    each enabled clock to its child, so the base `absorb` checks a delta
+    here and `_apply` looks up an owner only for a newly enabled clock.
     """
 
     name = "hierarchical"
 
     def __init__(self, parts):
         self._children = [s for s, _ in parts]
+        self._enabled = {}  # enabled cid -> index of its child
         self._owner = {}  # cid -> index of the child named for it
         self._rest = None  # index of the catch-all child
         for i, (_, cids) in enumerate(parts):
@@ -606,23 +607,20 @@ class HierarchicalSampler(_Sampler):
             raise Stalled("all children stalled")
         return best
 
-    # `cid in self._enabled` asks the owner child; an attribute would make each instance a reference cycle
-    _enabled = property(lambda self: self)
-
-    def __contains__(self, cid):
-        return cid in self._children[self._owner_index(cid)]._enabled
-
     def _apply(self, delta, now, stream):
+        enabled = self._enabled
+        # owners first: a clock outside every part raises before anything changes
+        owners = [self._owner_index(entry[0]) for entry in delta.newly_enabled]
         subs = [EnablingDelta() for _ in self._children]
-        owner = self._owner_index
         if delta.fired is not None:
-            subs[owner(delta.fired)].fired = delta.fired
-        for entry in delta.newly_enabled:
-            subs[owner(entry[0])].newly_enabled.append(entry)
+            subs[enabled.pop(delta.fired)].fired = delta.fired
         for cid in delta.newly_disabled:
-            subs[owner(cid)].newly_disabled.append(cid)
+            subs[enabled.pop(cid)].newly_disabled.append(cid)
         for entry in delta.modified:
-            subs[owner(entry[0])].modified.append(entry)
+            subs[enabled[entry[0]]].modified.append(entry)
+        for entry, i in zip(delta.newly_enabled, owners):
+            enabled[entry[0]] = i
+            subs[i].newly_enabled.append(entry)
         # children apply in construction order, and only those the delta touches
         for child, sub in zip(self._children, subs):
             if sub.fired is not None or sub.newly_enabled or sub.newly_disabled or sub.modified:

@@ -659,7 +659,7 @@ def test_promoted_trajectories_are_not_kept_alive():
     assert max(counts) - counts[0] < 50
 
 
-@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("sampler", [*SAMPLERS, "hierarchical:direct=0-511;next-reaction=rest"])
 def test_engine_init_footprint_per_enabled_clock(sampler):
     def tracked_by_engine(m):
         model = build("ring", {"m": m})

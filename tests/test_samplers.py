@@ -695,15 +695,11 @@ def test_hier_routes_delta_to_owner():
 
 
 class RecordingChild:
-    """Child sampler that logs each delta it absorbs under its own tag.
+    """Child sampler that logs each delta it absorbs under its own tag."""
 
-    `_enabled` is the fixed set of ids the parent's check asks about.
-    """
-
-    def __init__(self, tag, log, enabled):
+    def __init__(self, tag, log):
         self.tag = tag
         self.log = log
-        self._enabled = enabled
 
     def _apply(self, delta, now, stream):
         self.log.append((self.tag, delta.fired, [e[0] for e in delta.newly_enabled],
@@ -713,10 +709,12 @@ class RecordingChild:
 def test_hier_splits_delta_in_construction_order():
     log = []
     hier = HierarchicalSampler([
-        (RecordingChild("a", log, {4}), {4, 1}),
-        (RecordingChild("b", log, {3, 7}), None),
-        (RecordingChild("c", log, {2, 6}), {2, 6}),
+        (RecordingChild("a", log), {4, 1}),
+        (RecordingChild("b", log), None),
+        (RecordingChild("c", log), {2, 6}),
     ])
+    enable(hier, {cid: (EXP1, 0.0) for cid in (2, 3, 4, 6, 7)}, 0.0, FakeStream([]))
+    log.clear()
     hier.absorb(EnablingDelta(
         fired=2,
         newly_enabled=[(0, EXP1, 0.0), (1, EXP1, 0.0), (2, EXP1, 0.0), (5, EXP1, 0.0)],
@@ -730,8 +728,8 @@ def test_hier_splits_delta_in_construction_order():
     ]
     log.clear()
     # a child the delta does not touch absorbs nothing; a fired-only delta counts
-    hier.absorb(EnablingDelta(fired=4), 2.0, FakeStream([]))
-    assert log == [("a", 4, [], [], [])]
+    hier.absorb(EnablingDelta(fired=1), 2.0, FakeStream([]))
+    assert log == [("a", 1, [], [], [])]
 
 
 def test_hier_checks_each_delta_once(monkeypatch):
@@ -763,37 +761,76 @@ def test_hier_uncovered_clock_and_second_catch_all_rejected():
 
 
 # Each fault follows a valid entry for the other child, so a part applied before
-# the check would show.  Clocks 0 (the sooner) and 1 are enabled, 2 is covered but disabled,
-# and 5 lies outside every part: the base sampler sees only a clock it does not
-# hold, the hierarchical sampler a clock its partition does not cover.
+# the check would show.  Clocks 0 (the sooner) and 1 are enabled, 2 is covered but
+# disabled, and 5 lies outside every part: a clock that is not enabled is unknown,
+# whatever the partition.
 FAULTY_DELTAS = {
-    "listed-twice": (EnablingDelta(newly_disabled=[0], modified=[(1, EXP1, 0.5), (1, EXP1, 0.5)]),
-                     UnknownClock, UnknownClock),
-    "disabled-modified": (EnablingDelta(newly_disabled=[0], modified=[(2, EXP1, 0.5)]),
-                          UnknownClock, UnknownClock),
-    "enabled-newly-enabled": (EnablingDelta(newly_disabled=[0], newly_enabled=[(1, EXP1, 0.5)]),
-                              UnknownClock, UnknownClock),
-    "outside-every-part": (EnablingDelta(newly_disabled=[0, 5]), UnknownClock, ModelError),
+    "listed-twice": EnablingDelta(newly_disabled=[0], modified=[(1, EXP1, 0.5), (1, EXP1, 0.5)]),
+    "disabled-modified": EnablingDelta(newly_disabled=[0], modified=[(2, EXP1, 0.5)]),
+    "enabled-newly-enabled": EnablingDelta(newly_disabled=[0], newly_enabled=[(1, EXP1, 0.5)]),
+    "outside-every-part": EnablingDelta(newly_disabled=[0, 5]),
 }
+
+
+def assert_rejected_unchanged(s, delta, error):
+    """`s.absorb(delta)` raises exactly `error` and leaves `s` and its stream as they were."""
+    before = pickle.dumps(s)
+    stream = FakeStream([0.5, 0.5])
+    with pytest.raises(error) as raised:
+        s.absorb(delta, 1.0, stream)
+    assert type(raised.value) is error
+    assert pickle.dumps(s) == before
+    assert stream.count == 0
+    # the next proposal is the one the sampler made before the rejected delta
+    expect = pickle.loads(before).next_event(1.0, FakeStream([0.25, 0.75, 0.25, 0.75]))
+    assert s.next_event(1.0, FakeStream([0.25, 0.75, 0.25, 0.75])) == expect
 
 
 @pytest.mark.parametrize("fault", FAULTY_DELTAS)
 @pytest.mark.parametrize("child", SAMPLER_NAMES[:-1])
 def test_hier_rejects_a_faulty_delta_as_its_base_sampler_does(child, fault):
-    delta, base_error, hier_error = FAULTY_DELTAS[fault]
-    for name, error in ((child, base_error), (f"hierarchical:{child}=0;{child}=1-2", hier_error)):
+    for name in (child, f"hierarchical:{child}=0;{child}=1-2"):
         s = make_sampler(name)
         enable(s, {0: (EXP2, 0.0), 1: (EXP1, 0.0)}, 0.0, FakeStream([0.5, 0.5]))
-        before = pickle.dumps(s)
-        stream = FakeStream([0.5, 0.5])
-        with pytest.raises(error) as raised:
-            s.absorb(delta, 1.0, stream)
-        assert type(raised.value) is error
-        assert pickle.dumps(s) == before
-        assert stream.count == 0
-        # the next proposal is the one the sampler made before the rejected delta
-        expect = pickle.loads(before).next_event(1.0, FakeStream([0.25, 0.75, 0.25, 0.75]))
-        assert s.next_event(1.0, FakeStream([0.25, 0.75, 0.25, 0.75])) == expect
+        assert_rejected_unchanged(s, FAULTY_DELTAS[fault], UnknownClock)
+
+
+@pytest.mark.parametrize("child", SAMPLER_NAMES[:-1])
+def test_hier_newly_enabled_uncovered_clock_changes_nothing(child):
+    # clock 0's disabling precedes the uncovered clock 5 in the split, so an
+    # owner looked up after the enabled table changes would leave a trace
+    s = make_sampler(f"hierarchical:{child}=0;{child}=1-2")
+    enable(s, {0: (EXP2, 0.0), 1: (EXP1, 0.0)}, 0.0, FakeStream([0.5, 0.5]))
+    assert_rejected_unchanged(s, EnablingDelta(newly_disabled=[0], newly_enabled=[(5, EXP1, 0.5)]), ModelError)
+
+
+@pytest.mark.parametrize("name", [*SAMPLER_NAMES[:-1], "hierarchical:direct=0;next-reaction=rest"])
+def test_every_sampler_checks_a_delta_against_a_dict(name):
+    # `_check_delta`'s `cid in enabled` is then a C lookup, not a Python method
+    assert type(make_sampler(name)._enabled) is dict
+
+
+def test_hier_looks_up_an_owner_only_for_a_newly_enabled_clock(monkeypatch):
+    calls = []
+    owner_index = HierarchicalSampler._owner_index
+
+    def counting(self, cid):
+        calls.append(cid)
+        return owner_index(self, cid)
+
+    monkeypatch.setattr(HierarchicalSampler, "_owner_index", counting)
+    hier = make_sampler("hierarchical:next-to-fire=0-2;direct=rest")
+    enable(hier, {cid: (EXP1, 0.0) for cid in range(6)}, 0.0, FakeStream([0.5] * 3))
+    assert calls == [0, 1, 2, 3, 4, 5]
+    calls.clear()
+    hier.absorb(EnablingDelta(
+        fired=0,
+        newly_enabled=[(0, EXP1, 1.0), (6, EXP1, 1.0), (7, EXP1, 1.0)],
+        newly_disabled=[1, 4],
+        modified=[(2, EXP2, 0.0), (3, EXP2, 0.0), (5, EXP2, 0.0)],
+    ), 1.0, FakeStream([0.5] * 2))
+    assert calls == [0, 6, 7]
+    assert hier._enabled == {0: 0, 2: 0, 3: 1, 5: 1, 6: 1, 7: 1}
 
 
 def test_built_hierarchical_sampler_writes_the_file_its_spec_does():

@@ -1,5 +1,5 @@
-"""Every source and test file parses under the oldest Python that
-pyproject.toml's ``requires-python`` admits, so syntax newer than that
+"""Every source, test and perfbench file parses under the oldest Python
+that pyproject.toml's ``requires-python`` admits, so syntax newer than that
 floor (``except*``, for one) fails here, on any interpreter that runs the
 suite."""
 
@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_sources_parse_under_the_declared_minimum_python():
     floor = re.search(r'requires-python\s*=\s*">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text())
     version = (3, int(floor.group(1)))
-    sources = sorted([*ROOT.glob("src/clocksim/*.py"), *ROOT.glob("tests/*.py")])
+    sources = sorted([*ROOT.glob("src/clocksim/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py")])
     assert len(sources) > 20
     failures = []
     for path in sources:
