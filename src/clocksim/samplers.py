@@ -44,6 +44,7 @@ Ties between equal finite putative times break toward the smallest clock id.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .clocks import _check_anchor
@@ -549,17 +550,31 @@ class DirectSampler(_Sampler):
         raise Stalled("no hazard at sampled time")
 
 
+def _ids_text(first, last):
+    """'clock 5' or 'clocks 5-9': how an error names the ids first..last."""
+    return f"clock {first}" if first == last else f"clocks {first}-{last}"
+
+
+def _uncovered(first, last):
+    """The error for clocks first..last, which no part of a partition owns."""
+    return ModelError(f"{_ids_text(first, last)} not covered by the partition")
+
+
 class HierarchicalSampler(_Sampler):
     """Partition the clocks over child samplers; the soonest proposal wins.
 
-    parts: list of (base sampler, clock-id set or None); the sets must be
-    disjoint, and at most one None entry catches every clock not named
-    elsewhere.  Children keep their own contracts for retained vs
-    re-proposed draws.  A child provides only `next_event(now, stream)`
-    (raising Stalled rather than proposing INF) and `_apply(delta, now,
-    stream)`, which applies a part without checking it.  `_enabled` maps
-    each enabled clock to its child, so the base `absorb` checks a delta
-    here and `_apply` looks up an owner only for a newly enabled clock.
+    parts: list of (base sampler, iterable of clock-id `range`s of step 1,
+    or None).  Ranges of different parts must be disjoint, and at most one
+    None entry (`rest`) catches every clock no range names.  The partition
+    is kept as written, as a step function of the id: sorted range bounds
+    and the child owning each piece between them, so its memory is
+    O(ranges) however many ids they span, and an owner is one bisect.
+    Children keep their own contracts for retained vs re-proposed draws.
+    A child provides only `next_event(now, stream)` (raising Stalled rather
+    than proposing INF) and `_apply(delta, now, stream)`, which applies a
+    part without checking it.  `_enabled` maps each enabled clock to its
+    child, so the base `absorb` checks a delta here and `_apply` looks up
+    an owner only for a newly enabled clock.
     """
 
     name = "hierarchical"
@@ -567,32 +582,60 @@ class HierarchicalSampler(_Sampler):
     def __init__(self, parts):
         self._children = [s for s, _ in parts]
         self._enabled = {}  # enabled cid -> index of its child
-        self._owner = {}  # cid -> index of the child named for it
-        self._rest = None  # index of the catch-all child
-        for i, (_, cids) in enumerate(parts):
-            if cids is None:
-                if self._rest is not None:
+        rest = None  # index of the catch-all child
+        rows = []
+        for i, (_, ranges) in enumerate(parts):
+            if ranges is None:
+                if rest is not None:
                     raise ModelError("at most one catch-all partition")
-                self._rest = i
-                continue
-            overlap = self._owner.keys() & cids
-            if overlap:
-                raise ModelError(f"clocks {sorted(overlap)} are in more than one partition")
-            self._owner.update(dict.fromkeys(cids, i))
+                rest = i
+            else:
+                rows.extend((r.start, r.stop, i) for r in ranges if r)
+        # Piece k, the ids from _bounds[k - 1] up to _bounds[k], is child _owners[k]'s
+        # (None: no child's).  The odd pieces are the ranges, the even ones what `rest` catches.
+        bounds = self._bounds = []
+        owners = self._owners = [rest]
+        for start, stop, i in sorted(rows):
+            # sorted by start, some two ranges overlap only if two neighbours do
+            if bounds and start < bounds[-1]:
+                if owners[-2] != i:
+                    raise ModelError(f"{_ids_text(start, min(stop, bounds[-1]) - 1)} named by more than one part")
+                bounds[-1] = max(stop, bounds[-1])
+            else:
+                bounds += (start, stop)
+                owners += (i, rest)
 
     def _owner_index(self, cid):
-        i = self._owner.get(cid, self._rest)
+        i = self._owners[bisect_right(self._bounds, cid)]
         if i is None:
-            raise ModelError(f"clock {cid} not covered by the partition")
+            raise _uncovered(cid, cid)
         return i
 
     def check_partition(self, ids):
-        """Raise ModelError unless the parts name only clocks in `ids`, cover each, and leave `rest` one."""
-        absent = self._owner.keys() - ids
-        if absent:
-            raise ModelError(f"the partition names clocks {sorted(absent)} that the model lacks")
-        if self._rest not in {self._owner_index(cid) for cid in ids} | {None}:
-            raise ModelError("the catch-all part `rest` owns no clock")
+        """Raise ModelError unless the ranges name only clocks in `ids`, cover each, and leave `rest` one.
+
+        `ids` is sorted once and bisected twice per piece of the partition;
+        an error names the first offending span of ids.
+        """
+        ids = sorted(ids)
+        edges = [-INF, *self._bounds, INF]
+        rest_owns = False
+        for k, i in enumerate(self._owners):
+            start, stop = edges[k], edges[k + 1]
+            lo, hi = bisect_left(ids, start), bisect_left(ids, stop)
+            if k % 2 and hi - lo < stop - start:
+                # in a range, ids[j] - j stays start - lo up to the first id the model lacks
+                j = lo + bisect_right(range(lo, hi), start - lo, key=lambda n: ids[n] - n)
+                first = ids[j - 1] + 1 if j > lo else start
+                last = ids[j] - 1 if j < hi else stop - 1
+                raise ModelError(f"the partition names {_ids_text(first, last)} that the model lacks")
+            if k % 2 == 0 and lo < hi:
+                if i is None:
+                    raise _uncovered(ids[lo], ids[hi - 1])
+                rest_owns = True
+        if self._owners[0] is not None and not rest_owns:
+            span = _ids_text(ids[0], ids[-1]) if ids else "clocks"
+            raise ModelError(f"the catch-all part `rest` owns no clock: the other parts name all the model's {span}")
 
     def next_event(self, now, stream):
         best = None
@@ -635,9 +678,10 @@ SAMPLER_NAMES = (*_BASE_SAMPLERS, HierarchicalSampler.name)
 
 
 def _parse_id_set(text):
+    """A part's ids as the `range`s written, or None for `rest`."""
     if text == "rest":
         return None
-    out = set()
+    out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -650,7 +694,7 @@ def _parse_id_set(text):
             raise ModelError(f"bad clock id set {text!r}: {part!r} is not an id or a range") from None
         if hi < lo:
             raise ModelError(f"bad clock id set {text!r}: range {part!r} is reversed")
-        out.update(range(lo, hi + 1))
+        out.append(range(lo, hi + 1))
     if not out:
         raise ModelError(f"bad clock id set {text!r}: no ids")
     return out
@@ -665,6 +709,8 @@ def make_sampler(name: str):
     Hierarchical partitions are spelled
     `hierarchical:<child>=<ids>;<child>=<ids>` where <ids> is a comma list
     of clock ids or ranges (`0-5,7`), or `rest` for every other clock.
+    A part is kept as its ranges, so building costs O(parts) in time and
+    memory however many ids the ranges span (`0-999999` is two bounds).
     """
     if name in _BASE_SAMPLERS:
         return _BASE_SAMPLERS[name]()

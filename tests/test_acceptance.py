@@ -52,21 +52,24 @@ def _race3():
     return Model("race3", tuple(clocks), SystemState({"armed": 1}), {})
 
 
+# (label, model, stop, hierarchical partition); tests/test_partitions.py checks each partition against its model
+CRITERION_1_CASES = [
+    ("race3", _race3(), EventCount(1), "hierarchical:direct=0;next-reaction=rest"),
+    ("sir10-weibull", build("sir", {"n": 10, "infect": "exponential:0.5", "recover": "weibull:2,1"}),
+     StalledOnly(), "hierarchical:direct=0-89;next-reaction=rest"),
+    ("atomic-showcase", build("atomic-showcase", {}), EventCount(1),
+     "hierarchical:direct=0;next-reaction=rest"),
+    # decreasing hazards, infinite at each recovery's enabling instant;
+    # the recoveries (ids 12-15) go to the direct child
+    ("sir4-weibull-decreasing", build("sir", {"n": 4, "infect": "exponential:1",
+                                              "recover": "weibull:0.5,1"}),
+     StalledOnly(), "hierarchical:direct=12-15;next-reaction=rest"),
+]
+
+
 def test_criterion_1_four_sampler_equivalence():
     started = time.perf_counter()
-    cases = [
-        ("race3", _race3(), EventCount(1), "hierarchical:direct=0;next-reaction=rest"),
-        ("sir10-weibull", build("sir", {"n": 10, "infect": "exponential:0.5", "recover": "weibull:2,1"}),
-         StalledOnly(), "hierarchical:direct=0-89;next-reaction=rest"),
-        ("atomic-showcase", build("atomic-showcase", {}), EventCount(1),
-         "hierarchical:direct=0;next-reaction=rest"),
-        # decreasing hazards, infinite at each recovery's enabling instant;
-        # the recoveries (ids 12-15) go to the direct child
-        ("sir4-weibull-decreasing", build("sir", {"n": 4, "infect": "exponential:1",
-                                                  "recover": "weibull:0.5,1"}),
-         StalledOnly(), "hierarchical:direct=12-15;next-reaction=rest"),
-    ]
-    rows = sampler_equivalence(cases, seed0=5000, events=100_000)
+    rows = sampler_equivalence(CRITERION_1_CASES, seed0=5000, events=100_000)
     elapsed = time.perf_counter() - started
     label, stats, _ = min(rows, key=lambda row: float(row[1].split()[2]))
     detail = f"{len(rows)} comparisons all p > 0.01; lowest-KS line: {label}: {stats}; {elapsed:.1f}s"

@@ -195,6 +195,16 @@ def test_bad_hierarchical_partition_exits_2(runner, tmp_path):
         assert not os.path.exists(tmp_path / "x"), spec
 
 
+def test_a_partition_wider_than_the_model_exits_2_with_a_short_message(runner, tmp_path):
+    result = runner.invoke(cli, [
+        "run", "--model", "ring", "--param", "m=4", "--sampler", "hierarchical:direct=0-999999;next-reaction=rest",
+        "--max-events", "3", "--output", str(tmp_path / "x"),
+    ])
+    assert result.exit_code == 2
+    assert len(result.output) < 500, len(result.output)
+    assert "clocks 4-999999 that the model lacks" in result.output
+
+
 def test_unknown_model_and_bad_param_exit_2(runner, tmp_path):
     result = runner.invoke(cli, ["run", "--model", "nope", "--output", str(tmp_path / "x")])
     assert result.exit_code == 2

@@ -53,6 +53,9 @@ def test_run_settings_take_what_the_integer_rule_takes():
     "must be an integer",
     "must be a string",
     "must be a mapping",
+    # the partition's coverage rule: `HierarchicalSampler._owner_index` and `check_partition` share it
+    "not covered by the partition",
+    "that the model lacks",
 ])
 def test_each_rule_message_is_written_once(message):
     # a second copy of a rule is a second place for it to drift

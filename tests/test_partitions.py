@@ -1,0 +1,106 @@
+"""Hierarchical partitions: the routing identities the variate contract
+implies, and a check of every partition the repository runs against its
+model."""
+
+import importlib.util
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from clocksim.cli import _SUITES
+from clocksim.errors import ModelError
+from clocksim.kernel import EventCount, run_trajectory
+from clocksim.models import build
+from clocksim.samplers import make_sampler
+
+from test_acceptance import CRITERION_1_CASES
+from test_verify import SIR3
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# -- pathwise identities ---------------------------------------------------------
+# Each identity pairs a base sampler X with a partition that must draw the same
+# uniforms for the same clocks, so both write the same trajectory on every stream.
+
+MODELS = {
+    "sir": ("sir", {"n": 8, "recover": "weibull:2,1@1.5,0.5"}),
+    "rabbits": ("rabbits", {"m": 4, "food_rate": 10, "portions": "1;2"}),
+    "ring": ("ring", {"m": 32, "tokens": 3}),
+    "birth-death": ("birth-death", {}),
+    "atomic-showcase": ("atomic-showcase", {}),
+    "poisson": ("poisson", {}),
+    "renewal": ("renewal", {"interarrival": "gamma:2,3@0.5,0.3"}),
+}
+
+# (base sampler, partition template over the model's low half `{low}`, the clause it follows from)
+IDENTITIES = [
+    *((x, f"{x}=rest",
+       "hierarchical: a lone child is handed every delta whole and asked for every proposal, "
+       "and keeps its own discipline")
+      for x in ("first-reaction", "next-reaction", "next-to-fire", "direct")),
+    # next-to-fire draws for modified clocks before newly enabled ones, and each direct
+    # child draws two variates: a split reorders or adds draws, so neither is here
+    ("first-reaction", "first-reaction={low};first-reaction=rest",
+     "first-reaction: next_event draws one variate per enabled clock in ascending id; the children "
+     "are asked in construction order, low ids first, and a tie goes to the smallest id"),
+    ("next-reaction", "next-reaction={low};next-reaction=rest",
+     "next-reaction: absorb draws once per fresh clock in ascending id and next_event draws none; "
+     "the children apply in construction order, low ids first"),
+]
+
+
+def outcome(traj):
+    """What a trajectory's file records of the sampler's draws, byte for byte."""
+    return repr((traj.events, traj.variates_consumed, traj.final_time))
+
+
+@pytest.mark.parametrize("base, partition, clause", IDENTITIES, ids=[p.format(low="low") for _, p, _ in IDENTITIES])
+@pytest.mark.parametrize("model_key", MODELS)
+def test_hierarchical_identity(model_key, base, partition, clause):
+    model = build(*MODELS[model_key])
+    ids = sorted(model.by_id)
+    low = f"{ids[0]}-{ids[(len(ids) - 1) // 2]}"
+    spec = "hierarchical:" + partition.format(low=low)
+    for stream in range(10):
+        expect = outcome(run_trajectory(model, base, 2024, EventCount(100), stream_index=stream))
+        assert outcome(run_trajectory(model, spec, 2024, EventCount(100), stream_index=stream)) == expect, (
+            f"{spec} differs from {base} on stream {stream}; the identity follows from {clause}")
+
+
+# -- every partition the repository runs -------------------------------------------
+# `run_trajectory` never checks a partition, so a mistyped one in a suite would
+# route its clocks to `rest` unnoticed.
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, which imports no clocksim, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_partitions():
+    """(where, model, partition spec) for each partition the suites, tests and benchmark run."""
+    [suite_case] = _SUITES["sampler-equivalence"](SimpleNamespace(sampler_equivalence=lambda cases, **_: cases))
+    cases = [("clocksim verify sampler-equivalence", suite_case[1], suite_case[3])]
+    cases += [(f"criterion 1 {label}", model, spec) for label, model, _, spec in CRITERION_1_CASES]
+    cases.append(("test_verify.SIR3", SIR3[1], SIR3[3]))
+    workloads = _perfbench_workloads()
+    for profile, table in workloads.PROFILES.items():
+        for w in table.values():
+            spec = next(c.sampler for c in w.cases if c.label == "hierarchical")
+            cases.append((f"perfbench {profile} {w.name}", build(w.model, w.params), spec))
+    return cases
+
+
+def test_every_partition_the_repository_runs_fits_its_model():
+    cases = _run_partitions()
+    assert len(cases) == 12
+    for where, model, spec in cases:
+        try:
+            make_sampler(spec).check_partition(model.by_id)
+        except ModelError as exc:
+            pytest.fail(f"{where}: {spec}: {exc}")

@@ -28,7 +28,7 @@ from clocksim.samplers import (
 )
 from clocksim.verify import compare_to_reference
 
-from conftest import AuditedNextReaction, FakeStream, enable, last_event_sample
+from conftest import AuditedNextReaction, FakeStream, enable, last_event_sample, traced_bytes_after_build
 
 LN2 = math.log(2.0)
 EXP1 = HazardSpec(Exponential(1.0))
@@ -673,7 +673,7 @@ def test_hier_single_child_identical_to_child():
 
 
 def test_hier_empty_second_partition():
-    hier = HierarchicalSampler([(NextToFireSampler(), None), (DirectSampler(), set())])
+    hier = HierarchicalSampler([(NextToFireSampler(), None), (DirectSampler(), [])])
     enable(hier, {0: (EXP1, 0.0)}, 0.0, FakeStream([u_for_budget(0.8)]))
     ev = hier.next_event(0.0, FakeStream([]))
     assert (ev.clock, ev.time) == (0, pytest.approx(0.8))
@@ -682,7 +682,7 @@ def test_hier_empty_second_partition():
 def test_hier_routes_delta_to_owner():
     child_a = NextReactionSampler()
     child_b = NextReactionSampler()
-    hier = HierarchicalSampler([(child_a, {0}), (child_b, None)])
+    hier = HierarchicalSampler([(child_a, [range(1)]), (child_b, None)])
     enable(hier, {0: (EXP1, 0.0), 1: (EXP1, 0.0)},
            0.0, FakeStream([u_for_budget(1.0), u_for_budget(2.0)]))
     assert queued(child_a) == {0}
@@ -709,9 +709,9 @@ class RecordingChild:
 def test_hier_splits_delta_in_construction_order():
     log = []
     hier = HierarchicalSampler([
-        (RecordingChild("a", log), {4, 1}),
+        (RecordingChild("a", log), [range(4, 5), range(1, 2)]),
         (RecordingChild("b", log), None),
-        (RecordingChild("c", log), {2, 6}),
+        (RecordingChild("c", log), [range(2, 3), range(6, 7)]),
     ])
     enable(hier, {cid: (EXP1, 0.0) for cid in (2, 3, 4, 6, 7)}, 0.0, FakeStream([]))
     log.clear()
@@ -742,7 +742,7 @@ def test_hier_checks_each_delta_once(monkeypatch):
 
     monkeypatch.setattr(samplers, "_check_delta", counting_check)
     hier = HierarchicalSampler([
-        (NextToFireSampler(), {0, 1}), (DirectSampler(), {2}), (FirstReactionSampler(), None),
+        (NextToFireSampler(), [range(2)]), (DirectSampler(), [range(2, 3)]), (FirstReactionSampler(), None),
     ])
     # touches the first and last children; the whole delta is checked once, before the split
     enable(hier, {0: (EXP1, 0.0), 1: (EXP1, 0.0), 5: (EXP1, 0.0)}, 0.0, FakeStream([0.5, 0.5]))
@@ -753,11 +753,11 @@ def test_hier_checks_each_delta_once(monkeypatch):
 
 
 def test_hier_uncovered_clock_and_second_catch_all_rejected():
-    hier = HierarchicalSampler([(NextToFireSampler(), {0}), (DirectSampler(), {1})])
+    hier = HierarchicalSampler([(NextToFireSampler(), [range(1)]), (DirectSampler(), [range(1, 2)])])
     with pytest.raises(ModelError, match="clock 2 not covered"):
         enable(hier, {0: (EXP1, 0.0), 2: (EXP1, 0.0)}, 0.0, FakeStream([0.5, 0.5]))
     with pytest.raises(ModelError, match="catch-all"):
-        HierarchicalSampler([(NextToFireSampler(), None), (DirectSampler(), {1}), (DirectSampler(), None)])
+        HierarchicalSampler([(NextToFireSampler(), None), (DirectSampler(), [range(1, 2)]), (DirectSampler(), None)])
 
 
 # Each fault follows a valid entry for the other child, so a part applied before
@@ -843,6 +843,31 @@ def test_built_hierarchical_sampler_writes_the_file_its_spec_does():
         files.append(buf.getvalue())
     assert files[0] == files[1]
     assert f"# sampler: {spec}\n" in files[0]
+
+
+# Each partition error names a span of ids, never every id: (spec, the model's ids, message)
+PARTITION_ERRORS = {
+    "overlap": ("hierarchical:direct=0-5;next-reaction=3-8", range(64), "clocks 3-5 named by more than one part"),
+    "absent": ("hierarchical:direct=0-999999;next-reaction=rest", range(64),
+               "the partition names clocks 64-999999 that the model lacks"),
+    "absent-inside": ("hierarchical:direct=0-9", [0, 1, 2, 5, 6, 9], "the partition names clocks 3-4 that the model lacks"),
+    "uncovered": ("hierarchical:direct=0-9,20-63", range(64), "clocks 10-19 not covered by the partition"),
+    "empty-rest": ("hierarchical:direct=0-31;next-reaction=rest;first-reaction=32-63", range(64),
+                   "the catch-all part `rest` owns no clock: the other parts name all the model's clocks 0-63"),
+}
+
+
+@pytest.mark.parametrize("spec, ids, message", PARTITION_ERRORS.values(), ids=PARTITION_ERRORS)
+def test_partition_errors_name_spans_of_ids(spec, ids, message):
+    with pytest.raises(ModelError) as raised:
+        make_sampler(spec).check_partition(ids)
+    assert str(raised.value) == message
+
+
+def test_a_partition_costs_its_ranges_not_its_ids():
+    hier, size = traced_bytes_after_build(lambda: make_sampler("hierarchical:direct=0-999999;next-reaction=rest"))
+    assert size < 64 * 1024
+    assert hier._owner_index(500000) == 0
 
 
 def test_make_sampler_names_and_partition_spec():
