@@ -31,7 +31,7 @@ from .clocks import (
 )
 from .errors import ConfigError, DuplicateAtoms, ModelError, Stalled, UnknownClock
 from .hazards import INF, _check_parameter
-from .samplers import EnablingDelta, make_sampler
+from .samplers import EnablingDelta, FirstReactionSampler, HierarchicalSampler, SamplerEvent, make_sampler
 
 
 _BLOCK = 256  # variates drawn from the generator at a time
@@ -156,6 +156,8 @@ class StalledOnly:
 class Engine:
     """Mutable per-trajectory state: counts, hazard cache, sampler, and the table
     of enabled clocks' future atom times, where a shared time raises DuplicateAtoms.
+    A hierarchical sampler's partition is checked against the model first
+    (`HierarchicalSampler.check_ranges`).
 
     Construction runs inside `clocks._collector_paused` (see there for
     why): the first touch of `model.graph` and `model.by_id`, the hazard
@@ -166,6 +168,8 @@ class Engine:
     def __init__(self, model, sampler, stream):
         with _collector_paused():
             self._readers, self._by_id = model.graph, model.by_id
+            if isinstance(sampler, HierarchicalSampler):
+                sampler.check_ranges(self._by_id)
             self.sampler = sampler
             self.stream = stream
             self.now = 0.0
@@ -300,15 +304,38 @@ def run_ensemble(model, sampler, base_seed, count, stop) -> list:
     return [run_trajectory(model, sampler, base_seed, stop, stream_index=i) for i in range(count)]
 
 
+class _Replay(FirstReactionSampler):
+    """Proposes the recorded events its stream yields, each only where the model lets its clock jump."""
+
+    def next_event(self, now, stream):
+        ev = next(stream)  # a replay's stream is the recorded path
+        entry, t = self._enabled.get(ev.clock), ev.time
+        if entry is None:
+            problem = "is not enabled"
+        elif not now < t < INF:  # the kernel's tie nudge would move t
+            problem = f"is not after {_fmt(now)}"
+        else:
+            _, spec, te = entry
+            # an atom at the kernel's own float `te + offset`, or hazard consumed since now
+            if (any(te + a.offset == t for a in spec.atoms)
+                    or spec.cumulative_hazard(t - te) > spec.cumulative_hazard(now - te)):
+                return SamplerEvent(ev.clock, t)
+            problem = "has no intensity"
+        raise ModelError(f"event {ev.seq}: clock {ev.clock} at time {_fmt(t)} {problem}")
+
+
 def final_state(model, trajectory) -> SystemState:
     """The state after the trajectory's last event; `trajectory` is a Trajectory or a TrajectoryFile.
 
-    The replay starts from `model.initial_state`, the copy `model_hash` covers.
+    The events run through `Engine` from `model.initial_state`, the copy
+    `model_hash` covers, so a path the kernel could not have written raises:
+    ModelError, naming the event, for a clock that is not enabled, a time not
+    after the last event's, or a time where the clock has no intensity.
     """
-    counts = dict(model.initial_state.counts)
-    for ev in trajectory.events:
-        apply_mark_inplace(counts, model.by_id[ev.clock].mark)
-    return SystemState(counts)
+    engine = Engine(model, _Replay(), iter(trajectory.events))
+    for _ in trajectory.events:
+        engine.step()
+    return SystemState(engine._counts)
 
 
 # -- serialization -------------------------------------------------------

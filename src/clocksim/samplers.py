@@ -611,11 +611,13 @@ class HierarchicalSampler(_Sampler):
             raise _uncovered(cid, cid)
         return i
 
-    def check_partition(self, ids):
-        """Raise ModelError unless the ranges name only clocks in `ids`, cover each, and leave `rest` one.
+    def check_ranges(self, ids):
+        """Raise ModelError unless the ranges name only clocks in `ids` and cover each; returns whether `rest` owns one.
 
-        `ids` is sorted once and bisected twice per piece of the partition;
-        an error names the first offending span of ids.
+        The engine's check: a partition run on several models, such as a low
+        part and `rest`, may leave `rest` nothing on a small one.  `ids` is
+        sorted once and bisected twice per piece of the partition; an error
+        names the first offending span of ids.
         """
         ids = sorted(ids)
         edges = [-INF, *self._bounds, INF]
@@ -633,8 +635,13 @@ class HierarchicalSampler(_Sampler):
                 if i is None:
                     raise _uncovered(ids[lo], ids[hi - 1])
                 rest_owns = True
-        if self._owners[0] is not None and not rest_owns:
-            span = _ids_text(ids[0], ids[-1]) if ids else "clocks"
+        return rest_owns
+
+    def check_partition(self, ids):
+        """`check_ranges`, and ModelError if `rest` is left no clock: `clocksim run`'s check,
+        since a partition written for one model uses its `rest`."""
+        if not self.check_ranges(ids) and self._owners[0] is not None:
+            span = _ids_text(min(ids), max(ids)) if ids else "clocks"
             raise ModelError(f"the catch-all part `rest` owns no clock: the other parts name all the model's {span}")
 
     def next_event(self, now, stream):

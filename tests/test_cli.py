@@ -540,6 +540,36 @@ def test_summarize_final_state_bad_initial_state_exits_2(runner, tmp_path):
         assert "cannot replay" in result.output
 
 
+# (model flags, the one event line written over a real file's events, the replay's complaint)
+IMPOSSIBLE_FILES = {
+    # infect_2_1 fires while individual 2 is still susceptible
+    "disabled-clock": (["--model", "sir", "--param", "n=3"], "0\t0.5\t5\n",
+                       "event 0: clock 5 at time 0.5 is not enabled"),
+    # a uniform:0.5,2 interarrival has no hazard before 0.5
+    "no-intensity": (["--model", "renewal", "--param", "interarrival=uniform:0.5,2"], "0\t0.3\t0\n",
+                     "event 0: clock 0 at time 0.29999999999999999 has no intensity"),
+    # the kernel would nudge a jump at 0 one ulp later
+    "at-start": (["--model", "poisson"], "0\t0\t0\n", "event 0: clock 0 at time 0 is not after 0"),
+}
+
+
+@pytest.mark.parametrize("flags, event, message", IMPOSSIBLE_FILES.values(), ids=IMPOSSIBLE_FILES)
+def test_summarize_final_state_rejects_a_path_the_kernel_could_not_write(runner, tmp_path, flags, event, message):
+    out = tmp_path / "out"
+    result = runner.invoke(cli, ["run", *flags, "--seed", "1", "--max-events", "1", "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    written = out / "traj_000000.tsv"
+    result = runner.invoke(cli, ["summarize", "--observable", "final-state", str(written)])
+    assert result.exit_code == 0, result.output
+    header = [line for line in written.read_text().splitlines(keepends=True) if line.startswith("#")]
+    bad = tmp_path / "bad.tsv"
+    assert "# events: 1\n" in header
+    bad.write_text("".join(header) + event)
+    result = runner.invoke(cli, ["summarize", "--observable", "final-state", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert f"{bad}: cannot replay ({message})" in result.output
+
+
 def test_hierarchical_sampler_spec_accepted(runner, tmp_path):
     out = tmp_path / "out"
     result = runner.invoke(cli, [

@@ -8,6 +8,10 @@ seed 1, stream 0, stopped after 200 events or when the run stalls.  The
 parameters make Weibull and gamma hazards, atoms, past-anchored enabling
 times and per-jump rate modifications all occur.
 
+Every case is also written with `write_trajectory`, read back, and
+replayed by `final_state` through the kernel, at the recorded times, to the
+state the sum of its marks gives.
+
 Re-record (only for a deliberate change of a sampler's variate contract or
 of a model's recorded params):
 
@@ -15,12 +19,23 @@ of a model's recorded params):
 """
 
 import hashlib
+import io
 import json
 import pathlib
 
 import pytest
 
-from clocksim.kernel import EventCount, model_hash, run_trajectory
+from clocksim.clocks import SystemState, apply_mark_inplace
+from clocksim.kernel import (
+    Engine,
+    EventCount,
+    _Replay,
+    final_state,
+    model_hash,
+    read_trajectory,
+    run_trajectory,
+    write_trajectory,
+)
 from clocksim.models import build
 
 DIGESTS = pathlib.Path(__file__).with_name("golden_digests.json")
@@ -45,9 +60,15 @@ CASES = [f"{m}/{s}" for m in MODELS for s in SAMPLERS]
 HASHES = [f"model_hash:{m}" for m in MODELS]
 
 
-def digest(case):
+def run(case):
+    """(model, trajectory) of a golden case."""
     name, sampler = case.split("/", 1)
-    traj = run_trajectory(build(name, MODELS[name]), sampler, 1, EventCount(200))
+    model = build(name, MODELS[name])
+    return model, run_trajectory(model, sampler, 1, EventCount(200))
+
+
+def digest(case):
+    _, traj = run(case)
     lines = "".join(f"{ev.seq}\t{ev.time:.17g}\t{ev.clock}\n" for ev in traj.events)
     return hashlib.sha256(lines.encode()).hexdigest()
 
@@ -62,6 +83,21 @@ def golden(key):
 @pytest.mark.parametrize("case", CASES)
 def test_trajectory_digest_unchanged(case):
     assert digest(case) == json.loads(DIGESTS.read_text())[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_written_file_replays_to_its_mark_sum(case):
+    model, traj = run(case)
+    buf = io.StringIO()
+    write_trajectory(buf, traj, model)
+    tf = read_trajectory(io.StringIO(buf.getvalue()))
+    # the reference: the marks summed with no question of what may fire
+    counts = dict(model.initial_state.counts)
+    for ev in traj.events:
+        apply_mark_inplace(counts, model.by_id[ev.clock].mark)
+    engine = Engine(model, _Replay(), iter(tf.events))
+    assert [engine.step() for _ in tf.events] == [(ev.clock, ev.time) for ev in traj.events]
+    assert final_state(model, tf) == SystemState(counts)
 
 
 @pytest.mark.parametrize("key", HASHES)

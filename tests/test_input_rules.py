@@ -53,7 +53,7 @@ def test_run_settings_take_what_the_integer_rule_takes():
     "must be an integer",
     "must be a string",
     "must be a mapping",
-    # the partition's coverage rule: `HierarchicalSampler._owner_index` and `check_partition` share it
+    # the partition's coverage rule: `HierarchicalSampler._owner_index` and `check_ranges` share it
     "not covered by the partition",
     "that the model lacks",
 ])

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -159,6 +160,22 @@ def test_serialization_round_trip():
     assert float(tf.header["final_time"]) == traj.final_time
     assert json.loads(tf.header["initial_state"]) == model.initial_state.counts
     assert final_state(model, tf) == final_state(model, traj)
+
+
+def test_final_state_replays_only_what_the_kernel_could_write():
+    # an in-memory trajectory is replayed through the kernel too, with no file check before it
+    model = build_poisson(1.0)
+    traj = run_trajectory(model, "direct", 1, EventCount(3))
+    e0 = traj.events[0]
+    assert final_state(model, traj).counts == {"n": 3}
+    for events, message in (
+        ((e0._replace(clock=99),), "event 0: clock 99 at time .* is not enabled"),  # a clock the model lacks
+        ((e0, e0._replace(seq=1)), "event 1: clock .* is not after"),
+        ((e0._replace(time=math.nan),), "event 0: clock .* at time nan is not after 0"),
+        ((e0._replace(time=math.inf),), "event 0: clock .* at time inf is not after 0"),
+    ):
+        with pytest.raises(ModelError, match=message):
+            final_state(model, dataclasses.replace(traj, events=events))
 
 
 @pytest.mark.parametrize("final_time", ["0.5", "1.5", "inf", "nan", "-1"])

@@ -1,6 +1,6 @@
 """Hierarchical partitions: the routing identities the variate contract
-implies, and a check of every partition the repository runs against its
-model."""
+implies, the engine's check of a partition against its model, and a check
+of every partition the repository runs against its model."""
 
 import importlib.util
 import sys
@@ -11,9 +11,9 @@ import pytest
 
 from clocksim.cli import _SUITES
 from clocksim.errors import ModelError
-from clocksim.kernel import EventCount, run_trajectory
+from clocksim.kernel import EventCount, run_ensemble, run_trajectory
 from clocksim.models import build
-from clocksim.samplers import make_sampler
+from clocksim.samplers import NextReactionSampler, make_sampler
 
 from test_acceptance import CRITERION_1_CASES
 from test_verify import SIR3
@@ -69,9 +69,65 @@ def test_hierarchical_identity(model_key, base, partition, clause):
             f"{spec} differs from {base} on stream {stream}; the identity follows from {clause}")
 
 
+# -- next-reaction and next-to-fire ----------------------------------------------
+
+class _FreshDrawsOnly(NextReactionSampler):
+    """Next-reaction that asserts, on every delta, that it holds no modified and no resumed clock."""
+
+    def __init__(self):
+        super().__init__()
+        self.deltas = 0
+
+    def _apply(self, delta, now, stream):
+        assert not delta.modified, f"modified clocks {delta.modified} at {now}"
+        frozen = [cid for cid, _, _ in delta.newly_enabled if cid in self._entries and cid != delta.fired]
+        assert not frozen, f"resumed clocks {frozen} at {now}"
+        self.deltas += 1
+        super()._apply(delta, now, stream)
+
+
+NEXT_TO_FIRE_CLAUSE = (
+    "next-reaction draws once per fresh clock in ascending id and resumes or re-inverts without a draw; "
+    "next-to-fire draws once per modified then per newly enabled clock in ascending id; both invert the "
+    "fresh draw from the same anchor, so with no modified or resumed clock they draw alike")
+
+
+@pytest.mark.parametrize("params", [{"n": 8, "recover": "weibull:2,1@1.5,0.5"}, {"n": 12}],
+                         ids=["n8-weibull-atom", "n12"])
+def test_next_reaction_is_next_to_fire_on_sir(params):
+    model = build("sir", params)
+    for stream in range(10):
+        recording = _FreshDrawsOnly()
+        got = outcome(run_trajectory(model, recording, 2024, EventCount(100), stream_index=stream))
+        assert recording.deltas > 1, "the precondition was checked on no step"
+        expect = outcome(run_trajectory(model, "next-to-fire", 2024, EventCount(100), stream_index=stream))
+        assert got == expect, f"stream {stream}: the identity follows from {NEXT_TO_FIRE_CLAUSE}"
+
+
+def test_the_fresh_draws_check_sees_a_resumed_clock():
+    # rabbits' eating clocks pause when the food runs out and resume when it returns
+    model = build(*MODELS["rabbits"])
+    with pytest.raises(AssertionError, match="resumed clocks"):
+        for stream in range(10):
+            run_trajectory(model, _FreshDrawsOnly(), 2024, EventCount(100), stream_index=stream)
+
+
+# -- the engine's check --------------------------------------------------------------
+
+def test_the_engine_checks_the_partition_against_its_model():
+    # ring m=4 has clocks 0-3: the direct child would sit idle and `rest` take every clock
+    model = build("ring", {"m": 4})
+    spec = "hierarchical:direct=10-20;next-reaction=rest"
+    for run in (lambda: run_trajectory(model, spec, 1, EventCount(5)),
+                lambda: run_ensemble(model, spec, 1, 2, EventCount(5))):
+        with pytest.raises(ModelError) as raised:
+            run()
+        assert str(raised.value) == "the partition names clocks 10-20 that the model lacks"
+
+
 # -- every partition the repository runs -------------------------------------------
-# `run_trajectory` never checks a partition, so a mistyped one in a suite would
-# route its clocks to `rest` unnoticed.
+# The engine checks a partition when a run starts; this checks, without running
+# them, that no suite, test or benchmark partition misses its model.
 
 def _perfbench_workloads():
     """perfbench/workloads.py, which imports no clocksim, loaded by path."""
