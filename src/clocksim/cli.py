@@ -21,7 +21,7 @@ import click
 import yaml
 
 from . import kernel, models
-from .clocks import _check_integer
+from .clocks import _check_integer, _mapping
 from .errors import ClocksimError, ConfigError, ModelError
 from .pool import fork_map
 from .samplers import SAMPLER_NAMES, HierarchicalSampler, make_sampler
@@ -85,15 +85,6 @@ def _parse_param_value(text: str):
     return text
 
 
-def _mapping(what, value) -> dict:
-    """`value`, or {} for a YAML null (an empty file, `params:` with no value)."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a mapping, got {value!r}")
-    return value
-
-
 def _load_run_spec(config, param, flags) -> tuple[RunSpec, models.Model]:
     """The config file's values, then `--param` items (each key once), then every flag given."""
     doc = {}
@@ -103,8 +94,8 @@ def _load_run_spec(config, param, flags) -> tuple[RunSpec, models.Model]:
                 loaded = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{config}: {exc}") from exc
-        doc.update(_mapping(f"{config}: top level", loaded))
-    params = _mapping("params", doc.get("params"))
+        doc.update(_mapping(f"{config}: top level", loaded, ConfigError))
+    params = _mapping("params", doc.get("params"), ConfigError)
     given = {}
     for item in param:
         key, sep, value = item.partition("=")

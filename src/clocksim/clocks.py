@@ -43,6 +43,15 @@ def _check_integer(name, value, minimum=None, error=ModelError, below=None) -> i
     return n
 
 
+def _mapping(what, value, error=ModelError) -> dict:
+    """`value`, or {} for a YAML null; `error` unless it is a mapping.  The one statement of the rule."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a mapping, got {value!r}")
+    return value
+
+
 def _nonzero_integers(what, mapping, nonnegative=False) -> dict:
     """`mapping` without its zero entries; ModelError naming the key for a
     value the integer rule rejects (>= 0 when `nonnegative`).  The keys are

@@ -316,8 +316,10 @@ class _Replay(FirstReactionSampler):
             problem = f"is not after {_fmt(now)}"
         else:
             _, spec, te = entry
-            # an atom at the kernel's own float `te + offset`, or hazard consumed since now
-            if (any(te + a.offset == t for a in spec.atoms)
+            # not past the survival's end (direct's bracket top, `te + end`, bounds every draw),
+            # then an atom at the kernel's own float `te + offset`, or hazard consumed since now
+            if t <= te + spec.support_end() and (
+                    any(te + a.offset == t for a in spec.atoms)
                     or spec.cumulative_hazard(t - te) > spec.cumulative_hazard(now - te)):
                 return SamplerEvent(ev.clock, t)
             problem = "has no intensity"

@@ -7,6 +7,13 @@ birth-death (rate modifications at every step), the atomic showcase (a
 continuous/atomic race), a token ring (constant-size dependency
 neighborhoods, for scaling runs), and two renewal processes.
 
+The model ``table`` is data, one row per clock: a ``hazard`` string and,
+optionally, a ``mark`` (key -> delta), the minimum counts (>= 1) it ``need``s
+to be enabled, an ``anchor`` (``now``, or a key whose last change anchors
+the hazard: the T_k of lambda(t, X(T_k), T_k)) and a ``name``.  A clock
+reads only its need keys and anchor.  The atomic showcase, poisson and
+renewal are rows too.
+
 A builder's signature is its model's parameter table.  ``build(name,
 params)`` binds a mapping to it, so an unknown or missing parameter is a
 ModelError, and each builder checks every argument once: integers must be
@@ -39,7 +46,7 @@ from functools import cached_property
 from typing import Mapping
 
 from . import graph as depgraph
-from .clocks import DISABLED, ClockSpec, Enabled, JumpMark, SystemState, _check_integer, _collector_paused
+from .clocks import DISABLED, ClockSpec, Enabled, JumpMark, SystemState, _check_integer, _collector_paused, _mapping
 from .errors import ModelError
 from .hazards import FAMILIES, Atom, Exponential, HazardSpec, Weibull, _check_parameter
 
@@ -291,17 +298,9 @@ def build_atomic_showcase() -> Model:
     at absolute time 1.  Each jump disables the other clock.
     P(B fires) = S_A(1-) * 0.5 = 0.25."""
     specs = {"A": HazardSpec(Exponential(math.log(2.0))), "B": HazardSpec(None, (Atom(1.0, 0.5),))}
-    clocks = tuple(
-        ClockSpec(
-            id=i,
-            enabling=lambda view, now, out=Enabled(spec): out if view.count("armed") == 1 else DISABLED,
-            mark=JumpMark({"armed": -1, f"{name.lower()}_count": +1}),
-            reads=frozenset({"armed"}),
-            name=name,
-        )
-        for i, (name, spec) in enumerate(specs.items())
-    )
-    return Model("atomic-showcase", clocks, SystemState({"armed": 1}), {})
+    rows = [{"hazard": spec, "mark": {"armed": -1, f"{name.lower()}_count": +1}, "need": {"armed": 1}, "name": name}
+            for name, spec in specs.items()]
+    return _table("atomic-showcase", rows, {"armed": 1}, {})
 
 
 # -- birth-death -------------------------------------------------------------
@@ -375,24 +374,75 @@ def build_ring(m, rate=1.0, tokens=1) -> Model:
 
 # -- renewal processes ---------------------------------------------------------
 
-def _single_clock(model_name, spec, clock_name, params) -> Model:
-    """One always-enabled clock counting its firings in "n"."""
-    outcome = Enabled(spec)
-    clock = ClockSpec(id=0, enabling=lambda view, now, out=outcome: out, mark=JumpMark({"n": +1}),
-                      reads=frozenset(), name=clock_name)
-    return Model(model_name, (clock,), SystemState({}), params)
-
-
 def build_poisson(rate=1.0) -> Model:
-    """Always-enabled exponential clock."""
+    """Always-enabled exponential clock counting its firings in "n"."""
     rate = _check_parameter("parameter 'rate'", rate, error=ModelError)
-    return _single_clock("poisson", HazardSpec(Exponential(rate)), "tick", {"rate": rate})
+    return _table("poisson", [{"hazard": HazardSpec(Exponential(rate)), "mark": {"n": +1}, "name": "tick"}], {},
+                  {"rate": rate})
 
 
 def build_renewal(interarrival="weibull:2,1") -> Model:
-    """Renewal process: the clock re-anchors at each of its own jumps."""
+    """Renewal process: one always-enabled clock, re-anchored at each of its own jumps, counting them in "n"."""
     spec = parse_hazard(interarrival)
-    return _single_clock("renewal", spec, "renew", {"interarrival": unparse_hazard(spec)})
+    return _table("renewal", [{"hazard": spec, "mark": {"n": +1}, "name": "renew"}], {},
+                  {"interarrival": unparse_hazard(spec)})
+
+
+# -- table models ------------------------------------------------------------------
+
+def _table_rule(row, view, now):
+    """Enabled while every count meets its minimum, by an Enabled built once or,
+    anchored at a key, by a one-entry memo renewed when that key changes."""
+    need, anchor, memo = row
+    for key, minimum in need:
+        if view.count(key) < minimum:
+            return DISABLED
+    if anchor != "now" and memo[0].enabling_time != view.changed_at(anchor):
+        memo[0] = Enabled(memo[0].spec, view.changed_at(anchor))
+    return memo[0]
+
+
+def _table(name, rows, initial, params) -> Model:
+    """The model whose clock i is checked row i (see `build_table`), under `_table_rule`."""
+    clocks = []
+    for i, row in enumerate(rows):
+        need, anchor = row.get("need", {}), row.get("anchor", "now")
+        rule = types.MethodType(_table_rule, (tuple(need.items()), anchor, [Enabled(parse_hazard(row["hazard"]))]))
+        clocks.append(ClockSpec(id=i, enabling=rule, mark=JumpMark(row["mark"]),
+                                reads=frozenset({*need, anchor} - {"now"}), name=row.get("name", "")))
+    return Model(name, tuple(clocks), SystemState(initial), params)
+
+
+def _key(key):
+    if not isinstance(key, str):
+        raise ModelError(f"substate key {key!r} is not a string")
+    return key
+
+
+def _counts(what, value, minimum=None) -> dict:
+    """A mapping of substate keys to integers >= `minimum` (unbounded when None)."""
+    return {_key(key): _check_integer(f"{what} {key!r}", n, minimum) for key, n in _mapping(what, value).items()}
+
+
+def build_table(clocks, initial=None) -> Model:
+    """Clock i is row i of `clocks` (see the module docstring); `initial` maps
+    keys to counts >= 0.  `Model.params` holds the normalised rows and
+    `initial`, so ``build("table", model.params)`` is the same model."""
+    if not isinstance(clocks, (list, tuple)) or not clocks:
+        raise ModelError(f"parameter 'clocks' must be a non-empty list of rows, got {clocks!r}")
+    rows = []
+    for i, row in enumerate(clocks):
+        row = _mapping(f"row {i}", row)
+        try:
+            if "hazard" not in row or row.keys() - {"hazard", "mark", "need", "anchor", "name"}:
+                raise ModelError(f"needs a 'hazard', may have mark, need, anchor, name; got {sorted(row, key=str)}")
+            rows.append({"hazard": unparse_hazard(parse_hazard(row["hazard"])),
+                         "mark": _counts("mark", row.get("mark")), "need": _counts("need", row.get("need"), 1),
+                         "anchor": _key(row.get("anchor", "now")), "name": row.get("name", "")})
+        except ModelError as exc:
+            raise ModelError(f"row {i}: {exc}") from None
+    initial = _counts("initial", initial, 0)
+    return _table("table", rows, initial, {"clocks": rows, "initial": initial})
 
 
 # -- registry -------------------------------------------------------------------
@@ -407,6 +457,7 @@ MODEL_BUILDERS = {
     "ring": build_ring,
     "poisson": build_poisson,
     "renewal": build_renewal,
+    "table": build_table,
 }
 _SIGNATURES = {name: inspect.signature(fn) for name, fn in MODEL_BUILDERS.items()}
 

@@ -61,12 +61,17 @@ def last_event_sample(model, sampler, seed, n, stop):
 
 
 def tracked_objects_after_build(build):
-    """(build(), the number of collector-tracked objects it leaves alive)."""
+    """(build(), the number of collector-tracked objects it made that are still alive).
+
+    Only objects absent from the pre-build list count, so objects the build
+    frees cannot lower the count; the list is kept alive, so no id in it is reused.
+    """
     gc.collect()
-    before = len(gc.get_objects())
+    before = gc.get_objects()
+    seen = {id(obj) for obj in before}
     built = build()
     gc.collect()
-    return built, len(gc.get_objects()) - before
+    return built, sum(id(obj) not in seen for obj in gc.get_objects())
 
 
 def traced_bytes_after_build(build):

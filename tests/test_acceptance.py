@@ -12,8 +12,6 @@ import numpy as np
 from click.testing import CliRunner
 
 from clocksim.cli import cli
-from clocksim.clocks import DISABLED, ClockSpec, Enabled, JumpMark, SystemState
-from clocksim.hazards import Exponential, HazardSpec
 from clocksim.kernel import (
     CountingStream,
     Engine,
@@ -22,7 +20,7 @@ from clocksim.kernel import (
     derived_generator,
     run_trajectory,
 )
-from clocksim.models import Model, build
+from clocksim.models import build
 from clocksim.samplers import make_sampler
 from clocksim.structs import PrefixSumTree, PutativeQueue
 from clocksim.verify import competing_risks, ctmc_agreement, hazard_round_trip, sampler_equivalence
@@ -35,26 +33,17 @@ def _report(num, label, ok, detail):
     return ok
 
 
-def _race3():
-    """Three-clock single-shot exponential race (rates 1, 2, 3)."""
-    clocks = []
-    for i, r in enumerate((1.0, 2.0, 3.0)):
-        on = Enabled(HazardSpec(Exponential(r)))
-        clocks.append(
-            ClockSpec(
-                id=i,
-                enabling=lambda v, now, out=on: out if v.count("armed") == 1 else DISABLED,
-                mark=JumpMark({"armed": -1, f"win_{i}": +1}),
-                reads=frozenset({"armed"}),
-                name=f"race_{i}",
-            )
-        )
-    return Model("race3", tuple(clocks), SystemState({"armed": 1}), {})
+# three-clock single-shot exponential race (rates 1, 2, 3)
+RACE3 = {
+    "clocks": [{"hazard": f"exponential:{r}", "mark": {"armed": -1, f"win_{i}": +1}, "need": {"armed": 1},
+                "name": f"race_{i}"} for i, r in enumerate((1.0, 2.0, 3.0))],
+    "initial": {"armed": 1},
+}
 
 
 # (label, model, stop, hierarchical partition); tests/test_partitions.py checks each partition against its model
 CRITERION_1_CASES = [
-    ("race3", _race3(), EventCount(1), "hierarchical:direct=0;next-reaction=rest"),
+    ("race3", build("table", RACE3), EventCount(1), "hierarchical:direct=0;next-reaction=rest"),
     ("sir10-weibull", build("sir", {"n": 10, "infect": "exponential:0.5", "recover": "weibull:2,1"}),
      StalledOnly(), "hierarchical:direct=0-89;next-reaction=rest"),
     ("atomic-showcase", build("atomic-showcase", {}), EventCount(1),

@@ -17,6 +17,8 @@ from clocksim import kernel, models
 from clocksim.cli import RunSpec, cli
 from clocksim.pool import fork_map
 
+from test_acceptance import CRITERION_1_CASES
+
 
 @pytest.fixture
 def runner():
@@ -411,6 +413,13 @@ def test_readme_config_schema_is_a_valid_run_spec():
     assert model.name == "sir"
 
 
+def test_readme_table_example_is_a_valid_run_spec():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = "model: table\n" + readme.split("```yaml\nmodel: table\n", 1)[1].split("```", 1)[0]
+    model = RunSpec.from_dict(yaml.safe_load(block)).validate()
+    assert [c.name for c in model.clocks] == ["arrive", "serve"]
+
+
 def test_run_spec_rejects_unknown_fields():
     from clocksim.errors import ConfigError
 
@@ -550,6 +559,9 @@ IMPOSSIBLE_FILES = {
                      "event 0: clock 0 at time 0.29999999999999999 has no intensity"),
     # the kernel would nudge a jump at 0 one ulp later
     "at-start": (["--model", "poisson"], "0\t0\t0\n", "event 0: clock 0 at time 0 is not after 0"),
+    # a uniform:0.5,2 interarrival's survival is 0 from 2 on
+    "past-support-end": (["--model", "renewal", "--param", "interarrival=uniform:0.5,2"], "0\t3\t0\n",
+                         "event 0: clock 0 at time 3 has no intensity"),
 }
 
 
@@ -561,13 +573,59 @@ def test_summarize_final_state_rejects_a_path_the_kernel_could_not_write(runner,
     written = out / "traj_000000.tsv"
     result = runner.invoke(cli, ["summarize", "--observable", "final-state", str(written)])
     assert result.exit_code == 0, result.output
-    header = [line for line in written.read_text().splitlines(keepends=True) if line.startswith("#")]
+    # the edited run ends at its one event, as a run stopped after one event does
+    ended = f"# final_time: {event.split()[1]}\n"
+    header = [ended if line.startswith("# final_time:") else line
+              for line in written.read_text().splitlines(keepends=True) if line.startswith("#")]
     bad = tmp_path / "bad.tsv"
-    assert "# events: 1\n" in header
+    assert "# events: 1\n" in header and ended in header
     bad.write_text("".join(header) + event)
     result = runner.invoke(cli, ["summarize", "--observable", "final-state", str(bad)])
     assert result.exit_code == 2, result.output
     assert f"{bad}: cannot replay ({message})" in result.output
+
+
+QUEUE_CONFIG = """\
+model: table
+params:
+  clocks:
+    - {hazard: "exponential:1.2", mark: {q: 1}, name: arrive}
+    - {hazard: "weibull:2,1", mark: {q: -1}, need: {q: 1}, anchor: q, name: serve}
+sampler: direct
+trajectories: 3
+max_events: 20
+"""
+
+
+def test_table_model_files_replay_from_their_headers(runner, tmp_path):
+    cfg = tmp_path / "queue.yaml"
+    cfg.write_text(QUEUE_CONFIG)
+    out = tmp_path / "out"
+    result = runner.invoke(cli, ["run", "--config", str(cfg), "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    files = sorted(str(path) for path in out.glob("traj_*.tsv"))
+    result = runner.invoke(cli, ["summarize", "--observable", "final-state", *files])
+    assert result.exit_code == 0, result.output
+    assert sum(int(line.rsplit("\t", 1)[1]) for line in result.output.strip().split("\n")[1:]) == 3
+    # the server cannot fire while the queue is empty
+    header = [line for line in pathlib.Path(files[0]).read_text().splitlines(keepends=True) if line.startswith("#")]
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("".join(header).replace("# events: 20\n", "# events: 1\n") + "0\t0.5\t1\n")
+    result = runner.invoke(cli, ["summarize", "--observable", "final-state", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert f"{bad}: cannot replay (event 0: clock 1 at time 0.5 is not enabled)" in result.output
+
+
+def test_a_criterion_1_race3_file_summarizes(runner, tmp_path):
+    # race3 is a table model, so its file's header rebuilds it
+    label, model, stop, _ = CRITERION_1_CASES[0]
+    assert label == "race3"
+    path = tmp_path / "race3.tsv"
+    with open(path, "w") as fh:
+        kernel.write_trajectory(fh, kernel.run_trajectory(model, "direct", 1, stop), model)
+    result = runner.invoke(cli, ["summarize", "--observable", "final-state", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output.split("\n")[1].endswith("\t1")
 
 
 def test_hierarchical_sampler_spec_accepted(runner, tmp_path):

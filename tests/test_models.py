@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from scipy.stats import kstest
 
 from clocksim import graph as depgraph
@@ -43,6 +44,15 @@ from clocksim.models import (
 from clocksim.verify import compare_to_reference, ctmc_oracle, event_sample
 from conftest import last_event_sample, traced_bytes_after_build, tracked_objects_after_build
 
+# arrivals at rate 1.2; one server, Weibull(2, 1) anchored at the queue's last change
+QUEUE = {
+    "clocks": [
+        {"hazard": "exponential:1.2", "mark": {"q": 1}, "name": "arrive"},
+        {"hazard": "weibull:2,1", "mark": {"q": -1}, "need": {"q": 1}, "anchor": "q", "name": "serve"},
+    ],
+    "initial": {"q": 1},
+}
+
 ALL_BUILTINS = [
     ("sir", {"n": 3, "initial_infected": 1, "recover": "weibull:2,1"}),
     ("rabbits", {"m": 2, "food_rate": 2.0, "portions": "1;2", "initial_food": 3}),
@@ -51,6 +61,7 @@ ALL_BUILTINS = [
     ("ring", {"m": 4}),
     ("poisson", {"rate": 1.0}),
     ("renewal", {}),
+    ("table", QUEUE),
 ]
 
 
@@ -117,6 +128,50 @@ def test_recorded_params_rebuild_the_same_model(name, params):
     assert model_hash(build(name, model.params)) == model_hash(model)
 
 
+def test_table_params_survive_yaml_and_key_order():
+    model = build("table", QUEUE)
+    assert model.params["clocks"][0] == {"hazard": "exponential:1.2", "mark": {"q": 1}, "need": {}, "anchor": "now",
+                                         "name": "arrive"}
+    reordered = {"initial": QUEUE["initial"], "clocks": [dict(reversed(row.items())) for row in QUEUE["clocks"]]}
+    for params in (yaml.safe_load(yaml.safe_dump(model.params)), reordered):
+        assert model_hash(build("table", params)) == model_hash(model)
+
+
+def test_table_clock_reads_its_need_keys_and_anchor():
+    model = build("table", {"clocks": [{"hazard": "exponential:1", "mark": {"x": 1}, "need": {"y": 2}, "anchor": "z"},
+                                       {"hazard": "exponential:1", "mark": {"x": 1}}]})
+    assert [c.reads for c in model.clocks] == [frozenset({"y", "z"}), frozenset()]
+    assert model.clocks[0].enabling(StateView({"y": 1}, {}), 1.0) is DISABLED
+
+
+def test_anchored_table_rule_renews_its_outcome_only_when_the_anchor_moves():
+    serve = build("table", QUEUE).by_id[1].enabling
+    first = serve(StateView({"q": 2}, {"q": 0.5}), 1.0)
+    assert first == Enabled(HazardSpec(Weibull(2.0, 1.0)), 0.5)
+    assert serve(StateView({"q": 3}, {"q": 0.5}), 2.0) is first
+    after = serve(StateView({"q": 1}, {"q": 2.5}), 3.0)
+    assert after == Enabled(first.spec, 2.5) and after.spec is first.spec
+    assert serve(StateView({}, {"q": 3.5}), 4.0) is DISABLED
+
+
+ROW = {"hazard": "exponential:1", "mark": {"x": 1}}
+
+
+@pytest.mark.parametrize("clocks, message", [
+    ([{**ROW, "rate": 2}], "row 0: needs a 'hazard', may have mark, need, anchor, name; "
+                           "got ['hazard', 'mark', 'rate']"),
+    ([ROW, {"mark": {"x": 1}}], "row 1: needs a 'hazard', may have mark, need, anchor, name; got ['mark']"),
+    ([{**ROW, "need": {"x": 0}}], "row 0: need 'x' must be an integer >= 1, got 0"),
+    ([ROW, 5], "row 1 must be a mapping, got 5"),
+    ([{**ROW, "anchor": 3}], "row 0: substate key 3 is not a string"),
+    ([], "parameter 'clocks' must be a non-empty list of rows, got []"),
+], ids=["unknown-key", "no-hazard", "need-0", "not-a-mapping", "anchor-not-a-key", "no-rows"])
+def test_table_row_errors_name_the_row(clocks, message):
+    with pytest.raises(ModelError) as info:
+        build("table", {"clocks": clocks})
+    assert str(info.value) == f"model 'table': {message}"
+
+
 def test_sir_structure():
     model = build_sir(3)
     names = [c.name for c in model.clocks]
@@ -162,6 +217,7 @@ SPEC_BOUNDS = {
     "ring": lambda p: p["m"] * p["tokens"],
     "poisson": lambda p: 1,
     "renewal": lambda p: 1,
+    "table": lambda p: len(p["clocks"]),
 }
 
 

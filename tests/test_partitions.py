@@ -13,9 +13,10 @@ from clocksim.cli import _SUITES
 from clocksim.errors import ModelError
 from clocksim.kernel import EventCount, run_ensemble, run_trajectory
 from clocksim.models import build
-from clocksim.samplers import NextReactionSampler, make_sampler
+from clocksim.samplers import NextReactionSampler, NextToFireSampler, make_sampler
 
-from test_acceptance import CRITERION_1_CASES
+from test_acceptance import CRITERION_1_CASES, RACE3
+from test_samplers import RACE_THEN_ATOM
 from test_verify import SIR3
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +33,8 @@ MODELS = {
     "atomic-showcase": ("atomic-showcase", {}),
     "poisson": ("poisson", {}),
     "renewal": ("renewal", {"interarrival": "gamma:2,3@0.5,0.3"}),
+    "table-race3": ("table", RACE3),
+    "table-race-then-atom": ("table", RACE_THEN_ATOM),
 }
 
 # (base sampler, partition template over the model's low half `{low}`, the clause it follows from)
@@ -56,13 +59,17 @@ def outcome(traj):
     return repr((traj.events, traj.variates_consumed, traj.final_time))
 
 
+def low_half(model):
+    """The id range of the model's low half, `first-middle`."""
+    ids = sorted(model.by_id)
+    return f"{ids[0]}-{ids[(len(ids) - 1) // 2]}"
+
+
 @pytest.mark.parametrize("base, partition, clause", IDENTITIES, ids=[p.format(low="low") for _, p, _ in IDENTITIES])
 @pytest.mark.parametrize("model_key", MODELS)
 def test_hierarchical_identity(model_key, base, partition, clause):
     model = build(*MODELS[model_key])
-    ids = sorted(model.by_id)
-    low = f"{ids[0]}-{ids[(len(ids) - 1) // 2]}"
-    spec = "hierarchical:" + partition.format(low=low)
+    spec = "hierarchical:" + partition.format(low=low_half(model))
     for stream in range(10):
         expect = outcome(run_trajectory(model, base, 2024, EventCount(100), stream_index=stream))
         assert outcome(run_trajectory(model, spec, 2024, EventCount(100), stream_index=stream)) == expect, (
@@ -110,6 +117,46 @@ def test_the_fresh_draws_check_sees_a_resumed_clock():
     with pytest.raises(AssertionError, match="resumed clocks"):
         for stream in range(10):
             run_trajectory(model, _FreshDrawsOnly(), 2024, EventCount(100), stream_index=stream)
+
+
+class _NoModified(NextToFireSampler):
+    """Next-to-fire that asserts, on every delta, that no entry is modified."""
+
+    def __init__(self):
+        super().__init__()
+        self.deltas = 0
+
+    def _apply(self, delta, now, stream):
+        assert not delta.modified, f"modified clocks {delta.modified} at {now}"
+        self.deltas += 1
+        super()._apply(delta, now, stream)
+
+
+NEXT_TO_FIRE_SPLIT_CLAUSE = (
+    "next-to-fire draws once per modified then per newly enabled clock in ascending id; the children "
+    "apply in construction order, low ids first, so with no modified clock they draw in the same order")
+
+
+@pytest.mark.parametrize("name, params", [
+    ("sir", {"n": 8, "recover": "weibull:2,1@1.5,0.5"}), ("sir", {"n": 12}), ("atomic-showcase", {}),
+], ids=["sir-n8-weibull-atom", "sir-n12", "atomic-showcase"])
+def test_next_to_fire_split_is_next_to_fire_without_modified_clocks(name, params):
+    model = build(name, params)
+    spec = f"hierarchical:next-to-fire={low_half(model)};next-to-fire=rest"
+    for stream in range(10):
+        recording = _NoModified()
+        expect = outcome(run_trajectory(model, recording, 2024, EventCount(100), stream_index=stream))
+        assert recording.deltas > 1, "the precondition was checked on no step"
+        got = outcome(run_trajectory(model, spec, 2024, EventCount(100), stream_index=stream))
+        assert got == expect, f"stream {stream}: the identity follows from {NEXT_TO_FIRE_SPLIT_CLAUSE}"
+
+
+def test_the_no_modified_check_sees_a_modified_clock():
+    # a ring site's hop rate is proportional to its tokens, so a hop into an occupied site modifies its clock
+    model = build(*MODELS["ring"])
+    with pytest.raises(AssertionError, match="modified clocks"):
+        for stream in range(10):
+            run_trajectory(model, _NoModified(), 2024, EventCount(100), stream_index=stream)
 
 
 # -- the engine's check --------------------------------------------------------------

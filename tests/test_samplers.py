@@ -11,11 +11,10 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from clocksim import samplers
-from clocksim.clocks import DISABLED, ClockSpec, Enabled, JumpMark, SystemState
 from clocksim.errors import ModelError, Stalled, UnknownClock
 from clocksim.hazards import INF, Atom, Exponential, HazardSpec, Weibull
 from clocksim.kernel import EventCount, StalledOnly, run_ensemble, run_trajectory, write_trajectory
-from clocksim.models import Model, build, parse_hazard
+from clocksim.models import build, parse_hazard
 from clocksim.samplers import (
     SAMPLER_NAMES,
     DirectSampler,
@@ -382,13 +381,8 @@ def test_direct_infinite_hazard_at_the_sampled_time_fires():
 
 def _renewal_pair(hazard):
     """Two clocks, always enabled, each re-anchored at its own jumps."""
-    outcome = Enabled(parse_hazard(hazard))
-    clocks = tuple(
-        ClockSpec(id=i, enabling=lambda view, now, out=outcome: out, mark=JumpMark({f"n{i}": 1}),
-                  reads=frozenset(), name=f"renew_{i}")
-        for i in range(2)
-    )
-    return Model("renewal-pair", clocks, SystemState({}), {})
+    rows = [{"hazard": hazard, "mark": {f"n{i}": 1}, "name": f"renew_{i}"} for i in range(2)]
+    return build("table", {"clocks": rows})
 
 
 @pytest.mark.parametrize("hazard", ["weibull:0.5,1", "gamma:0.5,1"])
@@ -596,18 +590,15 @@ STALL_PATH_DIGESTS = {
 }
 
 
-def _race_then_atom():
-    """A (rate 0.1) and B (rate 0.2) race, either disarms both, then C gets one atom of mass 1/2."""
-    race = [Enabled(HazardSpec(Exponential(r))) for r in (0.1, 0.2)]
-    atom = Enabled(parse_hazard("none@1,0.5"))
-    clocks = (
-        *(ClockSpec(id=i, enabling=lambda view, now, out=out: out if view.count("armed") else DISABLED,
-                    mark=JumpMark({"armed": -1, "done": 1}), reads=frozenset({"armed"}), name=name)
-          for i, (name, out) in enumerate(zip("AB", race))),
-        ClockSpec(id=2, enabling=lambda view, now: atom if view.count("done") else DISABLED,
-                  mark=JumpMark({"done": -1}), reads=frozenset({"done"}), name="C"),
-    )
-    return Model("race-then-atom", clocks, SystemState({"armed": 1}), {})
+# A (rate 0.1) and B (rate 0.2) race, either disarms both, then C gets one atom of mass 1/2
+RACE_THEN_ATOM = {
+    "clocks": [
+        *({"hazard": f"exponential:{r}", "mark": {"armed": -1, "done": 1}, "need": {"armed": 1}, "name": name}
+          for name, r in (("A", 0.1), ("B", 0.2))),
+        {"hazard": "none@1,0.5", "mark": {"done": -1}, "need": {"done": 1}, "name": "C"},
+    ],
+    "initial": {"armed": 1},
+}
 
 
 def test_direct_stalls_where_only_zero_hazard_clocks_remain():
@@ -615,7 +606,7 @@ def test_direct_stalls_where_only_zero_hazard_clocks_remain():
     # the run ends with C firing at te + 1 or with a stall.  Direct's second
     # variate goes unused on C's draw, so both samplers decide C on the
     # third uniform of the stream, and their splits agree exactly.
-    model = _race_then_atom()
+    model = build("table", RACE_THEN_ATOM)
     splits = {}
     for sampler in ("first-reaction", "direct"):
         outcomes = []
